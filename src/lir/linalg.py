@@ -2,16 +2,26 @@
 
 The SVD works on the Gram matrix of the smaller side (the embedding use case
 is n >> d with d <= ~1024, so the d x d eigenproblem is cheap) and
-diagonalizes it with fixed-order cyclic Jacobi rotations. Everything here is
-single-threaded with fixed reduction order, so identical inputs produce
-bit-identical outputs. Sign ambiguity is resolved by a fixed convention:
-in every column of V the entry of largest magnitude is non-negative, with
-U flipped alongside to preserve the product.
+diagonalizes it with LAPACK's symmetric eigensolver (`np.linalg.eigh`), run
+with numpy's bundled OpenBLAS pinned to one thread: a multi-threaded
+eigensolve changes the last bits of its result with the thread count, a
+single-threaded one does not. Identical inputs therefore produce
+bit-identical outputs whatever the BLAS thread-pool setting. Sign ambiguity is
+resolved by a fixed convention: in every column of V the entry of largest
+magnitude is non-negative, with U following from V.
+
+`jacobi_eigh` is a scalar cyclic-Jacobi eigensolver kept as a public,
+LAPACK-free reference; the SVD does not use it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -185,41 +195,99 @@ def _recover_side(a: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> np.nda
     return out
 
 
-def _apply_sign_convention(u: np.ndarray, v: np.ndarray) -> None:
-    # Orient each column of V so its largest-magnitude entry (first such index
-    # on ties) is non-negative; flip the paired U column to keep the product.
+@functools.cache
+def _openblas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS as `numpy.libs/libscipy_openblas*.so` and it
+    exports `scipy_openblas_{get,set}_num_threads64_`. Loading the same file
+    again returns the copy numpy already uses, so the setting reaches numpy's
+    calls. With any other BLAS build the pin is a no-op, and results are only
+    guaranteed to be thread-count independent where that BLAS's eigensolver
+    is itself thread-count independent.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get = handle.scipy_openblas_get_num_threads64_
+            set_ = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        set_.restype = None
+        return get, set_
+    return None
+
+
+# Serializes the read-set-restore of the process-wide BLAS thread count, so
+# concurrent callers cannot restore each other's pinned value.
+_PIN_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, restoring the caller's count after."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    with _PIN_LOCK:
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
+
+
+def _gram_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvectors of a symmetric Gram matrix."""
+    if not np.all(np.isfinite(gram)):
+        raise InvalidMatrix("matrix entries too large: the Gram matrix overflows")
+    try:
+        with _one_blas_thread():
+            w, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK does not report how many iterations it spent.
+        raise NumericalFailure(f"eigensolver failed: {exc}", iterations=0) from exc
+    return w[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
+
+
+def _right_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and sign-oriented right singular vectors (thin V).
+
+    For n >= d V comes straight from the d x d Gram matrix; otherwise the
+    n x n Gram matrix gives U and V is recovered from it. Either way each
+    column of V has its largest-magnitude entry (first on ties) non-negative.
+    """
+    n, d = a.shape
+    w, vecs = _gram_eigh(a.T @ a if n >= d else a @ a.T)
+    sigma = np.sqrt(np.maximum(w, 0.0))
+    v = vecs if n >= d else _recover_side(a.T, vecs, sigma)
     for i in range(v.shape[1]):
         j = int(np.argmax(np.abs(v[:, i])))
         if v[j, i] < 0.0:
             v[:, i] = -v[:, i]
-            u[:, i] = -u[:, i]
+    return sigma, v
 
 
 def svd(m) -> SvdResult:
     """Thin SVD of a dense matrix via the Gram matrix of the smaller side.
 
     For an n x d input this eigendecomposes the min(n, d)-sized Gram matrix
-    with cyclic Jacobi and recovers the other factor, which is cheap and
-    stable in the n >> d regime this package targets. The contract is the
-    usual one either way: sigma non-negative and non-increasing, orthonormal
-    factors, and reconstruction to 1e-6 relative Frobenius error.
+    with thread-pinned LAPACK `eigh` (raising NumericalFailure if it fails),
+    takes V from it and recovers U from m V. This is cheap and stable in the
+    n >> d regime this package targets. The contract is the usual one either
+    way: sigma non-negative and non-increasing, orthonormal factors, and
+    reconstruction to 1e-6 relative Frobenius error.
     """
     a = as_matrix(m)
-    n, d = a.shape
-    if n >= d:
-        w, vecs = jacobi_eigh(a.T @ a)
-        order = np.argsort(-w, kind="stable")
-        sigma = np.sqrt(np.maximum(w[order], 0.0))
-        v = vecs[:, order].copy()
-        u = _recover_side(a, v, sigma)
-    else:
-        w, vecs = jacobi_eigh(a @ a.T)
-        order = np.argsort(-w, kind="stable")
-        sigma = np.sqrt(np.maximum(w[order], 0.0))
-        u = vecs[:, order].copy()
-        v = _recover_side(a.T, u, sigma)
-    _apply_sign_convention(u, v)
-    return SvdResult(u=u, sigma=sigma, v=v)
+    sigma, v = _right_factor(a)
+    return SvdResult(u=_recover_side(a, v, sigma), sigma=sigma, v=v)
 
 
 def project_out(v, basis) -> np.ndarray:
@@ -259,8 +327,11 @@ def project_out_scaled(v, basis) -> np.ndarray:
 
 
 def pca_project(m, k: int) -> np.ndarray:
-    """Principal-component scores: first k columns of U diag(sigma) after
-    centering the columns of m. Deterministic via the SVD sign convention."""
+    """Principal-component scores after centering the columns of m.
+
+    The scores are the centered rows times the first k right singular
+    vectors, which equals the first k columns of U diag(sigma) without
+    building U. Deterministic via the SVD sign convention."""
     a = as_matrix(m)
     n, d = a.shape
     if n < 2:
@@ -268,5 +339,5 @@ def pca_project(m, k: int) -> np.ndarray:
     if not 1 <= k <= min(n, d):
         raise RankError(f"k={k} outside valid range [1, {min(n, d)}]")
     centered = a - a.mean(axis=0)
-    res = svd(centered)
-    return res.u[:, :k] * res.sigma[:k]
+    _, v = _right_factor(centered)
+    return centered @ v[:, :k]

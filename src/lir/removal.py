@@ -53,7 +53,8 @@ def fit_decomposition(
 ) -> tuple[ComponentBasis, np.ndarray]:
     """Fit a component basis and also return the full singular-value spectrum.
 
-    The basis is exactly the first `rank` columns of the SVD's V factor.
+    The basis is exactly the first `rank` columns of the SVD's V factor; the
+    U factor is never built.
     `normalize` rescales every row to unit length before fitting; `center`
     subtracts the column mean (both default off: the raw matrix is
     factorized, so the leading direction can be the language centroid
@@ -70,15 +71,15 @@ def fit_decomposition(
         data = data / norms[:, None]
     if center:
         data = data - data.mean(axis=0)
-    res = linalg.svd(data)
+    sigma, v = linalg._right_factor(data)
     basis = ComponentBasis(
         lang=matrix.lang,
-        basis=res.v[:, :rank].copy(),
+        basis=v[:, :rank].copy(),
         rank=rank,
         source_fingerprint=matrix.fingerprint(),
         sample_count=matrix.n,
     )
-    return basis, res.sigma.copy()
+    return basis, sigma
 
 
 def fit_components(

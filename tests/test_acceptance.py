@@ -261,6 +261,12 @@ def run_cli(args, cwd, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # The child runs in `cwd`, where a relative PYTHONPATH entry would not
+    # resolve: point it at the package this test imported.
+    package_root = str(Path(lir.__file__).resolve().parent.parent)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (package_root, full_env.get("PYTHONPATH")))
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "lir", *args],
         cwd=cwd,
@@ -349,6 +355,43 @@ def test_criterion_8_determinism(tmp_path):
     mismatched = [name for name in hashes1 if hashes1[name] != hashes2[name]]
     assert not mismatched, f"non-deterministic outputs: {mismatched}"
     assert len(hashes1) >= 15
+
+
+@pytest.fixture
+def openblas_threads():
+    controls = lir.linalg._openblas_threads()
+    if controls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
+    get_threads, set_threads = controls
+    original = get_threads()
+    yield get_threads, set_threads
+    set_threads(original)
+
+
+@criterion("8b", "fit and PCA bytes do not depend on the BLAS thread count at d=256", 30.0)
+def test_criterion_8b_blas_thread_count(openblas_threads, monkeypatch):
+    # d=256 is large enough for a multi-threaded LAPACK eigensolve to change
+    # the last bits with the thread count; criterion 8's d=24 is not.
+    get_threads, set_threads = openblas_threads
+    rows = np.random.default_rng(7).standard_normal((1000, 256))
+    matrix = lir.LanguageMatrix(lang="en", rows=rows)
+    outputs = []
+    for threads in (1, 2):
+        set_threads(threads)
+        basis, sigma = lir.fit_decomposition(matrix, 4)
+        assert get_threads() == threads
+        scores = lir.pca_project(rows, 2)
+        assert get_threads() == threads
+        outputs.append((basis.basis.tobytes(), sigma.tobytes(), scores.tobytes()))
+    assert outputs[0] == outputs[1]
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(lir.NumericalFailure):
+        lir.fit_decomposition(matrix, 4)
+    assert get_threads() == 2
 
 
 def _valid_lire_bytes():

@@ -442,3 +442,18 @@ class TestCliPlumbing:
         ])
         assert code == 3
         assert "converge" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        run_synth(tmp_path / "data", topics=2, per=2, dim=16)
+        capsys.readouterr()
+
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = main([
+            "fit", "--input", str(tmp_path / "data" / "corpus" / "l00.lire"),
+            "--rank", "1", "--output", str(tmp_path / "comp"),
+        ])
+        assert code == 3
+        assert "Eigenvalues did not converge" in capsys.readouterr().err

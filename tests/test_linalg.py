@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import lir
 from lir import (
     DimensionError,
     InvalidMatrix,
@@ -100,6 +104,50 @@ class TestSvd:
         for i in range(res.v.shape[1]):
             j = int(np.argmax(np.abs(res.v[:, i])))
             assert res.v[j, i] >= 0.0
+
+    def test_eigensolver_failure_is_numerical_failure(self, monkeypatch):
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        for shape in ((6, 3), (3, 6)):
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                svd(np.ones(shape))
+
+    def test_concurrent_callers_restore_thread_count(self):
+        controls = lir.linalg._openblas_threads()
+        if controls is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
+        get_threads, set_threads = controls
+        original = get_threads()
+        a = np.random.default_rng(23).standard_normal((30, 8))
+        expected = svd(a).v.tobytes()
+        mismatches = []
+
+        def worker():
+            for _ in range(1000):
+                if svd(a).v.tobytes() != expected:
+                    mismatches.append(1)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        set_threads(2)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+            assert get_threads() == 2
+        finally:
+            sys.setswitchinterval(switch)
+            set_threads(original)
+        assert not mismatches
+
+    def test_gram_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix):
+            svd(np.array([[1e200, 1.0], [1.0, 1.0]]))
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidMatrix):
@@ -248,6 +296,16 @@ class TestPcaProject:
         scores = pca_project(a, 6)
         variances = scores.var(axis=0)
         assert np.all(np.diff(variances) <= 1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 8), (5, 12)])
+    def test_matches_svd_scores(self, shape):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal(shape) * np.linspace(4.0, 0.5, shape[1])
+        k = min(shape) - 1
+        scores = pca_project(a, k)
+        res = svd(a - a.mean(axis=0))
+        expected = res.u[:, :k] * res.sigma[:k]
+        assert np.linalg.norm(scores - expected) <= 1e-9 * np.linalg.norm(expected)
 
     def test_rank_errors(self):
         a = np.ones((3, 2))

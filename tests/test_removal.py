@@ -96,6 +96,15 @@ class TestFitComponents:
         assert np.allclose(sigma, [3.0, 1.0], atol=1e-12)
         assert basis.rank == 1
 
+    @pytest.mark.parametrize("shape", [(50, 6), (4, 9)])
+    def test_basis_is_leading_svd_columns_bitwise(self, shape):
+        rows = np.random.default_rng(19).standard_normal(shape)
+        rank = min(shape) - 1
+        basis, sigma = fit_decomposition(LanguageMatrix(lang="en", rows=rows), rank)
+        res = svd(rows)
+        assert basis.basis.tobytes() == res.v[:, :rank].copy().tobytes()
+        assert sigma.tobytes() == res.sigma.tobytes()
+
 
 class TestRemove:
     def test_hand_example_both_modes(self):
