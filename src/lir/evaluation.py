@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,12 +48,24 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _rank_order(qvec: np.ndarray, cmat: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    sims = cmat @ qvec
-    denom = np.linalg.norm(cmat, axis=1) * np.linalg.norm(qvec)
-    scores = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
-    # lexsort: last key is primary, so descending score first, then id.
-    return np.lexsort((ids, -scores))
+def _rankings(queries, candidates: Sequence[EmbeddingRecord]) -> Iterator[RankedList]:
+    """One RankedList per query over a validated, non-empty candidate set.
+
+    Candidates are stacked, normed and ordered by id once. Scores keep the
+    input row order (a BLAS dot product's bits depend on the row position),
+    then a stable sort on -score in id order breaks ties by ascending id.
+    """
+    cmat = np.stack([r.vec for r in candidates])
+    cnorms = np.linalg.norm(cmat, axis=1)
+    ids = np.array([r.id for r in candidates], dtype=object)  # str dtype drops trailing NULs
+    by_id = np.argsort(ids, kind="stable")
+    sorted_ids = ids[by_id]
+    for q in queries:
+        sims = cmat @ q.vec
+        denom = cnorms * np.linalg.norm(q.vec)
+        scores = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
+        order = np.argsort(-scores[by_id], kind="stable")
+        yield RankedList(query_id=q.id, candidate_ids=tuple(sorted_ids[order].tolist()))
 
 
 def rank_candidates(
@@ -72,10 +84,7 @@ def rank_candidates(
         raise DimensionError(
             f"query dimension {query.dim} != candidate dimension {dim}"
         )
-    ids = np.array([r.id for r in recs])
-    cmat = np.stack([r.vec for r in recs])
-    order = _rank_order(query.vec, cmat, ids)
-    return RankedList(query_id=query.id, candidate_ids=tuple(ids[order].tolist()))
+    return next(_rankings((query,), recs))
 
 
 def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
@@ -150,13 +159,9 @@ def evaluate_retrieval(
         queries = remove_batch(queries, bases, mode, strict=True).records
         candidates = remove_batch(candidates, bases, mode, strict=True).records
 
-    ids = np.array([r.id for r in candidates])
-    cmat = np.stack([r.vec for r in candidates])
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
-    for q in queries:
-        order = _rank_order(q.vec, cmat, ids)
-        ranking = RankedList(query_id=q.id, candidate_ids=tuple(ids[order].tolist()))
+    for q, ranking in zip(queries, _rankings(queries, candidates)):
         ap = average_precision(ranking, dataset.qrels[q.id])
         aps.append(ap)
         by_lang.setdefault(q.lang, []).append(ap)

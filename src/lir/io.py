@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .errors import (
     ParseError,
     TruncatedFile,
 )
+from .linalg import _gram_schmidt
 
 EMBEDDING_MAGIC = b"LIRE"
 COMPONENT_MAGIC = b"LIRC"
@@ -61,6 +63,17 @@ def _read_exact(f: BinaryIO, nbytes: int, what: str) -> bytes:
     return data
 
 
+def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
+    # Checked before reading, so a corrupt declared size cannot exhaust memory.
+    if nbytes > os.fstat(f.fileno()).st_size - f.tell():
+        raise TruncatedFile(f"file is shorter than its declared {what}")
+
+
+def _write_header(f: BinaryIO, magic: bytes, header: dict) -> None:
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    f.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<I", len(hjson)) + hjson)
+
+
 def _read_header(f: BinaryIO, magic: bytes) -> dict:
     if f.read(len(magic)) != magic:
         raise FormatError("bad magic")
@@ -68,10 +81,11 @@ def _read_header(f: BinaryIO, magic: bytes) -> dict:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
     (hlen,) = struct.unpack("<I", _read_exact(f, 4, "header length"))
+    _check_remaining(f, hlen, "header")
     raw = _read_exact(f, hlen, "header")
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise FormatError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")
@@ -104,12 +118,7 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord]) -> None:
             f"an embedding file holds a single language, got {sorted(langs)}"
         )
     header = {"count": len(records), "dim": dim, "dtype": "f32", "lang": records[0].lang}
-    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buf = bytearray()
-    buf += EMBEDDING_MAGIC
-    buf.append(FORMAT_VERSION)
-    buf += struct.pack("<I", len(hjson))
-    buf += hjson
     for rec in records:
         idb = rec.id.encode("utf-8")
         if len(idb) > 0xFFFF:
@@ -117,7 +126,9 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord]) -> None:
         buf += struct.pack("<H", len(idb))
         buf += idb
         buf += rec.vec.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as f:
+        _write_header(f, EMBEDDING_MAGIC, header)
+        f.write(buf)
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:
@@ -129,6 +140,7 @@ def read_embeddings(path) -> list[EmbeddingRecord]:
         lang = _header_str(header, "lang")
         if header.get("dtype") != "f32":
             raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
+        _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
         records = []
         for idx in range(count):
             (idlen,) = struct.unpack(
@@ -158,28 +170,13 @@ def write_components(path, basis: ComponentBasis, mode_hint: str | None = None) 
     }
     if mode_hint is not None:
         header["mode_hint"] = str(mode_hint)
-    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = bytearray()
-    buf += COMPONENT_MAGIC
-    buf.append(FORMAT_VERSION)
-    buf += struct.pack("<I", len(hjson))
-    buf += hjson
-    buf += basis.basis.astype("<f4").tobytes(order="F")
-    Path(path).write_bytes(bytes(buf))
+    with open(path, "wb") as f:
+        _write_header(f, COMPONENT_MAGIC, header)
+        f.write(basis.basis.astype("<f4").tobytes(order="F"))
 
 
-def _gram_schmidt_columns(b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(b)
-    for i in range(b.shape[1]):
-        col = b[:, i].copy()
-        for _ in range(2):
-            if i:
-                col -= out[:, :i] @ (out[:, :i].T @ col)
-        nrm = float(np.linalg.norm(col))
-        if nrm < 0.5:
-            raise CorruptBasis("basis columns are linearly dependent")
-        out[:, i] = col / nrm
-    return out
+def _dependent_columns(prior: np.ndarray) -> NoReturn:
+    raise CorruptBasis("basis columns are linearly dependent")
 
 
 def read_components(path) -> ComponentBasis:
@@ -194,6 +191,7 @@ def read_components(path) -> ComponentBasis:
         fingerprint = _header_str(header, "source_fingerprint")
         if rank > dim:
             raise FormatError(f"rank {rank} exceeds dimension {dim}")
+        _check_remaining(f, 4 * dim * rank, "basis values")
         raw = _read_exact(f, 4 * dim * rank, "basis values")
         if f.read(1):
             raise FormatError("trailing data after the basis values")
@@ -207,7 +205,7 @@ def read_components(path) -> ComponentBasis:
             raise CorruptBasis(
                 f"stored basis deviates from orthonormal by {dev:.3g}"
             )
-        basis = _gram_schmidt_columns(basis)
+        basis = _gram_schmidt(basis, 0.5, _dependent_columns)
     return ComponentBasis(
         lang=lang,
         basis=basis,
@@ -235,14 +233,18 @@ def read_components_dir(path) -> dict[str, ComponentBasis]:
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as f:
+    # surrogateescape keeps bad bytes in their line, for the encode check below.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             stripped = line.strip()
             if not stripped:
                 raise ParseError(line_no, "blank line")
             try:
+                stripped.encode("utf-8")
                 obj = json.loads(stripped)
-            except ValueError as exc:
+            except UnicodeEncodeError:
+                raise ParseError(line_no, "invalid UTF-8") from None
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "expected a JSON object")
@@ -270,7 +272,7 @@ def read_jsonl_embeddings(path) -> list[EmbeddingRecord]:
             raise ParseError(line_no, "field 'vec' must be a non-empty number list")
         try:
             rec = EmbeddingRecord(id=rec_id, lang=lang, vec=np.asarray(vec, dtype=np.float64))
-        except InvalidVector as exc:
+        except (InvalidVector, OverflowError) as exc:
             raise ParseError(line_no, str(exc)) from exc
         if dim == 0:
             dim = rec.dim
@@ -313,24 +315,17 @@ def read_labels(path) -> dict[str, int]:
     return out
 
 
-def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
-    lines = [
-        json.dumps(
-            {"query_id": qid, "relevant": sorted(qrels[qid])},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for qid in sorted(qrels)
-    ]
+def _write_jsonl(path, objects) -> None:
+    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objects]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
+    _write_jsonl(path, ({"query_id": q, "relevant": sorted(qrels[q])} for q in sorted(qrels)))
 
 
 def write_labels(path, labels: Mapping[str, int]) -> None:
-    lines = [
-        json.dumps({"id": rec_id, "label": labels[rec_id]}, sort_keys=True, separators=(",", ":"))
-        for rec_id in sorted(labels)
-    ]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_jsonl(path, ({"id": rec_id, "label": labels[rec_id]} for rec_id in sorted(labels)))
 
 
 def report_to_dict(report: EvalReport | TransferReport) -> dict:

@@ -153,46 +153,44 @@ def jacobi_eigh(a, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray
     return np.diag(a).copy(), v
 
 
-def _complete_column(out: np.ndarray, i: int) -> np.ndarray:
-    # Deterministic null-space completion: first coordinate direction whose
-    # residual against the existing columns is comfortably non-degenerate.
-    m = out.shape[0]
-    floor = 0.5 / np.sqrt(m)
-    for j in range(m):
-        cand = np.zeros(m)
-        cand[j] = 1.0
+def _gram_schmidt(w: np.ndarray, floor: float, degenerate, done=None) -> np.ndarray:
+    """Orthonormalize the columns of w in order, two projection passes each.
+
+    The columns are also made orthogonal to the orthonormal columns of
+    `done`. One whose residual norm is not above `floor` is replaced by
+    `degenerate(prior)`, prior being the columns before it; the callback
+    returns the replacement column or raises. The result keeps w's memory
+    layout, which fixes the BLAS kernels and so the bits of the result.
+    """
+    start = 0 if done is None else done.shape[1]
+    out = np.zeros_like(w) if done is None else np.hstack([done, np.zeros_like(w)])
+    for i in range(start, out.shape[1]):
+        col = w[:, i - start].copy()
         for _ in range(2):
-            if i:
-                cand -= out[:, :i] @ (out[:, :i].T @ cand)
-        nrm = float(np.linalg.norm(cand))
-        if nrm > floor:
-            return cand / nrm
+            col -= out[:, :i] @ (out[:, :i].T @ col)
+        nrm = float(np.linalg.norm(col))
+        out[:, i] = col / nrm if nrm > floor else degenerate(out[:, :i])
+    return out[:, start:]
+
+
+def _first_free_axis(prior: np.ndarray) -> np.ndarray:
+    # Deterministic null-space completion: the first coordinate axis whose residual
+    # against prior is comfortably non-degenerate (a degenerate one comes back zero).
+    m = prior.shape[0]
+    for j in range(m):
+        axis = np.zeros((m, 1))
+        axis[j] = 1.0
+        col = _gram_schmidt(axis, 0.5 / np.sqrt(m), lambda _: 0.0, prior)
+        if col.any():
+            return col[:, 0]
     raise NumericalFailure("could not complete an orthonormal basis", iterations=m)
 
 
 def _recover_side(a: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Build the other orthonormal factor from a @ basis.
-
-    Columns are re-orthonormalized in order (two Gram-Schmidt passes); columns
-    belonging to near-zero singular values are replaced by a deterministic
-    completion so the factor always has exactly orthonormal columns.
-    """
-    w = a @ basis
-    m, k = w.shape
-    out = np.zeros((m, k))
+    """The other orthonormal factor from a @ basis; columns of near-zero
+    singular values are completed deterministically."""
     top = float(sigma[0]) if sigma.size else 0.0
-    cutoff = 1e-8 * (top if top > 0.0 else 1.0)
-    for i in range(k):
-        col = w[:, i].copy()
-        for _ in range(2):
-            if i:
-                col -= out[:, :i] @ (out[:, :i].T @ col)
-        nrm = float(np.linalg.norm(col))
-        if nrm > cutoff:
-            out[:, i] = col / nrm
-        else:
-            out[:, i] = _complete_column(out, i)
-    return out
+    return _gram_schmidt(a @ basis, 1e-8 * (top if top > 0.0 else 1.0), _first_free_axis)
 
 
 @functools.cache

@@ -119,6 +119,7 @@ class SynthResult:
         )
 
 
+# Kept out of linalg._gram_schmidt, like generate's offset loop: it would change a seed's bytes.
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row span via two-pass Gram-Schmidt."""
     scale = float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 0.0

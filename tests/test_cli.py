@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -457,3 +462,60 @@ class TestCliPlumbing:
         ])
         assert code == 3
         assert "Eigenvalues did not converge" in capsys.readouterr().err
+
+
+def run_lir_process(args, memory_limit=3 << 30):
+    """Run `python -m lir` in a child process whose address space is capped,
+    so a reader that trusts a declared size fails fast instead of paging."""
+    env = dict(os.environ)
+    package_root = str(Path(lir.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "lir", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_memory,
+        timeout=120,
+    )
+
+
+def framed(magic, header, payload=b""):
+    raw = json.dumps(header).encode()
+    return magic + bytes([1]) + struct.pack("<I", len(raw)) + raw + payload
+
+
+class TestDeclaredSizes:
+    def test_oversized_basis_exit_2(self, tmp_path):
+        comp = tmp_path / "comp"
+        comp.mkdir()
+        header = {
+            "dim": 2**31,
+            "lang": "l00",
+            "rank": 2**31,
+            "sample_count": 1,
+            "source_fingerprint": "fp",
+        }
+        (comp / "l00.lirc").write_bytes(framed(b"LIRC", header))
+        records = [lir.EmbeddingRecord(id="a", lang="l00", vec=np.ones(4))]
+        write_embeddings(tmp_path / "in.lire", records)
+        proc = run_lir_process([
+            "apply", "--components", str(comp), "--input", str(tmp_path / "in.lire"),
+            "--output", str(tmp_path / "out.lire"),
+        ])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_oversized_embeddings_exit_2(self, tmp_path):
+        header = {"count": 1, "dim": 2**40, "dtype": "f32", "lang": "en"}
+        path = tmp_path / "huge.lire"
+        path.write_bytes(framed(b"LIRE", header, struct.pack("<H", 1) + b"a" + bytes(8)))
+        proc = run_lir_process([
+            "fit", "--input", str(path), "--rank", "1", "--output", str(tmp_path / "comp"),
+        ])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -45,6 +45,17 @@ class TestRankCandidates:
         q = rec("q", "en", [1.0, 0.0])
         cands = [rec("z", "en", [2.0, 0.0]), rec("a", "en", [1.0, 0.0])]
         assert rank_candidates(q, cands).candidate_ids == ("a", "z")
+        # Many exact ties, in shuffled id order: each score level lists ids ascending.
+        directions = ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
+        ids = [f"c{i:03d}" for i in np.random.default_rng(2).permutation(200)]
+        cands = [rec(cid, "en", directions[i % 3]) for i, cid in enumerate(ids)]
+        expected = sorted(ids, key=lambda cid: (ids.index(cid) % 3, cid))
+        assert rank_candidates(q, cands).candidate_ids == tuple(expected)
+
+    def test_ids_keep_trailing_nul(self):
+        q = rec("q", "en", [1.0, 0.0])
+        cands = [rec("a", "en", [0.0, 1.0]), rec("a\x00", "en", [1.0, 0.0])]
+        assert rank_candidates(q, cands).candidate_ids == ("a\x00", "a")
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)

@@ -37,6 +37,16 @@ def rec(rid, lang, vec):
     return EmbeddingRecord(id=rid, lang=lang, vec=np.asarray(vec, dtype=float))
 
 
+def framed(magic, header, payload=b""):
+    """A binary file: magic, version 1, u32 header length, header, payload."""
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return magic + bytes([1]) + struct.pack("<I", len(raw)) + raw + payload
+
+
+# Nested deeper than the interpreter's recursion limit.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def sample_records():
     return [
         rec("a", "en", [1.0, 2.5, -3.0, 0.125]),
@@ -125,6 +135,20 @@ class TestEmbeddingFiles:
         with pytest.raises(TruncatedFile):
             read_embeddings(path)
 
+    def test_declared_values_beyond_file_size(self, tmp_path):
+        # One record of dim 2**40 would be 4 TiB of values; the file is 84 bytes.
+        path = tmp_path / "huge.lire"
+        header = {"count": 1, "dim": 2**40, "dtype": "f32", "lang": "en"}
+        path.write_bytes(framed(b"LIRE", header, struct.pack("<H", 1) + b"a" + bytes(8)))
+        with pytest.raises(TruncatedFile):
+            read_embeddings(path)
+
+    def test_header_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.lire"
+        path.write_bytes(framed(b"LIRE", DEEP_JSON))
+        with pytest.raises(FormatError, match="JSON"):
+            read_embeddings(path)
+
 
 def fitted_basis(seed=0, d=6, r=3):
     rng = np.random.default_rng(seed)
@@ -185,6 +209,25 @@ class TestComponentFiles:
         with pytest.raises(TruncatedFile):
             read_components(path)
 
+    def test_declared_values_beyond_file_size(self, tmp_path):
+        path = tmp_path / "huge.lirc"
+        header = {
+            "dim": 2**31,
+            "lang": "en",
+            "rank": 2**31,
+            "sample_count": 1,
+            "source_fingerprint": "fp",
+        }
+        path.write_bytes(framed(b"LIRC", header))
+        with pytest.raises(TruncatedFile):
+            read_components(path)
+
+    def test_header_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.lirc"
+        path.write_bytes(framed(b"LIRC", DEEP_JSON))
+        with pytest.raises(FormatError, match="JSON"):
+            read_components(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lirc"
         path.write_bytes(b"LIRX" + bytes(16))
@@ -233,6 +276,28 @@ class TestJsonlReaders:
             read_jsonl_embeddings(path)
         assert exc_info.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "reader, first_line",
+        [
+            (read_qrels, b'{"query_id": "q", "relevant": ["a"]}'),
+            (read_labels, b'{"id": "a", "label": 1}'),
+        ],
+        ids=["qrels", "labels"],
+    )
+    def test_invalid_utf8_cites_line(self, tmp_path, reader, first_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(first_line + b'\n{"id": "\xff\xfe"}\n')
+        with pytest.raises(ParseError, match="UTF-8") as exc_info:
+            reader(path)
+        assert exc_info.value.line_no == 2
+
+    def test_nested_too_deep_cites_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_bytes(b'{"query_id": "q", "relevant": ["a"]}\n' + DEEP_JSON + b"\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_qrels(path)
+        assert exc_info.value.line_no == 2
+
     def test_dim_mismatch_cites_line(self, tmp_path):
         path = tmp_path / "dims.jsonl"
         path.write_text(
@@ -256,6 +321,9 @@ class TestJsonlReaders:
         with pytest.raises(ParseError):
             read_jsonl_embeddings(path)
         path.write_text('{"id": "a", "lang": "en", "vec": [Infinity]}\n')
+        with pytest.raises(ParseError):
+            read_jsonl_embeddings(path)
+        path.write_text('{"id": "a", "lang": "en", "vec": [1%s]}\n' % ("0" * 400))
         with pytest.raises(ParseError):
             read_jsonl_embeddings(path)
 
