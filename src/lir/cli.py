@@ -18,6 +18,7 @@ from .core import LanguageMatrix, RetrievalDataset, corpus_fingerprint
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer, export_projection
 from .io import (
+    _write_atomic,
     read_components_dir,
     read_embeddings,
     read_labels,
@@ -62,23 +63,24 @@ def _read_collection(target: str):
 
 
 def _cmd_fit(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    seen: set[str] = set()
+    # Every basis is fitted before any is written, so a failure leaves no .lirc set half done.
+    fitted = {}
     for file in _embedding_paths(args.input):
-        records = read_embeddings(file)
-        matrix = LanguageMatrix.from_records(records)
-        if matrix.lang in seen:
+        matrix = LanguageMatrix.from_records(read_embeddings(file))
+        if matrix.lang in fitted:
             raise DuplicateKey(matrix.lang, f"two input files for language {matrix.lang!r}")
-        seen.add(matrix.lang)
         if not _SAFE_LANG.match(matrix.lang):
             raise FormatError(f"language tag {matrix.lang!r} is not filename-safe")
         basis, sigma = fit_decomposition(
             matrix, args.rank, center=args.center, normalize=args.normalize
         )
-        write_components(outdir / f"{matrix.lang}.lirc", basis)
         top = ", ".join(f"{s:.6g}" for s in sigma[:5])
-        print(f"{matrix.lang}: n={matrix.n} d={matrix.d} top_singular_values=[{top}]")
+        fitted[matrix.lang] = (basis, f"n={matrix.n} d={matrix.d} top_singular_values=[{top}]")
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for lang, (basis, summary) in fitted.items():
+        write_components(outdir / f"{lang}.lirc", basis)
+        print(f"{lang}: {summary}")
     return EXIT_OK
 
 
@@ -208,8 +210,9 @@ def _cmd_synth(args) -> int:
             for lang in config.languages
         },
     }
-    (out / "manifest.json").write_bytes(
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    _write_atomic(
+        out / "manifest.json",
+        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     print(f"wrote {len(result.records)} records for {args.languages} languages to {out}")
     return EXIT_OK

@@ -2,17 +2,18 @@
 classification with a from-scratch logistic classifier, and PCA score export.
 
 Similarity is cosine throughout (rank metrics are then invariant to the norm
-shrinkage removal causes), ties are broken by ascending candidate id so
-rankings are permutation-invariant, and average precision is computed in
-exact rational arithmetic before the final float conversion.
+shrinkage removal causes). A score's bits depend neither on where its
+candidate sits in the input nor on the BLAS thread count, and ties are broken
+by ascending candidate id, so rankings are permutation-invariant. Average
+precision is computed exactly from the ranks of the relevant items and
+rounded once to float; a dataset evaluation ranks only those items.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,24 +49,50 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _rankings(queries, candidates: Sequence[EmbeddingRecord]) -> Iterator[RankedList]:
-    """One RankedList per query over a validated, non-empty candidate set.
+def _candidate_stack(candidates) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids in ascending order, the vectors stacked in that order, and the row
+    norms, for a validated, non-empty candidate set."""
+    recs = sorted(candidates, key=lambda r: r.id)
+    cmat = np.stack([r.vec for r in recs])
+    return [r.id for r in recs], cmat, np.linalg.norm(cmat, axis=1)
 
-    Candidates are stacked, normed and ordered by id once. Scores keep the
-    input row order (a BLAS dot product's bits depend on the row position),
-    then a stable sort on -score in id order breaks ties by ascending id.
+
+def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Cosine of vec against every row of cmat; 0 where either norm is 0.
+
+    einsum rounds every row alike, so a score's bits depend neither on the
+    row's position in the stack nor on the BLAS thread count. A BLAS gemv
+    rounds tail rows differently and splits the work by thread count.
     """
-    cmat = np.stack([r.vec for r in candidates])
-    cnorms = np.linalg.norm(cmat, axis=1)
-    ids = np.array([r.id for r in candidates], dtype=object)  # str dtype drops trailing NULs
-    by_id = np.argsort(ids, kind="stable")
-    sorted_ids = ids[by_id]
-    for q in queries:
-        sims = cmat @ q.vec
-        denom = cnorms * np.linalg.norm(q.vec)
-        scores = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
-        order = np.argsort(-scores[by_id], kind="stable")
-        yield RankedList(query_id=q.id, candidate_ids=tuple(sorted_ids[order].tolist()))
+    sims = np.einsum("ij,j->i", cmat, vec)
+    denom = cnorms * np.linalg.norm(vec)
+    return np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
+
+
+def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
+    """Sorted 1-based ranks of the rows `relevant` under a stable sort on
+    -score of rows in id order: a row follows every higher score and every
+    equal score with a smaller id (NaN sorts last, as in np.argsort)."""
+    keys = -scores
+    ordered = np.sort(keys)
+    rel_keys = keys[relevant]
+    above = np.searchsorted(ordered, rel_keys, "left")
+    ties = np.searchsorted(ordered, rel_keys, "right") - above
+    positions = above + 1
+    for m in np.flatnonzero(ties > 1):
+        before, key = keys[: relevant[m]], rel_keys[m]
+        positions[m] += np.count_nonzero(np.isnan(before) if np.isnan(key) else before == key)
+    return sorted(positions.tolist())
+
+
+def _ap_from_positions(positions: list[int]) -> float:
+    """Exact AP from the sorted ranks p_1 < ... < p_R of the relevant items.
+
+    The mean of k/p_k is one integer ratio over D = lcm(p), and Python's
+    int/int division rounds it correctly, as float(Fraction) does.
+    """
+    d = math.lcm(*positions)
+    return sum(k * (d // p) for k, p in enumerate(positions, start=1)) / (d * len(positions))
 
 
 def rank_candidates(
@@ -84,7 +111,9 @@ def rank_candidates(
         raise DimensionError(
             f"query dimension {query.dim} != candidate dimension {dim}"
         )
-    return next(_rankings((query,), recs))
+    ids, cmat, cnorms = _candidate_stack(recs)
+    order = np.argsort(-_cosine_scores(cmat, cnorms, query.vec), kind="stable")
+    return RankedList(query_id=query.id, candidate_ids=tuple(ids[i] for i in order.tolist()))
 
 
 def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
@@ -102,15 +131,9 @@ def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
             f"query {ranking.query_id!r}: relevant ids missing from ranking: "
             f"{sorted(missing)[:5]}"
         )
-    hits = 0
-    total = Fraction(0)
-    for pos, cid in enumerate(ranking.candidate_ids, start=1):
-        if cid in rel:
-            hits += 1
-            total += Fraction(hits, pos)
-            if hits == len(rel):
-                break
-    return float(total / len(rel))
+    positions = [pos for pos, cid in enumerate(ranking.candidate_ids, start=1) if cid in rel]
+    # A ranking that repeats an id is scored on its first len(rel) hits.
+    return _ap_from_positions(positions[: len(rel)])
 
 
 def _effective_rank(
@@ -159,10 +182,14 @@ def evaluate_retrieval(
         queries = remove_batch(queries, bases, mode, strict=True).records
         candidates = remove_batch(candidates, bases, mode, strict=True).records
 
+    ids, cmat, cnorms = _candidate_stack(candidates)
+    row_of = {cid: i for i, cid in enumerate(ids)}
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
-    for q, ranking in zip(queries, _rankings(queries, candidates)):
-        ap = average_precision(ranking, dataset.qrels[q.id])
+    for q in queries:
+        relevant = np.array([row_of[cid] for cid in dataset.qrels[q.id]], dtype=np.intp)
+        scores = _cosine_scores(cmat, cnorms, q.vec)
+        ap = _ap_from_positions(_relevant_positions(scores, relevant))
         aps.append(ap)
         by_lang.setdefault(q.lang, []).append(ap)
     return EvalReport(

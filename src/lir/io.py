@@ -16,15 +16,18 @@ Binary layouts (all integers little-endian):
 Files store 32-bit floats; everything is upcast to 64-bit on read, and a
 stored basis is re-orthonormalized after the 32-bit round trip. Writes are
 byte-deterministic: the same in-memory value always produces the same file.
+They are also atomic: a file appears whole under its name or not at all.
 Every malformed input raises a structured error, never a crash.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import struct
+from io import StringIO
 from pathlib import Path
 from typing import BinaryIO, Mapping, NoReturn, Sequence
 
@@ -69,9 +72,35 @@ def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
         raise TruncatedFile(f"file is shorter than its declared {what}")
 
 
-def _write_header(f: BinaryIO, magic: bytes, header: dict) -> None:
+def _write_atomic(path, *chunks: bytes) -> None:
+    """Write chunks to a temporary file beside path, then rename it onto path.
+
+    Readers see the old file or the whole new one; on any failure the
+    temporary file is removed. It is created like open(path, "wb") would
+    create path (mode 0o666 less the umask).
+    """
+    head, name = os.path.split(os.fspath(path))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for attempt in itertools.count():
+        tmp = os.path.join(head, f".{name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _header_bytes(magic: bytes, header: dict) -> bytes:
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    f.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<I", len(hjson)) + hjson)
+    return magic + bytes([FORMAT_VERSION]) + struct.pack("<I", len(hjson)) + hjson
 
 
 def _read_header(f: BinaryIO, magic: bytes) -> dict:
@@ -126,9 +155,7 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord]) -> None:
         buf += struct.pack("<H", len(idb))
         buf += idb
         buf += rec.vec.astype("<f4").tobytes()
-    with open(path, "wb") as f:
-        _write_header(f, EMBEDDING_MAGIC, header)
-        f.write(buf)
+    _write_atomic(path, _header_bytes(EMBEDDING_MAGIC, header), buf)
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:
@@ -170,9 +197,9 @@ def write_components(path, basis: ComponentBasis, mode_hint: str | None = None) 
     }
     if mode_hint is not None:
         header["mode_hint"] = str(mode_hint)
-    with open(path, "wb") as f:
-        _write_header(f, COMPONENT_MAGIC, header)
-        f.write(basis.basis.astype("<f4").tobytes(order="F"))
+    _write_atomic(
+        path, _header_bytes(COMPONENT_MAGIC, header), basis.basis.astype("<f4").tobytes(order="F")
+    )
 
 
 def _dependent_columns(prior: np.ndarray) -> NoReturn:
@@ -317,7 +344,7 @@ def read_labels(path) -> dict[str, int]:
 
 def _write_jsonl(path, objects) -> None:
     lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objects]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
@@ -352,7 +379,7 @@ def report_json(report: EvalReport | TransferReport) -> str:
 
 
 def write_report(path, report: EvalReport | TransferReport) -> None:
-    Path(path).write_bytes(report_json(report).encode("utf-8"))
+    _write_atomic(path, report_json(report).encode("utf-8"))
 
 
 def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]]) -> None:
@@ -362,10 +389,11 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
     if not rows:
         raise FormatError("refusing to write an empty projection CSV")
     k = len(rows[0][2])
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(k)])
-        for rec_id, lang, scores in rows:
-            if len(scores) != k:
-                raise DimensionError("projection rows have mixed score counts")
-            writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
+    text = StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(k)])
+    for rec_id, lang, scores in rows:
+        if len(scores) != k:
+            raise DimensionError("projection rows have mixed score counts")
+        writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
+    _write_atomic(path, text.getvalue().encode("utf-8"))

@@ -27,6 +27,7 @@ from lir.io import (
     read_jsonl_embeddings,
     read_labels,
     read_qrels,
+    report_json,
     write_components,
     write_embeddings,
 )
@@ -392,6 +393,42 @@ def test_criterion_8b_blas_thread_count(openblas_threads, monkeypatch):
     with pytest.raises(lir.NumericalFailure):
         lir.fit_decomposition(matrix, 4)
     assert get_threads() == 2
+
+
+@criterion("8c", "retrieval rankings and reports do not depend on the BLAS thread count", 60.0)
+def test_criterion_8c_retrieval_blas_thread_count(openblas_threads):
+    # 4001 vectors x 5 copies under shuffled ids: at 20k x 64 a multi-threaded
+    # BLAS gemv splits the rows between threads and rounds the copies apart.
+    get_threads, set_threads = openblas_threads
+    rng = np.random.default_rng(37)
+    base = rng.standard_normal((4001, 64))
+    group = np.repeat(np.arange(4001), 5)
+    ids = [f"c{i:05d}" for i in rng.permutation(group.size)]
+    candidates = [
+        lir.EmbeddingRecord(id=cid, lang="en", vec=base[g]) for cid, g in zip(ids, group)
+    ]
+    members = {}
+    for cid, g in zip(ids, group.tolist()):
+        members.setdefault(g, []).append(cid)
+    queries = [
+        lir.EmbeddingRecord(id=f"q{i:02d}", lang="en", vec=rng.standard_normal(64))
+        for i in range(20)
+    ]
+    # Two of each group's five copies are relevant, so AP sees a reorder inside a group.
+    qrels = {
+        q.id: {cid for g in range(i, 4001, 20) for cid in sorted(members[g])[:2]}
+        for i, q in enumerate(queries)
+    }
+    dataset = lir.RetrievalDataset(queries=queries, candidates=candidates, qrels=qrels)
+    outputs = []
+    for threads in (1, 2):
+        set_threads(threads)
+        ranked = [lir.rank_candidates(q, candidates).candidate_ids for q in queries[:3]]
+        assert get_threads() == threads
+        report = report_json(lir.evaluate_retrieval(dataset))
+        assert get_threads() == threads
+        outputs.append((ranked, report))
+    assert outputs[0] == outputs[1]
 
 
 def _valid_lire_bytes():

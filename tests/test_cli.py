@@ -121,6 +121,30 @@ class TestFitCommand:
             "--output", str(tmp_path / "c"),
         ]) == 2
 
+    def test_failure_on_second_language_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        run_synth(tmp_path / "data", topics=2, per=2, dim=16)
+        capsys.readouterr()
+        import lir.cli as cli_mod
+
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(args[0].lang)
+            if len(calls) == 2:
+                raise lir.NumericalFailure("did not converge", iterations=0)
+            return lir.fit_decomposition(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "fit_decomposition", fail_second)
+        out = tmp_path / "comp"
+        code = main([
+            "fit", "--input", str(tmp_path / "data" / "corpus"), "--rank", "1",
+            "--output", str(out),
+        ])
+        assert code == 3
+        assert calls == ["l00", "l01"]
+        assert not out.exists() or not any(out.iterdir())
+        assert capsys.readouterr().out == ""
+
     def test_center_normalize_flags(self, tmp_path):
         run_synth(tmp_path / "data")
         assert main([

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ from lir import (
     rank_candidates,
     train_logistic,
 )
-from lir.io import report_json
+from lir.evaluation import _ap_from_positions
+from lir.io import report_json, report_to_dict
 from oracles import average_precision_oracle, logistic_gd_oracle, rank_oracle
 
 
@@ -65,6 +67,47 @@ class TestRankCandidates:
         shuffled = list(cands)
         rng.shuffle(shuffled)
         assert rank_candidates(q, shuffled).candidate_ids == base
+
+    def test_duplicate_rows_tie_by_id_at_any_position(self):
+        # 401 distinct vectors, 5 copies each under shuffled ids. The row
+        # count is off any kernel block multiple, so a BLAS gemv would round
+        # the tail rows differently from their copies elsewhere.
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((401, 64))
+        group = np.repeat(np.arange(401), 5)
+        ids = [f"c{i:04d}" for i in rng.permutation(group.size)]
+        cands = [rec(cid, "en", base[g]) for cid, g in zip(ids, group)]
+        group_of = dict(zip(ids, group.tolist()))
+        for _ in range(10):
+            q = rec("q", "en", rng.standard_normal(64))
+            ranked = rank_candidates(q, cands).candidate_ids
+            for start in range(0, len(ranked), 5):
+                block = ranked[start : start + 5]
+                assert len({group_of[cid] for cid in block}) == 1
+                assert list(block) == sorted(block)
+
+        # Half of each group is relevant, so AP sees any reorder inside a group.
+        queries = [rec(f"q{i:02d}", "en", rng.standard_normal(64)) for i in range(20)]
+        members = {}
+        for cid in ids:
+            members.setdefault(group_of[cid], []).append(cid)
+        qrels = {
+            q.id: {cid for g in range(i, 401, 20) for cid in sorted(members[g])[:2]}
+            for i, q in enumerate(queries)
+        }
+
+        def order_free_json(candidates):
+            # The candidate fingerprint identifies the input order on purpose.
+            report = evaluate_retrieval(RetrievalDataset(queries, candidates, qrels))
+            out = report_to_dict(report)
+            del out["config"]["candidates_fingerprint"]
+            return json.dumps(out, sort_keys=True)
+
+        reference = order_free_json(cands)
+        for _ in range(3):
+            shuffled = list(cands)
+            rng.shuffle(shuffled)
+            assert order_free_json(shuffled) == reference
 
     def test_zero_vectors_score_zero(self):
         q = rec("q", "en", [1.0, 0.0])
@@ -125,6 +168,20 @@ class TestAveragePrecision:
             got = average_precision(RankedList("q", tuple(ids)), relevant)
             assert got == float(average_precision_oracle(ids, relevant))
             assert 0.0 <= got <= 1.0
+
+    def test_position_formula_matches_oracle_at_scale(self):
+        # Up to 3000 ids and 1000 relevant: the lcm of the positions runs to
+        # hundreds of digits, and the one rounding must still be exact.
+        rng = np.random.default_rng(29)
+        sizes = [(3000, 1000), (2999, 997), (1, 1)]
+        sizes += [(int(n), int(rng.integers(1, min(n, 1000) + 1))) for n in rng.integers(1, 3001, 8)]
+        for n, n_rel in sizes:
+            ids = [f"c{i}" for i in rng.permutation(n)]
+            relevant = set(rng.choice(ids, size=n_rel, replace=False).tolist())
+            expected = float(average_precision_oracle(ids, relevant))
+            positions = [pos for pos, cid in enumerate(ids, start=1) if cid in relevant]
+            assert _ap_from_positions(positions) == expected
+            assert average_precision(RankedList("q", tuple(ids)), relevant) == expected
 
     def test_one_iff_relevant_on_top(self):
         ids = ("a", "b", "c", "d")
@@ -219,6 +276,30 @@ class TestEvaluateRetrieval:
         assert after.overall_map - before.overall_map >= 0.3
         assert after.config["rank"] == 1
         assert set(after.per_language_map) == set(cfg.languages)
+
+    def test_per_query_ap_matches_ranking_with_exact_ties(self):
+        # Exact ties from repeated rows, rows scaled by powers of two, zero
+        # rows (score 0) and rows whose norm and dot product overflow (score
+        # NaN, ranked last). Each query has its own language, so the
+        # per-language MAP is that query's AP.
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((40, 8))
+        vecs = [base[int(g)] * float(s) for g, s in zip(rng.integers(0, 40, 240), rng.choice([1, 2, 4], 240))]
+        vecs += [np.zeros(8)] * 30 + [base[int(g)] * 1e307 for g in rng.integers(0, 40, 30)]
+        ids = [f"c{i:03d}" for i in rng.permutation(len(vecs))]
+        cands = [rec(cid, "en", v) for cid, v in zip(ids, vecs)]
+        queries = [rec(f"q{i:02d}", f"x{i:02d}", base[i % 40] if i % 3 else rng.standard_normal(8)) for i in range(36)]
+        queries += [rec("q-zero", "x-zero", np.zeros(8)), rec("q-huge", "x-huge", base[0] * 1e300)]
+        qrels = {
+            q.id: set(rng.choice(ids, size=int(rng.integers(1, 40)), replace=False).tolist())
+            for q in queries
+        }
+        qrels["q-huge"] |= set(ids[-30:-20])  # NaN ties among the relevant rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = evaluate_retrieval(RetrievalDataset(queries, cands, qrels))
+            for q in queries:
+                expected = average_precision(rank_candidates(q, cands), qrels[q.id])
+                assert report.per_language_map[q.lang] == expected
 
     def test_rerun_serialization_identical(self):
         ds = two_lang_dataset()

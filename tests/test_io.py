@@ -403,3 +403,51 @@ class TestReportsAndCsv:
             write_projection_csv(
                 tmp_path / "x.csv", [("a", "en", (1.0,)), ("b", "en", (1.0, 2.0))]
             )
+
+
+class TestAtomicWrites:
+    def test_writers_leave_only_their_file_with_open_mode(self, tmp_path):
+        reference = tmp_path / "reference"
+        reference.write_bytes(b"")
+        basis = ComponentBasis(
+            lang="en", basis=np.eye(4)[:, :1], rank=1, source_fingerprint="f", sample_count=3
+        )
+        report = lir.EvalReport(overall_map=0.5, per_language_map={"en": 0.5}, query_count=1, config={})
+        writes = {
+            "en.lire": lambda p: write_embeddings(p, sample_records()),
+            "en.lirc": lambda p: write_components(p, basis),
+            "qrels.jsonl": lambda p: write_qrels(p, {"q": frozenset({"a"})}),
+            "labels.jsonl": lambda p: write_labels(p, {"a": 1}),
+            "report.json": lambda p: write_report(p, report),
+            "proj.csv": lambda p: write_projection_csv(p, [("a", "en", (1.0,))]),
+        }
+        for name, write in writes.items():
+            write(tmp_path / name)
+            write(tmp_path / name)  # replacing an existing file
+            assert (tmp_path / name).stat().st_mode == reference.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*writes, "reference"])
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "proj.csv"
+        write_projection_csv(path, [("a", "en", (1.0,))])
+        before = path.read_bytes()
+        with pytest.raises(DimensionError):
+            write_projection_csv(path, [("b", "en", (2.0,)), ("c", "en", (1.0, 2.0))])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["proj.csv"]
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.mkdir()
+        report = lir.EvalReport(overall_map=0.5, per_language_map={"en": 0.5}, query_count=1, config={})
+        with pytest.raises(OSError):
+            write_report(target, report)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_empty_file_name_is_an_os_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        report = lir.EvalReport(overall_map=0.5, per_language_map={"en": 0.5}, query_count=1, config={})
+        for target in ("", tmp_path / "", tmp_path / "."):
+            with pytest.raises(OSError):
+                write_report(target, report)
+        assert list(tmp_path.iterdir()) == []
