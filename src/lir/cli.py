@@ -9,6 +9,7 @@ standard error; result summaries go to standard output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -171,35 +172,19 @@ def _cmd_synth(args) -> int:
     )
     result = generate(config)
     out = Path(args.out)
-    for sub in ("corpus", "queries", "candidates"):
+    subsets = ("corpus", "queries", "candidates")
+    for sub in subsets:
         (out / sub).mkdir(parents=True, exist_ok=True)
     queries = result.queries
     candidates = result.candidates
     for lang in config.languages:
-        write_embeddings(out / "corpus" / f"{lang}.lire", result.records_for(lang))
-        write_embeddings(
-            out / "queries" / f"{lang}.lire", [r for r in queries if r.lang == lang]
-        )
-        write_embeddings(
-            out / "candidates" / f"{lang}.lire",
-            [r for r in candidates if r.lang == lang],
-        )
+        for sub, records in zip(subsets, (result.records, queries, candidates)):
+            write_embeddings(out / sub / f"{lang}.lire", [r for r in records if r.lang == lang])
     write_qrels(out / "qrels.jsonl", dict(result.qrels))
     if result.labels is not None:
         write_labels(out / "labels.jsonl", dict(result.labels))
     manifest = {
-        "config": {
-            "bias_scale": config.bias_scale,
-            "dim": config.dim,
-            "label_rule": config.label_rule,
-            "languages": list(config.languages),
-            "noise_scale": config.noise_scale,
-            "per_topic_per_lang": config.per_topic_per_lang,
-            "seed": config.seed,
-            "semantic_scale": config.semantic_scale,
-            "skew": config.skew,
-            "topics": config.topics,
-        },
+        "config": dataclasses.asdict(config),
         "counts": {
             "candidates": len(candidates),
             "queries": len(queries),
@@ -227,6 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mode = dict(
+        choices=sorted(_MODES),
+        default=RemovalMode.ORTHOGONAL.value,
+        help="removal mode (default: orthogonal)",
+    )
 
     p = sub.add_parser("fit", help="fit component bases from embedding files")
     p.add_argument("--input", required=True, help=".lire file or directory of them")
@@ -248,12 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", required=True, help="directory of .lirc files")
     p.add_argument("--input", required=True, help="input .lire file")
     p.add_argument("--output", required=True, help="output .lire file")
-    p.add_argument(
-        "--mode",
-        choices=sorted(_MODES),
-        default=RemovalMode.ORTHOGONAL.value,
-        help="removal mode (default: orthogonal)",
-    )
+    p.add_argument("--mode", **mode)
     p.add_argument(
         "--strict",
         action="store_true",
@@ -266,12 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True, help=".lire file or directory")
     p.add_argument("--qrels", required=True, help="relevance judgments (JSONL)")
     p.add_argument("--components", help="directory of .lirc files (optional)")
-    p.add_argument(
-        "--mode",
-        choices=sorted(_MODES),
-        default=RemovalMode.ORTHOGONAL.value,
-        help="removal mode (default: orthogonal)",
-    )
+    p.add_argument("--mode", **mode)
     p.add_argument("--report", required=True, help="output report JSON path")
     p.set_defaults(func=_cmd_eval_retrieval)
 
@@ -286,12 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="both",
         help="apply removal at train+eval or eval only (default: both)",
     )
-    p.add_argument(
-        "--mode",
-        choices=sorted(_MODES),
-        default=RemovalMode.ORTHOGONAL.value,
-        help="removal mode (default: orthogonal)",
-    )
+    p.add_argument("--mode", **mode)
     p.add_argument("--lr", type=float, default=0.5, help="learning rate (default: 0.5)")
     p.add_argument("--epochs", type=int, default=300, help="epochs (default: 300)")
     p.add_argument("--l2", type=float, default=0.0, help="L2 penalty (default: 0.0)")

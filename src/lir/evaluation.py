@@ -35,7 +35,7 @@ from .errors import (
     NoRelevantError,
     RankError,
 )
-from .removal import DEFAULT_MODE, RemovalMode, remove_batch
+from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,21 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _candidate_stack(candidates) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids in ascending order, the vectors stacked in that order, and the row
-    norms, for a validated, non-empty candidate set."""
+def _stack(records, bases=None, mode: RemovalMode = DEFAULT_MODE) -> np.ndarray:
+    """The records' vectors stacked in order; with bases, each row has its own
+    language's components removed (strict: uncovered languages raise)."""
+    mat = np.stack([r.vec for r in records])
+    if bases is not None:
+        for idx, block in _remove_rows(records, bases, mode, rows=mat)[0]:
+            mat[idx] = block
+    return mat
+
+
+def _candidate_stack(candidates, bases=None, mode: RemovalMode = DEFAULT_MODE):
+    """Ids in ascending order, the vectors stacked in that order (removed as
+    in _stack), and the row norms, for a validated, non-empty candidate set."""
     recs = sorted(candidates, key=lambda r: r.id)
-    cmat = np.stack([r.vec for r in recs])
+    cmat = _stack(recs, bases, mode)
     return [r.id for r in recs], cmat, np.linalg.norm(cmat, axis=1)
 
 
@@ -178,17 +188,14 @@ def evaluate_retrieval(
         "rank": _effective_rank(bases, rank),
         "similarity": "cosine",
     }
-    if bases is not None:
-        queries = remove_batch(queries, bases, mode, strict=True).records
-        candidates = remove_batch(candidates, bases, mode, strict=True).records
-
-    ids, cmat, cnorms = _candidate_stack(candidates)
+    qmat = _stack(queries, bases, mode)
+    ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
     row_of = {cid: i for i, cid in enumerate(ids)}
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
-    for q in queries:
+    for q, qvec in zip(queries, qmat):
         relevant = np.array([row_of[cid] for cid in dataset.qrels[q.id]], dtype=np.intp)
-        scores = _cosine_scores(cmat, cnorms, q.vec)
+        scores = _cosine_scores(cmat, cnorms, qvec)
         ap = _ap_from_positions(_relevant_positions(scores, relevant))
         aps.append(ap)
         by_lang.setdefault(q.lang, []).append(ap)
@@ -332,10 +339,8 @@ def evaluate_transfer(
         "train_fingerprint": corpus_fingerprint(train),
     }
 
-    fit_records = train
-    if bases is not None and placement == "both":
-        fit_records = remove_batch(train, bases, mode, strict=True).records
-    weights = train_logistic(np.stack([r.vec for r in fit_records]), y_train, logistic)
+    fit_bases = bases if placement == "both" else None
+    weights = train_logistic(_stack(train, fit_bases, mode), y_train, logistic)
 
     per_lang: dict[str, float] = {}
     test_fps: dict[str, str] = {}
@@ -351,9 +356,7 @@ def evaluate_transfer(
             )
         y = _as_labels(labels, len(recs))
         test_fps[lang] = corpus_fingerprint(recs)
-        if bases is not None:
-            recs = remove_batch(recs, bases, mode, strict=True).records
-        preds = predict_logistic(np.stack([r.vec for r in recs]), weights)
+        preds = predict_logistic(_stack(recs, bases, mode), weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
     config["test_fingerprints"] = test_fps
 

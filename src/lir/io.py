@@ -168,20 +168,25 @@ def read_embeddings(path) -> list[EmbeddingRecord]:
         if header.get("dtype") != "f32":
             raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
         _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
-        records = []
-        for idx in range(count):
-            (idlen,) = struct.unpack(
-                "<H", _read_exact(f, 2, f"record {idx} id length")
-            )
-            try:
-                rec_id = _read_exact(f, idlen, f"record {idx} id").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"record {idx} id is not valid UTF-8") from exc
-            raw = _read_exact(f, 4 * dim, f"record {idx} values")
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
-        if f.read(1):
-            raise FormatError("trailing data after the declared record count")
+        data = f.read()
+    records, pos = [], 0
+    for idx in range(count):
+        id_at = pos + 2
+        vec_at = id_at + int.from_bytes(data[pos:id_at], "little")
+        if vec_at > len(data):
+            part = "id length" if id_at > len(data) else "id"
+            raise TruncatedFile(f"file ends inside record {idx} {part}")
+        try:
+            rec_id = data[id_at:vec_at].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record {idx} id is not valid UTF-8") from exc
+        pos = vec_at + 4 * dim
+        if pos > len(data):
+            raise TruncatedFile(f"file ends inside record {idx} values")
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=vec_at).astype(np.float64)
+        records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
+    if pos != len(data):
+        raise FormatError("trailing data after the declared record count")
     check_collection(records)
     return records
 

@@ -58,10 +58,10 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _as_vector(v) -> np.ndarray:
+def _as_rows(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise InvalidVector("expected a non-empty 1-D vector")
+    if a.ndim not in (1, 2) or a.shape[-1] == 0:
+        raise InvalidVector("expected a non-empty 1-D vector or an n x d matrix of row vectors")
     if not np.all(np.isfinite(a)):
         raise InvalidVector("vector has non-finite entries")
     return a
@@ -289,39 +289,38 @@ def svd(m) -> SvdResult:
 
 
 def project_out(v, basis) -> np.ndarray:
-    """Remove the component of v lying in the span of the basis columns.
+    """Remove the component of each row of v (a vector or an n x d matrix)
+    lying in the span of the basis columns: v - basis (basis^T v).
 
-    Returns v - basis (basis^T v) for an orthonormal basis. Inputs already
-    orthogonal to the basis (all coefficients within 1e-6 of the vector norm)
-    come back unchanged, which makes repeated application an exact fixed
-    point. An empty (d x 0) basis is the identity.
+    A row already orthogonal to the basis (all coefficients within 1e-6 of its
+    norm) comes back unchanged, so repeated application is an exact fixed
+    point; a d x 0 basis is the identity. einsum rounds every row alike, so a
+    row's bits depend neither on its position, the row count nor the BLAS
+    thread count.
     """
-    vec = _as_vector(v)
-    b = _as_basis(basis, vec.size)
-    if b.shape[1] == 0:
-        return vec.copy()
-    coef = b.T @ vec
-    if float(np.max(np.abs(coef))) <= _RESIDUAL_RTOL * float(np.linalg.norm(vec)):
-        return vec.copy()
-    return vec - b @ coef
+    x = _as_rows(v)
+    b = _as_basis(basis, x.shape[-1])
+    coef = np.einsum("...j,jk->...k", x, b)
+    nrm = np.sqrt(np.einsum("...j,...j->...", x, x))
+    fixed = np.max(np.abs(coef), axis=-1, initial=0.0) <= _RESIDUAL_RTOL * nrm
+    return np.where(fixed[..., None], x, x - np.einsum("...k,jk->...j", coef, b))
 
 
 def project_out_scaled(v, basis) -> np.ndarray:
     """Remove the basis component with coefficients divided by ||v||_2.
 
-    Returns v - basis (basis^T v) / ||v||_2, exactly as written: this variant
-    only coincides with the orthogonal projection on unit vectors and is not
-    idempotent off the unit sphere (e.g. with a basis column c, the input 2c
-    maps to c, not to zero).
+    Returns v - basis (basis^T v) / ||v||_2 for each row of v, as project_out
+    does, exactly as written: this variant only coincides with the orthogonal
+    projection on unit vectors and is not idempotent off the unit sphere (e.g.
+    with a basis column c, the input 2c maps to c, not to zero).
     """
-    vec = _as_vector(v)
-    b = _as_basis(basis, vec.size)
-    nrm = float(np.linalg.norm(vec))
-    if nrm == 0.0:
+    x = _as_rows(v)
+    b = _as_basis(basis, x.shape[-1])
+    nrm = np.sqrt(np.einsum("...j,...j->...", x, x))
+    if np.any(nrm == 0.0):
         raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
-    if b.shape[1] == 0:
-        return vec.copy()
-    return vec - b @ (b.T @ vec / nrm)
+    coef = np.einsum("...j,jk->...k", x, b) / nrm[..., None]
+    return x - np.einsum("...k,jk->...j", coef, b)
 
 
 def pca_project(m, k: int) -> np.ndarray:

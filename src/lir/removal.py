@@ -4,7 +4,7 @@ A component basis for a language is the leading r right singular vectors of
 that language's embedding matrix. Removal subtracts the projection of an
 embedding onto its own language's basis; the norm-scaled variant divides the
 projection coefficients by the embedding norm instead (the two coincide on
-unit vectors).
+unit vectors). Rows are removed one matrix per language, each row rounded alike.
 """
 
 from __future__ import annotations
@@ -107,21 +107,44 @@ def remove(
     on a different language is refused unless `allow_language_mismatch` is
     set (evaluation may intentionally cross languages).
     """
-    if record.dim != basis.dim:
-        raise DimensionError(
-            f"record {record.id!r} has dimension {record.dim}, basis expects {basis.dim}"
-        )
-    if record.lang != basis.lang and not allow_language_mismatch:
-        raise LanguageMismatch(
-            f"record {record.id!r} is {record.lang!r} but basis is for {basis.lang!r}"
-        )
-    if mode is RemovalMode.ORTHOGONAL:
-        vec = linalg.project_out(record.vec, basis.basis)
-    elif mode is RemovalMode.PAPER_EQ1:
-        vec = linalg.project_out_scaled(record.vec, basis.basis)
-    else:
-        raise ConfigError(f"unknown removal mode: {mode!r}")
-    return EmbeddingRecord(id=record.id, lang=record.lang, vec=vec)
+    bases = {record.lang: basis}
+    [(_, rows)], _ = _remove_rows([record], bases, mode, allow_mismatch=allow_language_mismatch)
+    return EmbeddingRecord(id=record.id, lang=record.lang, vec=rows[0])
+
+
+def _remove_rows(records, bases, mode, *, strict=True, rows=None, allow_mismatch=False):
+    """Check the records in input order, then remove each language's rows of
+    `rows` (default: the records' vectors) with one kernel call. Returns
+    [(row indices, removed rows)] and {language without a basis: count}."""
+    groups: dict[str, list[int]] = {}
+    passed: dict[str, int] = {}
+    for i, rec in enumerate(records):
+        basis = bases.get(rec.lang)
+        if basis is None:
+            if strict:
+                raise MissingBasis(rec.lang)
+            passed[rec.lang] = passed.get(rec.lang, 0) + 1
+            continue
+        if rec.dim != basis.dim:
+            raise DimensionError(
+                f"record {rec.id!r} has dimension {rec.dim}, basis expects {basis.dim}"
+            )
+        if rec.lang != basis.lang and not allow_mismatch:
+            raise LanguageMismatch(
+                f"record {rec.id!r} is {rec.lang!r} but basis is for {basis.lang!r}"
+            )
+        if mode not in (RemovalMode.ORTHOGONAL, RemovalMode.PAPER_EQ1):
+            raise ConfigError(f"unknown removal mode: {mode!r}")
+        # The kernel rejects zero rows too, but only after every record is checked.
+        if mode is RemovalMode.PAPER_EQ1 and not rec.vec.any():
+            raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
+        groups.setdefault(rec.lang, []).append(i)
+    kernel = linalg.project_out_scaled if mode is RemovalMode.PAPER_EQ1 else linalg.project_out
+    removed = []
+    for lang, idx in groups.items():
+        block = rows[idx] if rows is not None else np.stack([records[i].vec for i in idx])
+        removed.append((idx, kernel(block, bases[lang].basis)))
+    return removed, passed
 
 
 @dataclass(frozen=True)
@@ -153,18 +176,12 @@ def remove_batch(
 
     Output order matches input order. In strict mode a record whose language
     has no basis raises MissingBasis; otherwise such records pass through
-    unchanged and are counted in the result's `passed_through` map.
-    Processing is sequential, so results are bitwise reproducible.
+    unchanged and are counted in the result's `passed_through` map. Every
+    output row is bit-identical to `remove` on that record alone.
     """
-    out: list[EmbeddingRecord] = []
-    passed: dict[str, int] = {}
-    for rec in records:
-        basis = bases.get(rec.lang)
-        if basis is None:
-            if strict:
-                raise MissingBasis(rec.lang)
-            passed[rec.lang] = passed.get(rec.lang, 0) + 1
-            out.append(rec)
-        else:
-            out.append(remove(rec, basis, mode))
+    out = list(records)
+    removed, passed = _remove_rows(out, bases, mode, strict=strict)
+    for idx, block in removed:
+        for i, vec in zip(idx, block):
+            out[i] = EmbeddingRecord(id=out[i].id, lang=out[i].lang, vec=vec)
     return BatchRemoval(records=tuple(out), passed_through=passed)

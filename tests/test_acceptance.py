@@ -28,6 +28,7 @@ from lir.io import (
     read_labels,
     read_qrels,
     report_json,
+    report_to_dict,
     write_components,
     write_embeddings,
 )
@@ -358,17 +359,6 @@ def test_criterion_8_determinism(tmp_path):
     assert len(hashes1) >= 15
 
 
-@pytest.fixture
-def openblas_threads():
-    controls = lir.linalg._openblas_threads()
-    if controls is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
-    get_threads, set_threads = controls
-    original = get_threads()
-    yield get_threads, set_threads
-    set_threads(original)
-
-
 @criterion("8b", "fit and PCA bytes do not depend on the BLAS thread count at d=256", 30.0)
 def test_criterion_8b_blas_thread_count(openblas_threads, monkeypatch):
     # d=256 is large enough for a multi-threaded LAPACK eigensolve to change
@@ -429,6 +419,56 @@ def test_criterion_8c_retrieval_blas_thread_count(openblas_threads):
         assert get_threads() == threads
         outputs.append((ranked, report))
     assert outputs[0] == outputs[1]
+
+
+@criterion("8d", "batch removal rows do not depend on position, batch or BLAS thread count", 60.0)
+def test_criterion_8d_removal_row_independence(openblas_threads):
+    # 2005 rows in 3 languages: a per-language BLAS gemm rounds most rows
+    # differently from the same kernel on one row.
+    get_threads, set_threads = openblas_threads
+    rng = np.random.default_rng(41)
+    langs = ("l00", "l01", "l02")
+    offsets = {lang: 5.0 * rng.standard_normal(64) for lang in langs}
+    records = [
+        lir.EmbeddingRecord(
+            id=f"r{i:04d}", lang=langs[i % 3], vec=offsets[langs[i % 3]] + rng.standard_normal(64)
+        )
+        for i in range(2005)
+    ]
+    for rank in (1, 4):
+        bases = {
+            lang: lir.fit_components(
+                lir.LanguageMatrix.from_records([r for r in records if r.lang == lang]), rank
+            )
+            for lang in langs
+        }
+        for mode in lir.RemovalMode:
+            outputs = []
+            for threads in (1, 2):
+                set_threads(threads)
+                batch = lir.remove_batch(records, bases, mode).records
+                assert get_threads() == threads
+                outputs.append(b"".join(r.vec.tobytes() for r in batch))
+            assert outputs[0] == outputs[1], f"rank {rank} {mode.value}: thread count"
+            alone = [lir.remove(r, bases[r.lang], mode).vec.tobytes() for r in records]
+            assert [r.vec.tobytes() for r in batch] == alone, f"rank {rank} {mode.value}"
+            backward = lir.remove_batch(records[::-1], bases, mode).records
+            assert [r.vec.tobytes() for r in backward] == alone[::-1]
+
+    queries = [
+        lir.EmbeddingRecord(id=f"q{i:02d}", lang=r.lang, vec=r.vec + 0.1 * rng.standard_normal(64))
+        for i, r in enumerate(records[:30])
+    ]
+    qrels = {q.id: {r.id for r in records[i::30]} for i, q in enumerate(queries)}
+
+    def order_free_json(candidates):
+        # The candidate fingerprint identifies the input order on purpose.
+        dataset = lir.RetrievalDataset(queries=queries, candidates=candidates, qrels=qrels)
+        report = report_to_dict(lir.evaluate_retrieval(dataset, bases))
+        del report["config"]["candidates_fingerprint"]
+        return json.dumps(report, sort_keys=True)
+
+    assert order_free_json(records[::-1]) == order_free_json(records)
 
 
 def _valid_lire_bytes():

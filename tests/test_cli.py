@@ -17,6 +17,7 @@ from lir.io import (
     read_components_dir,
     read_embeddings,
     read_qrels,
+    write_components,
     write_embeddings,
 )
 
@@ -306,6 +307,36 @@ class TestEvalRetrievalCommand:
         ])
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+
+def test_eval_commands_basis_of_wrong_dimension_exit_2(pipeline, capsys):
+    tmp_path, data, _ = pipeline
+    narrow = tmp_path / "narrow"
+    narrow.mkdir()
+    for lang in ("l00", "l01", "l02"):
+        basis = lir.ComponentBasis(
+            lang=lang, basis=np.eye(15)[:, :1], rank=1, source_fingerprint="x", sample_count=15
+        )
+        write_components(narrow / f"{lang}.lirc", basis)
+    assert main([
+        "eval-retrieval",
+        "--queries", str(data / "queries"),
+        "--candidates", str(data / "candidates"),
+        "--qrels", str(data / "qrels.jsonl"),
+        "--components", str(narrow),
+        "--report", str(tmp_path / "r.json"),
+    ]) == 2
+    assert "basis expects 15" in capsys.readouterr().err
+    assert main([
+        "eval-transfer",
+        "--train", str(data / "corpus" / "l00.lire"),
+        "--tests", str(data / "corpus"),
+        "--labels", str(data / "labels.jsonl"),
+        "--components", str(narrow),
+        "--report", str(tmp_path / "t.json"),
+    ]) == 2
+    assert "basis expects 15" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.json").exists()
 
 
 class TestEvalTransferCommand:

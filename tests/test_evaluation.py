@@ -189,6 +189,14 @@ class TestAveragePrecision:
         assert average_precision(RankedList("q", ids), {"a", "b"}) == 1.0
 
 
+def axis_basis(lang, d, axis):
+    basis = np.zeros((d, 1))
+    basis[axis, 0] = 1.0
+    return lir.ComponentBasis(
+        lang=lang, basis=basis, rank=1, source_fingerprint="axis", sample_count=d
+    )
+
+
 def two_lang_dataset():
     queries = [
         rec("q-en", "en", [1.0, 0.0, 0.0]),
@@ -253,6 +261,11 @@ class TestEvaluateRetrieval:
         }
         with pytest.raises(lir.MissingBasis):
             evaluate_retrieval(ds, bases)
+
+    def test_basis_of_wrong_dimension(self):
+        bases = {lang: axis_basis(lang, 2, 0) for lang in ("en", "zh")}
+        with pytest.raises(DimensionError, match="basis expects 2"):
+            evaluate_retrieval(two_lang_dataset(), bases)
 
     def test_removal_changes_ranking(self):
         cfg = lir.SynthConfig(
@@ -482,6 +495,10 @@ class TestEvaluateTransfer:
             evaluate_transfer(mixed, [0, 1, 0], tests)
         with pytest.raises(ConfigError):
             evaluate_transfer(train_recs, train_labels, {})
+        narrow = {lang: axis_basis(lang, 11, 0) for lang in tests}
+        for placement in ("both", "eval"):
+            with pytest.raises(DimensionError, match="basis expects 11"):
+                evaluate_transfer(train_recs, train_labels, tests, narrow, placement=placement)
 
 
 class TestExportProjection:

@@ -108,6 +108,34 @@ class TestEmbeddingFiles:
         with pytest.raises(TruncatedFile):
             read_embeddings(path)
 
+    def test_cut_names_the_record_and_part(self, tmp_path):
+        # Long ids make the payload exceed the declared minimum count*(2+4*dim),
+        # so cuts past that minimum reach the per-record checks.
+        ids = ["a" * 40, "bé" * 20, "c" * 30]
+        header = {"count": 3, "dim": 2, "dtype": "f32", "lang": "en"}
+        parts, payload = [], b""
+        for i, rid in enumerate(ids):
+            idb = rid.encode()
+            for part, chunk in (
+                ("id length", struct.pack("<H", len(idb))),
+                ("id", idb),
+                ("values", np.array([i, -i], dtype="<f4").tobytes()),
+            ):
+                parts.extend([f"file ends inside record {i} {part}"] * len(chunk))
+                payload += chunk
+        path = tmp_path / "cut.lire"
+        for cut in range(3 * (2 + 8), len(payload)):
+            path.write_bytes(framed(b"LIRE", header, payload[:cut]))
+            with pytest.raises(TruncatedFile) as exc_info:
+                read_embeddings(path)
+            assert str(exc_info.value) == parts[cut]
+        path.write_bytes(framed(b"LIRE", header, payload))
+        assert [r.id for r in read_embeddings(path)] == ids
+        bad_id = payload.replace("bé".encode(), b"b\xff", 1)
+        path.write_bytes(framed(b"LIRE", header, bad_id[: len(bad_id) - 4]))
+        with pytest.raises(FormatError, match=r"^record 1 id is not valid UTF-8$"):
+            read_embeddings(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "long.lire"
         write_embeddings(path, sample_records())

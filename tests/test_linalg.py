@@ -4,10 +4,10 @@ import threading
 import numpy as np
 import pytest
 
-import lir
 from lir import (
     DimensionError,
     InvalidMatrix,
+    InvalidVector,
     NumericalFailure,
     RankError,
     ZeroVectorError,
@@ -114,12 +114,8 @@ class TestSvd:
             with pytest.raises(NumericalFailure, match="did not converge"):
                 svd(np.ones(shape))
 
-    def test_concurrent_callers_restore_thread_count(self):
-        controls = lir.linalg._openblas_threads()
-        if controls is None:
-            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count setter")
-        get_threads, set_threads = controls
-        original = get_threads()
+    def test_concurrent_callers_restore_thread_count(self, openblas_threads):
+        get_threads, set_threads = openblas_threads
         a = np.random.default_rng(23).standard_normal((30, 8))
         expected = svd(a).v.tobytes()
         mismatches = []
@@ -142,7 +138,6 @@ class TestSvd:
             assert get_threads() == 2
         finally:
             sys.setswitchinterval(switch)
-            set_threads(original)
         assert not mismatches
 
     def test_gram_overflow_rejected(self):
@@ -221,13 +216,33 @@ class TestProjectOut:
             d = int(rng.integers(1, 20))
             r = int(rng.integers(0, d + 1))
             basis = random_orthonormal(rng, d, r)
-            v = rng.standard_normal(d) * float(rng.uniform(0.01, 100.0))
-            out = project_out(v, basis)
-            again = project_out(out, basis)
-            assert np.max(np.abs(again - out)) <= 1e-9 * max(1.0, np.linalg.norm(v))
-            if r:
-                assert np.max(np.abs(basis.T @ out)) <= 1e-6 * max(1.0, np.linalg.norm(v))
-            assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-12
+            vs = rng.standard_normal((3, d)) * rng.uniform(0.01, 100.0, (3, 1))
+            stacked = project_out(vs, basis)
+            assert stacked.shape == vs.shape
+            for v, row in zip(vs, stacked):
+                out = project_out(v, basis)
+                assert out.tobytes() == row.tobytes()
+                again = project_out(out, basis)
+                assert np.max(np.abs(again - out)) <= 1e-9 * max(1.0, np.linalg.norm(v))
+                if r:
+                    assert np.max(np.abs(basis.T @ out)) <= 1e-6 * max(1.0, np.linalg.norm(v))
+                assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-12
+
+    def test_empty_basis_identity_on_matrix(self):
+        m = np.random.default_rng(9).standard_normal((4, 3))
+        for fn in (project_out, project_out_scaled):
+            assert fn(m, np.zeros((3, 0))).tobytes() == m.tobytes()
+
+    def test_rejects_bad_shapes(self):
+        basis = np.eye(3)[:, :1]
+        for bad in (np.ones((2, 2, 3)), np.ones((2, 0)), np.ones(0), np.float64(1.0)):
+            for fn in (project_out, project_out_scaled):
+                with pytest.raises(InvalidVector):
+                    fn(bad, basis)
+        with pytest.raises(InvalidVector):
+            project_out(np.array([[1.0, np.inf, 0.0]]), basis)
+        with pytest.raises(DimensionError):
+            project_out(np.ones((2, 4)), basis)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -254,8 +269,13 @@ class TestProjectOutScaled:
         assert project_out_scaled(v, np.array([[1.0], [0.0]])).tolist() == v.tolist()
 
     def test_zero_vector_rejected(self):
+        basis = np.array([[1.0], [0.0]])
         with pytest.raises(ZeroVectorError):
-            project_out_scaled(np.zeros(2), np.array([[1.0], [0.0]]))
+            project_out_scaled(np.zeros(2), basis)
+        with pytest.raises(ZeroVectorError):
+            project_out_scaled(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]), basis)
+        with pytest.raises(ZeroVectorError):
+            project_out_scaled(np.zeros((1, 2)), np.zeros((2, 0)))
 
     def test_matches_orthogonal_on_unit_sphere(self):
         rng = np.random.default_rng(13)
@@ -263,9 +283,12 @@ class TestProjectOutScaled:
             d = int(rng.integers(2, 12))
             r = int(rng.integers(1, d))
             basis = random_orthonormal(rng, d, r)
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            assert np.max(np.abs(project_out_scaled(v, basis) - project_out(v, basis))) <= 1e-12
+            vs = rng.standard_normal((4, d))
+            vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+            scaled = project_out_scaled(vs, basis)
+            assert np.max(np.abs(scaled - project_out(vs, basis))) <= 1e-12
+            for v, row in zip(vs, scaled):
+                assert project_out_scaled(v, basis).tobytes() == row.tobytes()
 
 
 class TestPcaProject:

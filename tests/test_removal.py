@@ -136,6 +136,15 @@ class TestRemove:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             remove(rec("a", "en", [1.0, 2.0, 3.0]), axis_basis("en", 2, 0))
+        bases = {"en": axis_basis("en", 2, 0)}
+        wide = rec("w", "en", [1.0, 2.0, 3.0])
+        orphan = rec("z", "zh", [1.0, 2.0])
+        good = rec("g", "en", [1.0, 2.0])
+        with pytest.raises(DimensionError, match=r"^record 'w' has dimension 3, basis expects 2$"):
+            remove_batch([good, wide, orphan], bases)
+        with pytest.raises(MissingBasis) as exc_info:
+            remove_batch([good, orphan, wide], bases)
+        assert exc_info.value.lang == "zh"
 
     def test_zero_vector_scaled_mode(self):
         with pytest.raises(ZeroVectorError):
@@ -173,9 +182,58 @@ class TestRemoveBatch:
         assert [r.id for r in out] == [r.id for r in records]
 
     def test_strict_missing_basis(self):
+        bases = {"en": axis_basis("en", 2, 0)}
+        orphan = rec("z", "zh", [1.0, 2.0])
         with pytest.raises(MissingBasis) as exc_info:
-            remove_batch([rec("z", "zh", [1.0, 2.0])], {"en": axis_basis("en", 2, 0)})
+            remove_batch([orphan], bases)
         assert exc_info.value.lang == "zh"
+        wide = rec("w", "en", [1.0, 2.0, 3.0])
+        with pytest.raises(MissingBasis, match="zh") as exc_info:
+            remove_batch([rec("g", "en", [1.0, 2.0]), orphan, wide], bases)
+        assert exc_info.value.lang == "zh"
+        with pytest.raises(DimensionError, match=r"^record 'w' has dimension 3, basis expects 2$"):
+            remove_batch([wide, orphan], bases)
+
+    @pytest.mark.parametrize("mode", list(RemovalMode))
+    def test_first_bad_record_in_input_order_raises(self, mode):
+        # Grouping by language must raise what a record-by-record loop raises.
+        bases = {"en": axis_basis("en", 2, 0), "de": axis_basis("de", 2, 1), "fr": axis_basis("de", 2, 1)}
+        bad = {
+            "missing": rec("z", "zh", [1.0, 2.0]),
+            "dim": rec("w", "en", [1.0, 2.0, 3.0]),
+            "lang": rec("f", "fr", [1.0, 2.0]),
+            "zero": rec("0", "en", [0.0, 0.0]),
+        }
+        good = [rec("a", "en", [1.0, 2.0]), rec("b", "de", [3.0, 4.0])]
+
+        def per_record(records):
+            for r in records:
+                if r.lang not in bases:
+                    raise MissingBasis(r.lang)
+                remove(r, bases[r.lang], mode)
+
+        for first in bad:
+            for second in bad:
+                if second == first:
+                    continue
+                batch = [good[0], bad[first], good[1], bad[second]]
+                try:
+                    per_record(batch)
+                except lir.LirError as exc:
+                    expected = exc
+                else:
+                    expected = None
+                if expected is None:  # a zero vector is fine in orthogonal mode
+                    remove_batch(batch, bases, mode)
+                    continue
+                with pytest.raises(type(expected)) as exc_info:
+                    remove_batch(batch, bases, mode)
+                assert str(exc_info.value) == str(expected)
+
+    def test_scaled_mode_zero_vector(self):
+        records = [rec("a", "en", [1.0, 2.0]), rec("0", "en", [0.0, 0.0])]
+        with pytest.raises(ZeroVectorError, match="undefined for a zero vector"):
+            remove_batch(records, {"en": axis_basis("en", 2, 0)}, RemovalMode.PAPER_EQ1)
 
     def test_non_strict_pass_through(self):
         bases = {"en": axis_basis("en", 2, 0)}
