@@ -15,13 +15,16 @@ import re
 import sys
 from pathlib import Path
 
-from .core import LanguageMatrix, RetrievalDataset, corpus_fingerprint
+import numpy as np
+
+from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, corpus_fingerprint
+from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer, export_projection
 from .io import (
+    _read_table,
     _write_atomic,
     read_components_dir,
-    read_embeddings,
     read_labels,
     read_qrels,
     write_components,
@@ -31,7 +34,7 @@ from .io import (
     write_qrels,
     write_report,
 )
-from .removal import RemovalMode, fit_decomposition, remove_batch
+from .removal import RemovalMode, _remove_rows, fit_decomposition
 from .synth import TOPIC_PARITY, SynthConfig, generate
 
 EXIT_OK = 0
@@ -56,18 +59,23 @@ def _embedding_paths(target: str) -> list[Path]:
     return [path]
 
 
-def _read_collection(target: str):
-    records = []
-    for file in _embedding_paths(target):
-        records.extend(read_embeddings(file))
-    return records
+def _read_collection(target: str) -> EmbeddingTable:
+    """One table of every file's rows, checked as one record collection."""
+    tables = [_read_table(file) for file in _embedding_paths(target)]
+    if len(tables) == 1:
+        return tables[0]
+    ids = [rid for t in tables for rid in t.ids]
+    _check_collection(ids, np.repeat([t.dim for t in tables], [len(t) for t in tables]))
+    rows = np.concatenate([t.rows for t in tables if len(t)] or [tables[0].rows])
+    rows.flags.writeable = False
+    return EmbeddingTable(ids=ids, langs=[lang for t in tables for lang in t.langs], rows=rows)
 
 
 def _cmd_fit(args) -> int:
     # Every basis is fitted before any is written, so a failure leaves no .lirc set half done.
     fitted = {}
     for file in _embedding_paths(args.input):
-        matrix = LanguageMatrix.from_records(read_embeddings(file))
+        matrix = LanguageMatrix.from_records(_read_table(file))
         if matrix.lang in fitted:
             raise DuplicateKey(matrix.lang, f"two input files for language {matrix.lang!r}")
         if not _SAFE_LANG.match(matrix.lang):
@@ -87,15 +95,17 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     bases = read_components_dir(args.components)
-    records = read_embeddings(args.input)
-    result = remove_batch(records, bases, _MODES[args.mode], strict=args.strict)
-    if result.passed_count:
-        langs = ", ".join(sorted(result.passed_through))
+    table = _read_table(args.input)
+    rows = table.rows.copy()
+    mode = _MODES[args.mode]
+    passed = _remove_rows(table.ids, table.langs, rows, bases, mode, strict=args.strict)
+    if passed:
         _log(
-            f"warning: {result.passed_count} records passed through without a basis "
-            f"(languages: {langs})"
+            f"warning: {sum(passed.values())} records passed through without a basis "
+            f"(languages: {', '.join(sorted(passed))})"
         )
-    write_embeddings(args.output, result.records)
+    rows.flags.writeable = False
+    write_embeddings(args.output, EmbeddingTable(ids=table.ids, langs=table.langs, rows=rows))
     return EXIT_OK
 
 
@@ -112,31 +122,29 @@ def _cmd_eval_retrieval(args) -> int:
     return EXIT_OK
 
 
-def _labeled(records, labels):
-    out = []
-    for rec in records:
-        if rec.id not in labels:
-            raise ConfigError(f"no label for record {rec.id!r}")
-        out.append(labels[rec.id])
-    return out
+def _labeled(table, labels):
+    for rid in table.ids:
+        if rid not in labels:
+            raise ConfigError(f"no label for record {rid!r}")
+    return [labels[rid] for rid in table.ids]
 
 
 def _cmd_eval_transfer(args) -> int:
     labels = read_labels(args.labels)
-    train_records = read_embeddings(args.train)
-    train_labels = _labeled(train_records, labels)
+    train = _read_table(args.train)
+    train_labels = _labeled(train, labels)
     tests = {}
     for file in sorted(Path(args.tests).glob("*.lire")):
-        records = read_embeddings(file)
-        lang = records[0].lang if records else file.stem
+        table = _read_table(file)
+        lang = table.langs[0] if len(table) else file.stem
         if lang in tests:
             raise DuplicateKey(lang, f"two test files for language {lang!r}")
-        tests[lang] = (records, _labeled(records, labels))
+        tests[lang] = (table, _labeled(table, labels))
     if not tests:
         raise FormatError(f"no .lire files found in {args.tests}")
     bases = read_components_dir(args.components) if args.components else None
     report = evaluate_transfer(
-        train_records,
+        train,
         train_labels,
         tests,
         bases,
@@ -150,8 +158,7 @@ def _cmd_eval_transfer(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    records = _read_collection(args.input)
-    rows = export_projection(records, args.dims)
+    rows = export_projection(_read_collection(args.input), args.dims)
     write_projection_csv(args.output, rows)
     print(f"wrote {len(rows)} rows with {args.dims} scores each")
     return EXIT_OK
@@ -177,9 +184,13 @@ def _cmd_synth(args) -> int:
         (out / sub).mkdir(parents=True, exist_ok=True)
     queries = result.queries
     candidates = result.candidates
+    fingerprints = {}
     for lang in config.languages:
         for sub, records in zip(subsets, (result.records, queries, candidates)):
-            write_embeddings(out / sub / f"{lang}.lire", [r for r in records if r.lang == lang])
+            table = EmbeddingTable.from_records(r for r in records if r.lang == lang)
+            write_embeddings(out / sub / f"{lang}.lire", table)
+            if sub == "corpus":
+                fingerprints[lang] = corpus_fingerprint(table)
     write_qrels(out / "qrels.jsonl", dict(result.qrels))
     if result.labels is not None:
         write_labels(out / "labels.jsonl", dict(result.labels))
@@ -190,10 +201,7 @@ def _cmd_synth(args) -> int:
             "queries": len(queries),
             "records": len(result.records),
         },
-        "fingerprints": {
-            lang: corpus_fingerprint(result.records_for(lang))
-            for lang in config.languages
-        },
+        "fingerprints": fingerprints,
     }
     _write_atomic(
         out / "manifest.json",

@@ -1,14 +1,16 @@
-"""Shared domain types: embedding records, language matrices, component bases,
-retrieval datasets, and evaluation reports.
+"""Shared domain types: embedding records and tables, language matrices,
+component bases, retrieval datasets, and evaluation reports. The pipeline
+passes EmbeddingTables, whole collections checked once; records are the row API.
 
 All types are immutable after construction and safe to share across threads.
-Array fields are stored as read-only float64 copies regardless of the input
+Array fields are stored as read-only float64 arrays regardless of the input
 dtype; files may store 32-bit values but all computation happens in 64-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -30,6 +32,10 @@ from .errors import (
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    # An owned, read-only, C-ordered array has no writable alias: kept as is.
+    if isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None:
+        if not values.flags.writeable and values.flags.c_contiguous:
+            return values
     out = np.array(values, dtype=dtype, order="C", copy=True)
     out.flags.writeable = False
     return out
@@ -75,33 +81,88 @@ def check_collection(records: Sequence[EmbeddingRecord]) -> int:
     DuplicateKey on repeated ids and DimensionError on mixed dimensions.
     Per-record finiteness is enforced by EmbeddingRecord itself.
     """
-    seen: set[str] = set()
-    dim = 0
-    for rec in records:
-        if rec.id in seen:
-            raise DuplicateKey(rec.id, f"duplicate record id {rec.id!r}")
-        seen.add(rec.id)
-        if dim == 0:
-            dim = rec.dim
-        elif rec.dim != dim:
-            raise DimensionError(
-                f"record {rec.id!r} has dimension {rec.dim}, expected {dim}"
-            )
+    return _check_collection([r.id for r in records], [r.dim for r in records])
+
+
+def _check_collection(ids, dims) -> int:
+    """check_collection on per-row ids and dimensions."""
+    dim = dims[0] if len(dims) else 0
+    wide = np.flatnonzero(np.asarray(dims) != dim)
+    stop = wide[0] + 1 if wide.size else len(ids)
+    if len(set(ids[:stop])) < stop:
+        seen: set[str] = set()
+        rid = next(rid for rid in ids if rid in seen or seen.add(rid))
+        raise DuplicateKey(rid, f"duplicate record id {rid!r}")
+    if wide.size:
+        i = stop - 1
+        raise DimensionError(f"record {ids[i]!r} has dimension {dims[i]}, expected {dim}")
     return dim
 
 
-def corpus_fingerprint(records: Iterable[EmbeddingRecord]) -> str:
-    """Deterministic checksum identifying a record collection (ids, langs, values)."""
+def _check_rows(ids, langs, rows: np.ndarray) -> None:
+    """Raise what EmbeddingRecord raises for the first row it would reject
+    (langs are trimmed)."""
+    finite = (np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)).tolist()
+    good = list(map(all, zip(finite, map(isinstance, ids, itertools.repeat(str)), ids, langs)))
+    if False in good:
+        i = good.index(False)
+        EmbeddingRecord(id=ids[i], lang=langs[i], vec=rows[i])
+
+
+@dataclass(frozen=True)
+class EmbeddingTable:
+    """A record collection as columns: ids, language tags and one read-only
+    n x d float64 matrix. It is checked once, as a whole: each row as
+    EmbeddingRecord checks one (the first bad row raises), then unique ids.
+    """
+
+    ids: tuple[str, ...]
+    langs: tuple[str, ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        langs = tuple(map(str.strip, map(str, self.langs)))
+        rows = _frozen_array(self.rows)
+        if rows.ndim != 2 or not len(ids) == len(langs) == rows.shape[0]:
+            raise DimensionError("a table needs an n x d matrix and n ids and languages")
+        _check_rows(ids, langs, rows)
+        _check_collection(ids, rows.shape[1:] * len(ids))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "langs", langs)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_records(cls, records: Iterable[EmbeddingRecord] | EmbeddingTable) -> EmbeddingTable:
+        """The table of a record collection, raising what check_collection
+        raises; a table is returned as is."""
+        if isinstance(records, cls):
+            return records
+        records = tuple(records)
+        try:
+            rows = np.array([r.vec for r in records]) if records else np.empty((0, 0))
+        except ValueError:  # mixed dimensions
+            check_collection(records)
+            raise
+        rows.flags.writeable = False
+        return cls(ids=[r.id for r in records], langs=[r.lang for r in records], rows=rows)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+
+def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> str:
+    """Deterministic checksum identifying a record collection or table (ids, langs, values)."""
+    table = EmbeddingTable.from_records(records)
     h = hashlib.sha256()
-    count = 0
-    for rec in records:
-        h.update(rec.id.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(rec.lang.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(rec.vec.tobytes())
-        count += 1
-    h.update(struct.pack("<Q", count))
+    for rid, lang, row in zip(table.ids, table.langs, table.rows):
+        h.update(f"{rid}\0{lang}\0".encode("utf-8"))
+        h.update(row)
+    h.update(struct.pack("<Q", len(table)))
     return h.hexdigest()[:16]
 
 
@@ -125,17 +186,16 @@ class LanguageMatrix:
         object.__setattr__(self, "rows", _frozen_array(rows))
 
     @classmethod
-    def from_records(cls, records: Sequence[EmbeddingRecord]) -> "LanguageMatrix":
-        records = tuple(records)
-        if not records:
+    def from_records(cls, records: Iterable[EmbeddingRecord] | EmbeddingTable) -> "LanguageMatrix":
+        table = EmbeddingTable.from_records(records)
+        if not len(table):
             raise InvalidMatrix("cannot build a language matrix from zero records")
-        check_collection(records)
-        langs = {rec.lang for rec in records}
+        langs = set(table.langs)
         if len(langs) > 1:
             raise LanguageMismatch(
                 f"records span multiple languages: {sorted(langs)}"
             )
-        return cls(lang=records[0].lang, rows=np.stack([r.vec for r in records]))
+        return cls(lang=table.langs[0], rows=table.rows)
 
     @property
     def n(self) -> int:
@@ -238,31 +298,30 @@ class ComponentBasis:
 class RetrievalDataset:
     """Queries, candidates, and relevance judgments for MAP evaluation.
 
-    Every qrels key must name a query, every query must have at least one
-    relevant candidate, and every relevant id must exist in the candidate
+    Queries and candidates are given as records or tables and kept as
+    tables. Every qrels key must name a query, every query must have at least
+    one relevant candidate, and every relevant id must exist in the candidate
     pool. Queries are never silently deduplicated from the candidate pool.
     """
 
-    queries: tuple[EmbeddingRecord, ...]
-    candidates: tuple[EmbeddingRecord, ...]
+    queries: EmbeddingTable
+    candidates: EmbeddingTable
     qrels: Mapping[str, frozenset[str]]
 
     def __post_init__(self):
-        queries = tuple(self.queries)
-        candidates = tuple(self.candidates)
-        if not queries:
+        queries = EmbeddingTable.from_records(self.queries)
+        candidates = EmbeddingTable.from_records(self.candidates)
+        if not len(queries):
             raise DatasetError("dataset has no queries")
-        if not candidates:
+        if not len(candidates):
             raise DatasetError("dataset has no candidates")
-        dq = check_collection(queries)
-        dc = check_collection(candidates)
-        if dq != dc:
+        if queries.dim != candidates.dim:
             raise DimensionError(
-                f"query dimension {dq} != candidate dimension {dc}"
+                f"query dimension {queries.dim} != candidate dimension {candidates.dim}"
             )
         qrels = {str(k): frozenset(str(i) for i in v) for k, v in dict(self.qrels).items()}
-        qids = {r.id for r in queries}
-        cids = {r.id for r in candidates}
+        qids = set(queries.ids)
+        cids = set(candidates.ids)
         for qid, rel in qrels.items():
             if qid not in qids:
                 raise DatasetError(f"qrels references unknown query id {qid!r}")
@@ -274,16 +333,16 @@ class RetrievalDataset:
                     f"qrels for query {qid!r} references unknown candidate ids: "
                     f"{sorted(unknown)[:5]}"
                 )
-        for rec in queries:
-            if rec.id not in qrels:
-                raise NoRelevantError(f"query {rec.id!r} has no qrels entry")
+        for qid in queries.ids:
+            if qid not in qrels:
+                raise NoRelevantError(f"query {qid!r} has no qrels entry")
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "qrels", MappingProxyType(qrels))
 
     @property
     def dim(self) -> int:
-        return self.queries[0].dim
+        return self.queries.dim
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ candidate sits in the input nor on the BLAS thread count, and ties are broken
 by ascending candidate id, so rankings are permutation-invariant. Average
 precision is computed exactly from the ranks of the relevant items and
 rounded once to float; a dataset evaluation ranks only those items.
+Harnesses score, train and project on EmbeddingTable rows (records are
+converted once on the way in) and remove components on a copy of them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from . import linalg
 from .core import (
     ComponentBasis,
     EmbeddingRecord,
+    EmbeddingTable,
     EvalReport,
     RetrievalDataset,
     TransferReport,
-    check_collection,
     corpus_fingerprint,
 )
 from .errors import (
@@ -49,22 +51,26 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _stack(records, bases=None, mode: RemovalMode = DEFAULT_MODE) -> np.ndarray:
-    """The records' vectors stacked in order; with bases, each row has its own
-    language's components removed (strict: uncovered languages raise)."""
-    mat = np.stack([r.vec for r in records])
+def _features(table: EmbeddingTable, bases, mode: RemovalMode, order=None) -> np.ndarray:
+    """The table's rows (in `order`, if given), each with its own language's
+    components removed on a copy (strict: uncovered languages raise)."""
+    ids, langs, rows = table.ids, table.langs, table.rows
+    if order is not None:
+        ids, langs, rows = [ids[i] for i in order], [langs[i] for i in order], rows[order]
+    elif bases is not None:
+        rows = rows.copy()
     if bases is not None:
-        for idx, block in _remove_rows(records, bases, mode, rows=mat)[0]:
-            mat[idx] = block
-    return mat
+        _remove_rows(ids, langs, rows, bases, mode)
+    return rows
 
 
-def _candidate_stack(candidates, bases=None, mode: RemovalMode = DEFAULT_MODE):
-    """Ids in ascending order, the vectors stacked in that order (removed as
-    in _stack), and the row norms, for a validated, non-empty candidate set."""
-    recs = sorted(candidates, key=lambda r: r.id)
-    cmat = _stack(recs, bases, mode)
-    return [r.id for r in recs], cmat, np.linalg.norm(cmat, axis=1)
+def _candidate_stack(table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE):
+    """Ids in ascending order, the rows in that order (removed as in
+    _features), and the row norms, for a non-empty candidate table."""
+    order = sorted(range(len(table)), key=table.ids.__getitem__)
+    cmat = _features(table, bases, mode, order)
+    with np.errstate(over="ignore"):
+        return [table.ids[i] for i in order], cmat, np.linalg.norm(cmat, axis=1)
 
 
 def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -72,11 +78,22 @@ def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.
 
     einsum rounds every row alike, so a score's bits depend neither on the
     row's position in the stack nor on the BLAS thread count. A BLAS gemv
-    rounds tail rows differently and splits the work by thread count.
+    rounds tail rows differently and splits the work by thread count. Where a
+    plain norm or dot product overflows, the score is recomputed from the row
+    and vec each divided by its largest magnitude; no other score changes.
     """
-    sims = np.einsum("ij,j->i", cmat, vec)
-    denom = cnorms * np.linalg.norm(vec)
-    return np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = np.einsum("ij,j->i", cmat, vec)
+        denom = cnorms * np.linalg.norm(vec)
+        scores = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
+        redo = np.flatnonzero(~(np.isfinite(sims) & np.isfinite(denom)))
+        if redo.size:  # a zero row or vec turns NaN here, and NaN still scores 0
+            rows = cmat[redo] / np.max(np.abs(cmat[redo]), axis=1, keepdims=True)
+            unit = vec / np.max(np.abs(vec))
+            sims = np.einsum("ij,j->i", rows, unit)
+            denom = np.linalg.norm(rows, axis=1) * np.linalg.norm(unit)
+            scores[redo] = np.divide(sims, denom, out=np.zeros_like(sims), where=denom > 0.0)
+    return scores
 
 
 def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
@@ -113,15 +130,14 @@ def rank_candidates(
     A zero-length vector on either side scores 0. The ranking is a total
     deterministic order: equal scores fall back to ascending candidate id.
     """
-    recs = tuple(candidates)
-    if not recs:
+    table = EmbeddingTable.from_records(candidates)
+    if not len(table):
         return RankedList(query_id=query.id, candidate_ids=())
-    dim = check_collection(recs)
-    if dim != query.dim:
+    if table.dim != query.dim:
         raise DimensionError(
-            f"query dimension {query.dim} != candidate dimension {dim}"
+            f"query dimension {query.dim} != candidate dimension {table.dim}"
         )
-    ids, cmat, cnorms = _candidate_stack(recs)
+    ids, cmat, cnorms = _candidate_stack(table)
     order = np.argsort(-_cosine_scores(cmat, cnorms, query.vec), kind="stable")
     return RankedList(query_id=query.id, candidate_ids=tuple(ids[i] for i in order.tolist()))
 
@@ -188,17 +204,17 @@ def evaluate_retrieval(
         "rank": _effective_rank(bases, rank),
         "similarity": "cosine",
     }
-    qmat = _stack(queries, bases, mode)
+    qmat = _features(queries, bases, mode)
     ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
     row_of = {cid: i for i, cid in enumerate(ids)}
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
-    for q, qvec in zip(queries, qmat):
-        relevant = np.array([row_of[cid] for cid in dataset.qrels[q.id]], dtype=np.intp)
+    for qid, lang, qvec in zip(queries.ids, queries.langs, qmat):
+        relevant = np.array([row_of[cid] for cid in dataset.qrels[qid]], dtype=np.intp)
         scores = _cosine_scores(cmat, cnorms, qvec)
         ap = _ap_from_positions(_relevant_positions(scores, relevant))
         aps.append(ap)
-        by_lang.setdefault(q.lang, []).append(ap)
+        by_lang.setdefault(lang, []).append(ap)
     return EvalReport(
         overall_map=math.fsum(aps) / len(aps),
         per_language_map={
@@ -290,11 +306,12 @@ def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> flo
     return float(per_example.mean() + 0.5 * l2 * float(w[:-1] @ w[:-1]))
 
 
-LabeledRecords = tuple[Sequence[EmbeddingRecord], Sequence[int]]
+LabeledRecords = tuple[Sequence[EmbeddingRecord] | EmbeddingTable, Sequence[int]]
+
 
 
 def evaluate_transfer(
-    train_records: Sequence[EmbeddingRecord],
+    train_records: Sequence[EmbeddingRecord] | EmbeddingTable,
     train_labels: Sequence[int],
     tests: Mapping[str, LabeledRecords],
     bases: Optional[Mapping[str, ComponentBasis]] = None,
@@ -314,14 +331,13 @@ def evaluate_transfer(
     """
     if placement not in ("both", "eval"):
         raise ConfigError(f"placement must be 'both' or 'eval', got {placement!r}")
-    train = tuple(train_records)
-    if not train:
+    train = EmbeddingTable.from_records(train_records)
+    if not len(train):
         raise DatasetError("transfer needs a non-empty training set")
-    check_collection(train)
-    langs = {r.lang for r in train}
+    langs = set(train.langs)
     if len(langs) > 1:
         raise ConfigError(f"training set spans multiple languages: {sorted(langs)}")
-    train_lang = train[0].lang
+    train_lang = train.langs[0]
     if not tests:
         raise ConfigError("transfer needs at least one test language")
     y_train = _as_labels(train_labels, len(train))
@@ -340,23 +356,22 @@ def evaluate_transfer(
     }
 
     fit_bases = bases if placement == "both" else None
-    weights = train_logistic(_stack(train, fit_bases, mode), y_train, logistic)
+    weights = train_logistic(_features(train, fit_bases, mode), y_train, logistic)
 
     per_lang: dict[str, float] = {}
     test_fps: dict[str, str] = {}
     for lang in sorted(tests):
         recs, labels = tests[lang]
-        recs = tuple(recs)
-        if not recs:
+        recs = EmbeddingTable.from_records(recs)
+        if not len(recs):
             raise DatasetError(f"test set for {lang!r} is empty")
-        dim = check_collection(recs)
-        if dim != train[0].dim:
+        if recs.dim != train.dim:
             raise DimensionError(
-                f"test set {lang!r} has dimension {dim}, train has {train[0].dim}"
+                f"test set {lang!r} has dimension {recs.dim}, train has {train.dim}"
             )
         y = _as_labels(labels, len(recs))
         test_fps[lang] = corpus_fingerprint(recs)
-        preds = predict_logistic(_stack(recs, bases, mode), weights)
+        preds = predict_logistic(_features(recs, bases, mode), weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
     config["test_fingerprints"] = test_fps
 
@@ -369,19 +384,15 @@ def evaluate_transfer(
 
 
 def export_projection(
-    records: Sequence[EmbeddingRecord], k: int
+    records: Sequence[EmbeddingRecord] | EmbeddingTable, k: int
 ) -> list[tuple[str, str, tuple[float, ...]]]:
-    """PCA scores for a record collection, one (id, lang, scores) row each.
+    """PCA scores for a record collection or table, one (id, lang, scores) row each.
 
-    All records are stacked jointly (all languages together) and projected
-    onto the top-k principal directions of the centered stack.
+    All rows are taken jointly (all languages together) and projected onto
+    the top-k principal directions of the centered matrix.
     """
-    recs = tuple(records)
-    if len(recs) < 2:
+    table = EmbeddingTable.from_records(records)
+    if len(table) < 2:
         raise RankError("projection export needs at least two records")
-    check_collection(recs)
-    scores = linalg.pca_project(np.stack([r.vec for r in recs]), k)
-    return [
-        (rec.id, rec.lang, tuple(float(x) for x in row))
-        for rec, row in zip(recs, scores)
-    ]
+    scores = linalg.pca_project(table.rows, k)
+    return list(zip(table.ids, table.langs, map(tuple, scores.tolist())))

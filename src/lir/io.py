@@ -13,8 +13,10 @@ Binary layouts (all integers little-endian):
     {"dim","rank","lang","sample_count","source_fingerprint"[,"mode_hint"]}
     | dim*rank float32 values in column-major order.
 
-Files store 32-bit floats; everything is upcast to 64-bit on read, and a
-stored basis is re-orthonormalized after the 32-bit round trip. Writes are
+One decoder reads a .lire file into an EmbeddingTable and one encoder writes
+a table; the record functions convert on the way. Files store 32-bit floats;
+everything is upcast to 64-bit on read, and a stored basis is
+re-orthonormalized after the 32-bit round trip. Writes are
 byte-deterministic: the same in-memory value always produces the same file.
 They are also atomic: a file appears whole under its name or not at all.
 Every malformed input raises a structured error, never a crash.
@@ -36,8 +38,10 @@ import numpy as np
 from .core import (
     ComponentBasis,
     EmbeddingRecord,
+    EmbeddingTable,
     EvalReport,
     TransferReport,
+    _check_rows,
     check_collection,
 )
 from .errors import (
@@ -135,31 +139,32 @@ def _header_str(header: dict, key: str) -> str:
     return value
 
 
-def write_embeddings(path, records: Sequence[EmbeddingRecord]) -> None:
-    """Write one language's records to a .lire file (32-bit values)."""
-    records = list(records)
-    if not records:
+def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) -> None:
+    """Write one language's records, or table, to a .lire file (32-bit values)."""
+    table = EmbeddingTable.from_records(records)
+    if not len(table):
         raise FormatError("refusing to write an empty embedding file")
-    dim = check_collection(records)
-    langs = {r.lang for r in records}
+    langs = set(table.langs)
     if len(langs) > 1:
         raise LanguageMismatch(
             f"an embedding file holds a single language, got {sorted(langs)}"
         )
-    header = {"count": len(records), "dim": dim, "dtype": "f32", "lang": records[0].lang}
+    header = {"count": len(table), "dim": table.dim, "dtype": "f32", "lang": table.langs[0]}
     buf = bytearray()
-    for rec in records:
-        idb = rec.id.encode("utf-8")
+    for rec_id, vec in zip(table.ids, table.rows.astype("<f4")):
+        idb = rec_id.encode("utf-8")
         if len(idb) > 0xFFFF:
-            raise FormatError(f"record id too long to store: {rec.id[:32]!r}...")
+            raise FormatError(f"record id too long to store: {rec_id[:32]!r}...")
         buf += struct.pack("<H", len(idb))
         buf += idb
-        buf += rec.vec.astype("<f4").tobytes()
+        buf += vec.data
     _write_atomic(path, _header_bytes(EMBEDDING_MAGIC, header), buf)
 
 
-def read_embeddings(path) -> list[EmbeddingRecord]:
-    """Read a .lire file back into records (values upcast to 64-bit)."""
+def _read_table(path) -> EmbeddingTable:
+    """Decode a .lire file into a table. Errors name the first bad record, as
+    reading record by record would: its framing, id or values, else trailing
+    data, else a repeated id."""
     with open(path, "rb") as f:
         header = _read_header(f, EMBEDDING_MAGIC)
         count = _header_int(header, "count")
@@ -169,26 +174,41 @@ def read_embeddings(path) -> list[EmbeddingRecord]:
             raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
         _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
         data = f.read()
-    records, pos = [], 0
+    ids, values, pos, error = [], [], 0, None
     for idx in range(count):
         id_at = pos + 2
         vec_at = id_at + int.from_bytes(data[pos:id_at], "little")
         if vec_at > len(data):
             part = "id length" if id_at > len(data) else "id"
-            raise TruncatedFile(f"file ends inside record {idx} {part}")
+            error = TruncatedFile(f"file ends inside record {idx} {part}")
+            break
         try:
-            rec_id = data[id_at:vec_at].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"record {idx} id is not valid UTF-8") from exc
+            ids.append(data[id_at:vec_at].decode("utf-8"))
+        except UnicodeDecodeError:
+            error = FormatError(f"record {idx} id is not valid UTF-8")
+            break
         pos = vec_at + 4 * dim
         if pos > len(data):
-            raise TruncatedFile(f"file ends inside record {idx} values")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=vec_at).astype(np.float64)
-        records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
-    if pos != len(data):
-        raise FormatError("trailing data after the declared record count")
-    check_collection(records)
-    return records
+            error = TruncatedFile(f"file ends inside record {idx} values")
+            break
+        values.append(data[vec_at:pos])
+    else:
+        if pos != len(data):
+            error = FormatError("trailing data after the declared record count")
+    del data
+    rows = np.frombuffer(b"".join(values), dtype="<f4").reshape(len(values), dim).astype(np.float64)
+    rows.flags.writeable = False
+    if error is not None:
+        # The records before the failure were built first; a bad one wins.
+        _check_rows(ids, [lang.strip()] * len(values), rows)
+        raise error
+    return EmbeddingTable(ids=ids, langs=[lang] * count, rows=rows)
+
+
+def read_embeddings(path) -> list[EmbeddingRecord]:
+    """Read a .lire file back into records (values upcast to 64-bit)."""
+    table = _read_table(path)
+    return list(map(EmbeddingRecord, table.ids, table.langs, table.rows))
 
 
 def write_components(path, basis: ComponentBasis, mode_hint: str | None = None) -> None:

@@ -107,44 +107,52 @@ def remove(
     on a different language is refused unless `allow_language_mismatch` is
     set (evaluation may intentionally cross languages).
     """
-    bases = {record.lang: basis}
-    [(_, rows)], _ = _remove_rows([record], bases, mode, allow_mismatch=allow_language_mismatch)
-    return EmbeddingRecord(id=record.id, lang=record.lang, vec=rows[0])
+    vecs = [record.vec]
+    _remove_rows(
+        [record.id], [record.lang], vecs, {record.lang: basis}, mode,
+        allow_mismatch=allow_language_mismatch,
+    )
+    return EmbeddingRecord(id=record.id, lang=record.lang, vec=vecs[0])
 
 
-def _remove_rows(records, bases, mode, *, strict=True, rows=None, allow_mismatch=False):
-    """Check the records in input order, then remove each language's rows of
-    `rows` (default: the records' vectors) with one kernel call. Returns
-    [(row indices, removed rows)] and {language without a basis: count}."""
+def _remove_rows(ids, langs, rows, bases, mode, *, strict=True, allow_mismatch=False):
+    """Check the rows in input order, then remove each language's rows in
+    place with one kernel call. `rows` is a writable n x d matrix or, for a
+    record batch, a list of vectors that may differ in length. Returns
+    {language without a basis: row count}."""
+    matrix = isinstance(rows, np.ndarray)
+    dims = [rows.shape[1]] * len(rows) if matrix else [v.size for v in rows]
     groups: dict[str, list[int]] = {}
     passed: dict[str, int] = {}
-    for i, rec in enumerate(records):
-        basis = bases.get(rec.lang)
+    for i, lang in enumerate(langs):
+        basis = bases.get(lang)
         if basis is None:
             if strict:
-                raise MissingBasis(rec.lang)
-            passed[rec.lang] = passed.get(rec.lang, 0) + 1
+                raise MissingBasis(lang)
+            passed[lang] = passed.get(lang, 0) + 1
             continue
-        if rec.dim != basis.dim:
+        if dims[i] != basis.dim:
             raise DimensionError(
-                f"record {rec.id!r} has dimension {rec.dim}, basis expects {basis.dim}"
+                f"record {ids[i]!r} has dimension {dims[i]}, basis expects {basis.dim}"
             )
-        if rec.lang != basis.lang and not allow_mismatch:
+        if lang != basis.lang and not allow_mismatch:
             raise LanguageMismatch(
-                f"record {rec.id!r} is {rec.lang!r} but basis is for {basis.lang!r}"
+                f"record {ids[i]!r} is {lang!r} but basis is for {basis.lang!r}"
             )
         if mode not in (RemovalMode.ORTHOGONAL, RemovalMode.PAPER_EQ1):
             raise ConfigError(f"unknown removal mode: {mode!r}")
-        # The kernel rejects zero rows too, but only after every record is checked.
-        if mode is RemovalMode.PAPER_EQ1 and not rec.vec.any():
+        # The kernel rejects zero rows too, but only after every row is checked.
+        if mode is RemovalMode.PAPER_EQ1 and not rows[i].any():
             raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
-        groups.setdefault(rec.lang, []).append(i)
+        groups.setdefault(lang, []).append(i)
     kernel = linalg.project_out_scaled if mode is RemovalMode.PAPER_EQ1 else linalg.project_out
-    removed = []
     for lang, idx in groups.items():
-        block = rows[idx] if rows is not None else np.stack([records[i].vec for i in idx])
-        removed.append((idx, kernel(block, bases[lang].basis)))
-    return removed, passed
+        if matrix:  # one language's rows are all the rows: no gather
+            rows[idx] = kernel(rows if len(idx) == len(rows) else rows[idx], bases[lang].basis)
+        else:
+            for i, vec in zip(idx, kernel(np.stack([rows[i] for i in idx]), bases[lang].basis)):
+                rows[i] = vec
+    return passed
 
 
 @dataclass(frozen=True)
@@ -180,8 +188,10 @@ def remove_batch(
     output row is bit-identical to `remove` on that record alone.
     """
     out = list(records)
-    removed, passed = _remove_rows(out, bases, mode, strict=strict)
-    for idx, block in removed:
-        for i, vec in zip(idx, block):
-            out[i] = EmbeddingRecord(id=out[i].id, lang=out[i].lang, vec=vec)
+    vecs = [r.vec for r in out]
+    ids, langs = [r.id for r in out], [r.lang for r in out]
+    passed = _remove_rows(ids, langs, vecs, bases, mode, strict=strict)
+    for i, (rec, vec) in enumerate(zip(out, vecs)):
+        if vec is not rec.vec:
+            out[i] = EmbeddingRecord(id=rec.id, lang=rec.lang, vec=vec)
     return BatchRemoval(records=tuple(out), passed_through=passed)

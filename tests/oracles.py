@@ -121,3 +121,48 @@ def logistic_gd_oracle(features, labels, lr, epochs, l2=0.0):
             w[j] -= lr * (grad_w[j] / n + l2 * w[j])
         b -= lr * grad_b / n
     return w + [b]
+
+
+def read_embeddings_oracle(path):
+    """The record-at-a-time .lire reader: one EmbeddingRecord per record as it
+    is decoded, then one collection check over the records.
+
+    It shares lir's header parsing and record types, which define what a
+    valid file is; the record loop is its own, so a columnar decoder can be
+    checked against it: the same records, or the same error class and text.
+    """
+    import numpy as np
+
+    from lir.core import EmbeddingRecord, check_collection
+    from lir.errors import FormatError, TruncatedFile
+    from lir.io import EMBEDDING_MAGIC, _check_remaining, _header_int, _header_str, _read_header
+
+    with open(path, "rb") as f:
+        header = _read_header(f, EMBEDDING_MAGIC)
+        count = _header_int(header, "count")
+        dim = _header_int(header, "dim", minimum=1)
+        lang = _header_str(header, "lang")
+        if header.get("dtype") != "f32":
+            raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
+        _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
+        data = f.read()
+    records, pos = [], 0
+    for idx in range(count):
+        id_at = pos + 2
+        vec_at = id_at + int.from_bytes(data[pos:id_at], "little")
+        if vec_at > len(data):
+            part = "id length" if id_at > len(data) else "id"
+            raise TruncatedFile(f"file ends inside record {idx} {part}")
+        try:
+            rec_id = data[id_at:vec_at].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"record {idx} id is not valid UTF-8") from exc
+        pos = vec_at + 4 * dim
+        if pos > len(data):
+            raise TruncatedFile(f"file ends inside record {idx} values")
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=vec_at).astype(np.float64)
+        records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
+    if pos != len(data):
+        raise FormatError("trailing data after the declared record count")
+    check_collection(records)
+    return records

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import struct
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import lir
+from lir import DuplicateKey
 from lir.cli import main
 from lir.io import (
     read_components,
@@ -337,6 +339,41 @@ def test_eval_commands_basis_of_wrong_dimension_exit_2(pipeline, capsys):
     ]) == 2
     assert "basis expects 15" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("case", ["repeated id", "other dimension", "repeated id of other dimension"])
+def test_collection_of_several_files_exit_2(pipeline, capsys, case):
+    # A directory is one record collection: the error is what check_collection
+    # raises on the files' records read in name order.
+    tmp_path, data, _ = pipeline
+    split = tmp_path / "split"
+    split.mkdir()
+    records = read_embeddings(data / "candidates" / "l01.lire")
+    write_embeddings(split / "l01.lire", records)
+    first = read_embeddings(data / "candidates" / "l00.lire")[3]
+    extra = [lir.EmbeddingRecord(id="new", lang="l02", vec=np.ones(16))]
+    if case != "repeated id":
+        extra = [lir.EmbeddingRecord(id=r.id, lang="l02", vec=np.ones(8)) for r in extra]
+    if case != "other dimension":
+        extra.insert(0, lir.EmbeddingRecord(id=records[5].id, lang="l02", vec=extra[0].vec))
+    write_embeddings(split / "l02.lire", extra)
+    write_embeddings(split / "l00.lire", [first])
+    combined = [first, *records, *extra]
+    error = DuplicateKey if "repeated" in case else lir.DimensionError
+    with pytest.raises(error) as exc_info:
+        lir.check_collection(combined)
+    message = str(exc_info.value)
+    assert (records[5].id if error is DuplicateKey else "new") in message
+    for argv in (
+        ["eval-retrieval", "--queries", str(data / "queries"), "--candidates", str(split),
+         "--qrels", str(data / "qrels.jsonl"), "--report", str(tmp_path / "r.json")],
+        ["project", "--input", str(split), "--dims", "2", "--output", str(tmp_path / "p.csv")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        lir.cli._read_collection(str(split))
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "p.csv").exists()
 
 
 class TestEvalTransferCommand:

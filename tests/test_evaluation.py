@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from lir import (
     rank_candidates,
     train_logistic,
 )
-from lir.evaluation import _ap_from_positions
+from lir.evaluation import _ap_from_positions, _candidate_stack, _cosine_scores
 from lir.io import report_json, report_to_dict
 from oracles import average_precision_oracle, logistic_gd_oracle, rank_oracle
 
@@ -116,6 +117,26 @@ class TestRankCandidates:
         assert rank_candidates(q, cands).candidate_ids == ("c", "a", "b")
         zero_q = rec("q", "en", [0.0, 0.0])
         assert rank_candidates(zero_q, cands).candidate_ids == ("a", "b", "c")
+
+    def test_cosine_survives_norm_overflow(self):
+        # Plain norms of these rows and of the query overflow to inf.
+        cands = [rec("a", "en", [1.0, 2.0, 0.0]), rec("b", "en", [1e200, 1e200, 0.0])]
+        cands.append(rec("z", "en", [0.0, 0.0, 0.0]))
+        query = rec("q", "en", [2e300, 1e300, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands))
+            scores = _cosine_scores(cmat, cnorms, query.vec)
+            assert rank_candidates(query, cands).candidate_ids == ("b", "a", "z")
+        assert abs(scores[0] - 0.8) <= 1e-12
+        assert abs(scores[1] - 3 / math.sqrt(10)) <= 1e-12
+        assert scores[2] == 0.0
+        # A score whose norms and dot product are finite keeps the plain formula's bits.
+        rows = np.random.default_rng(4).standard_normal((50, 6)) * np.logspace(-150, 150, 50)[:, None]
+        for vec in (rows[7], rows[42] * 1e3):
+            norms = np.linalg.norm(rows, axis=1)
+            plain = np.einsum("ij,j->i", rows, vec) / (norms * np.linalg.norm(vec))
+            assert _cosine_scores(rows, norms, vec).tobytes() == plain.tobytes()
 
     def test_matches_bruteforce_sort(self):
         rng = np.random.default_rng(1)

@@ -14,6 +14,7 @@ import pytest
 import lir
 from lir.cli import main
 from lir.io import (
+    _read_table,
     read_components,
     read_embeddings,
     read_jsonl_embeddings,
@@ -24,6 +25,7 @@ from lir.io import (
     write_labels,
     write_qrels,
 )
+from oracles import read_embeddings_oracle
 
 SEED = 2109
 MUTATIONS = 300
@@ -138,3 +140,29 @@ def test_mutants_read_or_raise_lir_error(tmp_path, valid, capsys, fmt, name, rea
     path.write_bytes(rejected)
     assert main(cli_argv(fmt, path, valid, out)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def read_outcome(reader, path):
+    """(ids, langs, row bytes) of what reader returns, or (error class, message)."""
+    try:
+        out = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    table = lir.EmbeddingTable.from_records(out)
+    return table.ids, table.langs, table.rows.tobytes()
+
+
+def test_table_reader_matches_record_reader(tmp_path, valid):
+    # The 300 .lire mutants above (same seed), then the valid file cut at every byte.
+    blob = (valid / "en.lire").read_bytes()
+    rng = np.random.default_rng([SEED, 0])
+    inputs = [mutate(blob, rng) for _ in range(MUTATIONS)] + [blob[:cut] for cut in range(len(blob))]
+    path = tmp_path / "en.lire"
+    outcomes = set()
+    for i, data in enumerate(inputs):
+        path.write_bytes(data)
+        expected = read_outcome(read_embeddings_oracle, path)
+        assert read_outcome(_read_table, path) == expected, f"input {i}"
+        assert read_outcome(read_embeddings, path) == expected, f"input {i}"
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "read")
+    assert {"read", lir.TruncatedFile, lir.FormatError} <= outcomes

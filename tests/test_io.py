@@ -12,11 +12,13 @@ from lir import (
     DuplicateKey,
     EmbeddingRecord,
     FormatError,
+    InvalidVector,
     LanguageMismatch,
     ParseError,
     TruncatedFile,
 )
 from lir.io import (
+    _read_table,
     read_components,
     read_components_dir,
     read_embeddings,
@@ -31,6 +33,7 @@ from lir.io import (
     write_qrels,
     write_report,
 )
+from oracles import read_embeddings_oracle
 
 
 def rec(rid, lang, vec):
@@ -45,6 +48,15 @@ def framed(magic, header, payload=b""):
 
 # Nested deeper than the interpreter's recursion limit.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+def lire_payload(ids, rows):
+    """.lire records: u16 id length, UTF-8 id, float32 values."""
+    out = b""
+    for rid, row in zip(ids, rows):
+        idb = rid.encode()
+        out += struct.pack("<H", len(idb)) + idb + np.asarray(row, dtype="<f4").tobytes()
+    return out
 
 
 def sample_records():
@@ -135,6 +147,34 @@ class TestEmbeddingFiles:
         path.write_bytes(framed(b"LIRE", header, bad_id[: len(bad_id) - 4]))
         with pytest.raises(FormatError, match=r"^record 1 id is not valid UTF-8$"):
             read_embeddings(path)
+
+    def test_first_bad_record_wins_over_later_framing(self, tmp_path):
+        # Each case raises what building the records one by one raised first.
+        header = {"count": 4, "dim": 2, "dtype": "f32", "lang": "en"}
+        ids = [c * 30 for c in "abcd"]
+        rows = [[1.0, 2.0], [np.nan, 0.0], [3.0, 4.0], [5.0, np.inf]]
+        payload = lire_payload(ids, rows)
+        cut_in_record_3 = len(lire_payload(ids[:3], rows[:3])) + 10
+        finite = lire_payload(ids, [[1.0, 2.0]] * 4)
+        repeated = lire_payload(["a", "b", "a", "b"], rows[:1] * 4)
+        non_finite_1 = f"record {ids[1]!r}: vector has non-finite coordinates"
+        cases = [
+            (header, payload[:cut_in_record_3], InvalidVector, non_finite_1),
+            (header, payload + b"\x00", InvalidVector, non_finite_1),
+            (header, finite[:cut_in_record_3], TruncatedFile, "file ends inside record 3 id"),
+            (header, lire_payload(["a", "", "c", "a"], rows[:1] * 4), InvalidVector,
+             "record id must be a non-empty string"),
+            (header, repeated + b"\x00", FormatError, "trailing data after the declared record count"),
+            (header, repeated, DuplicateKey, "duplicate record id 'a'"),
+            (dict(header, lang=" "), finite, InvalidVector, f"record {ids[0]!r}: language tag is empty"),
+        ]
+        path = tmp_path / "order.lire"
+        for head, data, error, message in cases:
+            path.write_bytes(framed(b"LIRE", head, data))
+            for reader in (read_embeddings_oracle, _read_table, read_embeddings):
+                with pytest.raises(error) as exc_info:
+                    reader(path)
+                assert str(exc_info.value) == message
 
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "long.lire"
