@@ -35,7 +35,7 @@ from .io import (
     write_report,
 )
 from .removal import RemovalMode, _remove_rows, fit_decomposition
-from .synth import TOPIC_PARITY, SynthConfig, generate
+from .synth import TOPIC_PARITY, SynthConfig, _take, generate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -96,16 +96,16 @@ def _cmd_fit(args) -> int:
 def _cmd_apply(args) -> int:
     bases = read_components_dir(args.components)
     table = _read_table(args.input)
-    rows = table.rows.copy()
-    mode = _MODES[args.mode]
-    passed = _remove_rows(table.ids, table.langs, rows, bases, mode, strict=args.strict)
+    ids, langs, rows = table.ids, table.langs, table.rows.copy()
+    del table  # the decoded matrix is freed before removal allocates
+    passed = _remove_rows(ids, langs, rows, bases, _MODES[args.mode], strict=args.strict)
     if passed:
         _log(
             f"warning: {sum(passed.values())} records passed through without a basis "
             f"(languages: {', '.join(sorted(passed))})"
         )
     rows.flags.writeable = False
-    write_embeddings(args.output, EmbeddingTable(ids=table.ids, langs=table.langs, rows=rows))
+    write_embeddings(args.output, EmbeddingTable(ids=ids, langs=langs, rows=rows))
     return EXIT_OK
 
 
@@ -165,6 +165,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.per < 2:
+        raise ConfigError("--per must be >= 2, so that every query has a relevant candidate")
     config = SynthConfig(
         languages=tuple(f"l{i:02d}" for i in range(args.languages)),
         topics=args.topics,
@@ -182,24 +184,24 @@ def _cmd_synth(args) -> int:
     subsets = ("corpus", "queries", "candidates")
     for sub in subsets:
         (out / sub).mkdir(parents=True, exist_ok=True)
-    queries = result.queries
-    candidates = result.candidates
+    # A language's rows are one block; its queries are every per-th row, the rest candidates.
+    block = np.arange(config.topics * args.per)
+    queries, candidates = block[:: args.per], block[block % args.per > 0]
     fingerprints = {}
-    for lang in config.languages:
-        for sub, records in zip(subsets, (result.records, queries, candidates)):
-            table = EmbeddingTable.from_records(r for r in records if r.lang == lang)
+    for lang, start in zip(config.languages, range(0, len(result.table), block.size)):
+        corpus = _take(result.table, start + block)
+        fingerprints[lang] = corpus_fingerprint(corpus)
+        for sub, table in zip(subsets, (corpus, _take(corpus, queries), _take(corpus, candidates))):
             write_embeddings(out / sub / f"{lang}.lire", table)
-            if sub == "corpus":
-                fingerprints[lang] = corpus_fingerprint(table)
     write_qrels(out / "qrels.jsonl", dict(result.qrels))
     if result.labels is not None:
         write_labels(out / "labels.jsonl", dict(result.labels))
     manifest = {
         "config": dataclasses.asdict(config),
         "counts": {
-            "candidates": len(candidates),
-            "queries": len(queries),
-            "records": len(result.records),
+            "candidates": len(result.table) - len(result.query_ids),
+            "queries": len(result.query_ids),
+            "records": len(result.table),
         },
         "fingerprints": fingerprints,
     }
@@ -207,7 +209,7 @@ def _cmd_synth(args) -> int:
         out / "manifest.json",
         (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
-    print(f"wrote {len(result.records)} records for {args.languages} languages to {out}")
+    print(f"wrote {len(result.table)} records for {args.languages} languages to {out}")
     return EXIT_OK
 
 

@@ -303,7 +303,10 @@ def project_out(v, basis) -> np.ndarray:
     coef = np.einsum("...j,jk->...k", x, b)
     nrm = np.sqrt(np.einsum("...j,...j->...", x, x))
     fixed = np.max(np.abs(coef), axis=-1, initial=0.0) <= _RESIDUAL_RTOL * nrm
-    return np.where(fixed[..., None], x, x - np.einsum("...k,jk->...j", coef, b))
+    out = np.einsum("...k,jk->...j", coef, b)
+    np.subtract(x, out, out=out)  # in the back-projection's buffer: no third n x d array
+    np.copyto(out, x, where=fixed[..., None])
+    return out
 
 
 def project_out_scaled(v, basis) -> np.ndarray:

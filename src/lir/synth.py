@@ -3,14 +3,16 @@
 Construction: every topic is a uniformly random direction of length
 `semantic_scale`, shared across languages. Every language gets an offset of
 length `bias_scale` along a unit direction orthogonal to the whole topic span
-and to the other languages' offsets. A record for (language, topic) is
+and to the other languages' offsets. A row for (language, topic) is
 
     offset + topic + per-coordinate Gaussian noise (std = noise_scale)
 
 so the per-language dominant direction is, by construction, exactly the
-language's offset once bias dominates the semantic scale. Records with index
-0 in their (language, topic) group are designated queries; the qrels of a
-query mark all other same-topic records, across all languages, as relevant.
+language's offset once bias dominates the semantic scale. The corpus is one
+table whose rows run language, then topic, then index, so each language is a
+contiguous block. Rows with index 0 in their (language, topic) group are
+designated queries; the qrels of a query mark all other same-topic rows,
+across all languages, as relevant.
 
 Randomness comes from numpy's PCG64 bit generator seeded explicitly, so a
 seed reproduces the same dataset on every platform; OS entropy is never used.
@@ -26,7 +28,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import EmbeddingRecord, RetrievalDataset, _frozen_array
+from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
 from .errors import ConfigError
 
 TOPIC_PARITY = "topic-parity"
@@ -54,6 +56,9 @@ class SynthConfig:
         if len(set(langs)) != len(langs):
             raise ConfigError("language codes must be unique")
         object.__setattr__(self, "languages", langs)
+        for name in ("topics", "per_topic_per_lang", "dim"):
+            if type(getattr(self, name)) is not int:  # not bool, float or a numpy scalar
+                raise ConfigError(f"{name} must be an integer")
         if self.topics < 2:
             raise ConfigError("need at least 2 topics")
         if self.per_topic_per_lang < 1:
@@ -79,9 +84,11 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthResult:
-    """Generated records plus the ground truth that produced them."""
+    """The generated corpus as one table, plus the ground truth that produced
+    it. The record views (`records`, `queries`, `candidates`, `records_for`)
+    are built from the table when called."""
 
-    records: tuple[EmbeddingRecord, ...]
+    table: EmbeddingTable
     query_ids: frozenset[str]
     qrels: Mapping[str, frozenset[str]]
     labels: Optional[Mapping[str, int]]
@@ -89,18 +96,16 @@ class SynthResult:
     config: SynthConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
         object.__setattr__(self, "query_ids", frozenset(self.query_ids))
         object.__setattr__(self, "qrels", MappingProxyType(dict(self.qrels)))
         if self.labels is not None:
             object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        object.__setattr__(
-            self,
-            "ground_truth",
-            MappingProxyType(
-                {lang: _frozen_array(vec) for lang, vec in dict(self.ground_truth).items()}
-            ),
-        )
+        truth = {lang: _frozen_array(vec) for lang, vec in dict(self.ground_truth).items()}
+        object.__setattr__(self, "ground_truth", MappingProxyType(truth))
+
+    @property
+    def records(self) -> tuple[EmbeddingRecord, ...]:
+        return tuple(map(EmbeddingRecord, self.table.ids, self.table.langs, self.table.rows))
 
     @property
     def queries(self) -> tuple[EmbeddingRecord, ...]:
@@ -114,9 +119,19 @@ class SynthResult:
         return tuple(r for r in self.records if r.lang == lang)
 
     def retrieval_dataset(self) -> RetrievalDataset:
+        is_query = np.array([rid in self.query_ids for rid in self.table.ids], dtype=bool)
         return RetrievalDataset(
-            queries=self.queries, candidates=self.candidates, qrels=dict(self.qrels)
+            queries=_take(self.table, np.flatnonzero(is_query)),
+            candidates=_take(self.table, np.flatnonzero(~is_query)),
+            qrels=dict(self.qrels),
         )
+
+
+def _take(table: EmbeddingTable, index: np.ndarray) -> EmbeddingTable:
+    """The table of the given rows of table, in index order."""
+    rows, pick = table.rows[index], index.tolist()
+    rows.flags.writeable = False
+    return EmbeddingTable([table.ids[i] for i in pick], [table.langs[i] for i in pick], rows)
 
 
 # Kept out of linalg._gram_schmidt, like generate's offset loop: it would change a seed's bytes.
@@ -141,12 +156,7 @@ def generate(config: SynthConfig) -> SynthResult:
     """Generate a deterministic synthetic multilingual embedding corpus."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     langs = config.languages
-    n_lang, n_topic, per, dim = (
-        len(langs),
-        config.topics,
-        config.per_topic_per_lang,
-        config.dim,
-    )
+    n_lang, n_topic, per, dim = len(langs), config.topics, config.per_topic_per_lang, config.dim
 
     raw_topics = rng.standard_normal((n_topic, dim))
     topic_norms = np.linalg.norm(raw_topics, axis=1)
@@ -188,37 +198,21 @@ def generate(config: SynthConfig) -> SynthResult:
 
     offsets = {lang: config.bias_scale * directions[i] for i, lang in enumerate(langs)}
 
-    records: list[EmbeddingRecord] = []
-    query_ids: set[str] = set()
-    by_topic_candidates: dict[int, list[str]] = {t: [] for t in range(n_topic)}
-    labels: Optional[dict[str, int]] = {} if config.label_rule == TOPIC_PARITY else None
-    row = 0
-    for li, lang in enumerate(langs):
-        base = offsets[lang]
-        for t in range(n_topic):
-            for j in range(per):
-                rec_id = f"{lang}-t{t:04d}-{j:04d}"
-                vec = base + topics[t] + noise[row]
-                row += 1
-                records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
-                if j == 0:
-                    query_ids.add(rec_id)
-                else:
-                    by_topic_candidates[t].append(rec_id)
-                if labels is not None:
-                    labels[rec_id] = t % 2
-
-    qrels = {
-        rec_id: frozenset(by_topic_candidates[t])
-        for t in range(n_topic)
-        for rec_id in (f"{lang}-t{t:04d}-0000" for lang in langs)
-    }
-
+    # The noise buffer becomes the corpus. Rows run language, then topic, then index (the
+    # draw order); each is (offset + topic) + noise, rounded as a row summed alone would be.
+    cube = noise.reshape(n_lang, n_topic, per, dim)
+    np.add((np.stack(list(offsets.values()))[:, None] + topics)[:, :, None], cube, out=cube)
+    noise.flags.writeable = False
+    tails = [f"-t{t:04d}-{j:04d}" for t in range(n_topic) for j in range(per)]
+    ids = [lang + tail for lang in langs for tail in tails]
+    grid = np.arange(len(ids)).reshape(n_lang, n_topic, per)
+    relevant = [frozenset(map(ids.__getitem__, grid[:, t, 1:].ravel())) for t in range(n_topic)]
+    parity = [t % 2 for t in range(n_topic) for _ in range(per)] * n_lang
     return SynthResult(
-        records=tuple(records),
-        query_ids=frozenset(query_ids),
-        qrels=qrels,
-        labels=labels,
+        table=EmbeddingTable(ids=ids, langs=[lang for lang in langs for _ in tails], rows=noise),
+        query_ids=frozenset(ids[::per]),
+        qrels={ids[q]: relevant[t] for t in range(n_topic) for q in grid[:, t, 0]},
+        labels=dict(zip(ids, parity)) if config.label_rule == TOPIC_PARITY else None,
         ground_truth=offsets,
         config=config,
     )

@@ -166,3 +166,114 @@ def read_embeddings_oracle(path):
         raise FormatError("trailing data after the declared record count")
     check_collection(records)
     return records
+
+
+def generate_oracle(config):
+    """The record-at-a-time synthetic generator: one EmbeddingRecord per row,
+    each summed as offset + topic + noise on its own, plus its own copy of the
+    two-pass Gram-Schmidt. It shares lir's config and record types only, so
+    the matrix-form `generate` can be checked against it bit for bit.
+    """
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    from lir.core import EmbeddingRecord
+    from lir.errors import ConfigError
+    from lir.synth import TOPIC_PARITY
+
+    def _orthonormal_rows(rows):
+        scale = float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 0.0
+        kept = []
+        for row in rows:
+            vec = row.copy()
+            for _ in range(2):
+                for q in kept:
+                    vec -= (q @ vec) * q
+            nrm = float(np.linalg.norm(vec))
+            if nrm > 1e-10 * max(scale, 1.0):
+                kept.append(vec / nrm)
+        if not kept:
+            return np.zeros((0, rows.shape[1]))
+        return np.stack(kept)
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    langs = config.languages
+    n_lang, n_topic, per, dim = (
+        len(langs),
+        config.topics,
+        config.per_topic_per_lang,
+        config.dim,
+    )
+
+    raw_topics = rng.standard_normal((n_topic, dim))
+    topic_norms = np.linalg.norm(raw_topics, axis=1)
+    if np.any(topic_norms < 1e-12):
+        raise ConfigError("degenerate topic draw; use a different seed")
+    topics = config.semantic_scale * raw_topics / topic_norms[:, None]
+
+    raw_offsets = rng.standard_normal((n_lang, dim))
+    noise = config.noise_scale * rng.standard_normal((n_lang * n_topic * per, dim))
+
+    topic_basis = _orthonormal_rows(topics)
+    directions = []
+    for i in range(n_lang):
+        vec = raw_offsets[i].copy()
+        for _ in range(2):
+            vec -= topic_basis.T @ (topic_basis @ vec)
+            for prev in directions:
+                vec -= (prev @ vec) * prev
+        nrm = float(np.linalg.norm(vec))
+        if nrm < 1e-8:
+            raise ConfigError(
+                "cannot orthogonalize language offsets against the topic span; "
+                "increase dim or reduce topics"
+            )
+        directions.append(vec / nrm)
+
+    if config.skew > 0.0:
+        tilted = []
+        for i, direction in enumerate(directions):
+            in_span = topic_basis.T @ (topic_basis @ raw_offsets[i])
+            nrm = float(np.linalg.norm(in_span))
+            if nrm > 0.0:
+                direction = direction + config.skew * in_span / nrm
+                direction = direction / float(np.linalg.norm(direction))
+            tilted.append(direction)
+        directions = tilted
+
+    offsets = {lang: config.bias_scale * directions[i] for i, lang in enumerate(langs)}
+
+    records = []
+    query_ids = set()
+    by_topic_candidates = {t: [] for t in range(n_topic)}
+    labels = {} if config.label_rule == TOPIC_PARITY else None
+    row = 0
+    for li, lang in enumerate(langs):
+        base = offsets[lang]
+        for t in range(n_topic):
+            for j in range(per):
+                rec_id = f"{lang}-t{t:04d}-{j:04d}"
+                vec = base + topics[t] + noise[row]
+                row += 1
+                records.append(EmbeddingRecord(id=rec_id, lang=lang, vec=vec))
+                if j == 0:
+                    query_ids.add(rec_id)
+                else:
+                    by_topic_candidates[t].append(rec_id)
+                if labels is not None:
+                    labels[rec_id] = t % 2
+
+    qrels = {
+        rec_id: frozenset(by_topic_candidates[t])
+        for t in range(n_topic)
+        for rec_id in (f"{lang}-t{t:04d}-0000" for lang in langs)
+    }
+
+    return SimpleNamespace(
+        records=tuple(records),
+        query_ids=frozenset(query_ids),
+        qrels=qrels,
+        labels=labels,
+        ground_truth=offsets,
+    )

@@ -83,6 +83,24 @@ class TestSynthCommand:
         assert run_synth(tmp_path / "x", topics=1) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per", [1, 0])
+    def test_per_below_two_exit_2_writes_nothing(self, tmp_path, capsys, per):
+        out = tmp_path / "x"
+        assert run_synth(out, per=per, labels=True) == 2
+        assert "--per must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_counts_match_files(self, tmp_path):
+        run_synth(tmp_path / "d", languages=2, topics=3, per=4)
+        counts = json.loads((tmp_path / "d" / "manifest.json").read_text())["counts"]
+        rows = {
+            sub: sum(len(read_embeddings(f)) for f in (tmp_path / "d" / sub).glob("*.lire"))
+            for sub in ("corpus", "queries", "candidates")
+        }
+        assert counts == {"records": rows["corpus"], "queries": rows["queries"],
+                          "candidates": rows["candidates"]}
+        assert counts == {"records": 24, "queries": 6, "candidates": 18}
+
 
 class TestFitCommand:
     def test_fit_matches_library_bitwise(self, tmp_path, capsys):
@@ -108,7 +126,7 @@ class TestFitCommand:
             assert direct.read_bytes() == (tmp_path / "comp" / f"{lang}.lirc").read_bytes()
 
     def test_rank_too_large_exit_2(self, tmp_path, capsys):
-        run_synth(tmp_path / "data", per=1, topics=2, dim=16)
+        assert run_synth(tmp_path / "data", per=2, topics=2, dim=16) == 0
         code = main([
             "fit",
             "--input", str(tmp_path / "data" / "corpus" / "l00.lire"),
@@ -116,7 +134,7 @@ class TestFitCommand:
             "--output", str(tmp_path / "comp"),
         ])
         assert code == 2
-        assert "rank" in capsys.readouterr().err.lower()
+        assert "rank 99" in capsys.readouterr().err.lower()
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main([

@@ -228,6 +228,15 @@ class TestProjectOut:
                     assert np.max(np.abs(basis.T @ out)) <= 1e-6 * max(1.0, np.linalg.norm(v))
                 assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-12
 
+    def test_fixed_rows_restored_and_input_untouched(self):
+        # the last row is within tolerance of orthogonal: it keeps its 1e-9
+        basis = np.eye(3)[:, :1]
+        m = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [1e-9, 7.0, 0.0]])
+        before = m.tobytes()
+        assert project_out(m, basis).tolist() == [[0.0, 1.0, 2.0], [0.0, 4.0, 5.0], [1e-9, 7.0, 0.0]]
+        assert project_out(m[2], basis).tolist() == [1e-9, 7.0, 0.0]
+        assert m.tobytes() == before
+
     def test_empty_basis_identity_on_matrix(self):
         m = np.random.default_rng(9).standard_normal((4, 3))
         for fn in (project_out, project_out_scaled):

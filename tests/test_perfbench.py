@@ -56,6 +56,8 @@ CHAIN = {
                                       c, "--placement", "both", "--report", f"{o}/t.json"],
     "project": lambda d, c, o: ["project", "--input", f"{d}/corpus", "--dims", "2",
                                 "--output", f"{o}/p.csv"],
+    "synth": lambda d, c, o: ["synth", "--languages", "2", "--topics", "4", "--per", "3", "--dim",
+                              "8", "--bias", "5.0", "--labels", "--seed", "3", "--out", f"{o}/data"],
 }
 
 

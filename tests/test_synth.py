@@ -5,6 +5,8 @@ import lir
 from lir import ConfigError, SynthConfig, generate
 from lir.synth import TOPIC_PARITY
 
+from oracles import generate_oracle
+
 
 def base_config(**overrides):
     params = dict(
@@ -42,6 +44,11 @@ class TestSynthConfig:
             {"seed": 2**64},
             {"label_rule": "alphabetical"},
             {"skew": -0.5},
+            {"topics": 2.5},
+            {"per_topic_per_lang": 1.5},
+            {"dim": 8.0},
+            {"per_topic_per_lang": True},
+            {"dim": "16"},
         ],
     )
     def test_invalid(self, overrides):
@@ -172,6 +179,42 @@ class TestGenerate:
         generate(base_config(topics=20, dim=23))  # exactly enough room
 
     def test_retrieval_dataset_roundtrip(self):
-        ds = generate(base_config()).retrieval_dataset()
+        res = generate(base_config())
+        ds = res.retrieval_dataset()
         assert len(ds.queries) == 18
         assert len(ds.candidates) == 54
+        assert ds.queries.ids == tuple(r.id for r in res.queries)
+        assert ds.candidates.ids == tuple(r.id for r in res.candidates)
+        assert ds.candidates.rows.tobytes() == b"".join(r.vec.tobytes() for r in res.candidates)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"label_rule": TOPIC_PARITY},
+        {"skew": 0.5, "label_rule": TOPIC_PARITY},
+        {"bias_scale": 0.0},
+        {"per_topic_per_lang": 1},
+        {"languages": ("solo",), "topics": 3, "dim": 5},
+        {"noise_scale": 0.0, "seed": 2**64 - 1},
+    ],
+)
+def test_generate_matches_record_at_a_time_oracle(overrides):
+    res = generate(base_config(**overrides))
+    ref = generate_oracle(res.config)
+    table = res.table
+    assert list(table.ids) == [r.id for r in ref.records]
+    assert list(table.langs) == [r.lang for r in ref.records]
+    assert table.rows.tobytes() == b"".join(r.vec.tobytes() for r in ref.records)
+    assert not table.rows.flags.writeable
+    assert res.query_ids == ref.query_ids
+    assert dict(res.qrels) == ref.qrels and list(res.qrels) == list(ref.qrels)
+    assert (None if res.labels is None else dict(res.labels)) == ref.labels
+    assert list(res.ground_truth) == list(ref.ground_truth)
+    for lang, offset in ref.ground_truth.items():
+        assert res.ground_truth[lang].tobytes() == offset.tobytes()
+    # the record views are built from the table
+    assert [(r.id, r.lang, r.vec.tobytes()) for r in res.records] == [
+        (r.id, r.lang, r.vec.tobytes()) for r in ref.records
+    ]
