@@ -22,6 +22,7 @@ from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer, export_projection
 from .io import (
+    _f32_rows,
     _read_table,
     _write_atomic,
     read_components_dir,
@@ -180,6 +181,7 @@ def _cmd_synth(args) -> int:
         skew=args.skew,
     )
     result = generate(config)
+    _f32_rows(result.table)  # a value .lire cannot store raises before anything is written
     out = Path(args.out)
     subsets = ("corpus", "queries", "candidates")
     for sub in subsets:

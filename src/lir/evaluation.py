@@ -2,11 +2,11 @@
 classification with a from-scratch logistic classifier, and PCA score export.
 
 Similarity is cosine throughout (rank metrics are then invariant to the norm
-shrinkage removal causes). A score's bits depend neither on where its
-candidate sits in the input nor on the BLAS thread count, and ties are broken
-by ascending candidate id, so rankings are permutation-invariant. Average
-precision is computed exactly from the ranks of the relevant items and
-rounded once to float; a dataset evaluation ranks only those items.
+shrinkage removal causes). Ranks are those of einsum scores, whose bits depend
+neither on a candidate's position nor on the BLAS thread count; ties break by
+ascending id, so rankings and reports are permutation-invariant. A dataset
+evaluation ranks with gemm scores where einsum scores of the relevant rows
+certify them, and takes exact AP from those ranks, rounded once to float.
 Harnesses score, train and project on EmbeddingTable rows (records are
 converted once on the way in) and remove components on a copy of them.
 """
@@ -35,9 +35,13 @@ from .errors import (
     DegenerateLabels,
     DimensionError,
     NoRelevantError,
+    NumericalFailure,
     RankError,
 )
 from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
+
+_BLOCK_SCORES = 1 << 19  # float64 scores per gemm block (4 MB); ranks do not depend on it
+_AP_BITS = 128  # fraction bits of the fixed-point AP sum
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,9 @@ def _candidate_stack(table: EmbeddingTable, bases=None, mode: RemovalMode = DEFA
 def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Cosine of vec against every row of cmat; 0 where either norm is 0.
 
-    einsum rounds every row alike, so a score's bits depend neither on the
-    row's position in the stack nor on the BLAS thread count. A BLAS gemv
-    rounds tail rows differently and splits the work by thread count. Where a
+    These scores define every rank. einsum rounds every row alike, so a
+    score's bits depend neither on the row's position in the stack nor on the
+    BLAS thread count; gemm promises neither (see _certified_positions). Where a
     plain norm or dot product overflows, the score is recomputed from the row
     and vec each divided by its largest magnitude; no other score changes.
     """
@@ -112,14 +116,45 @@ def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
     return sorted(positions.tolist())
 
 
+def _certified_positions(sims, cmat, cnorms, vec, relevant) -> Optional[list[int]]:
+    """_relevant_positions of the einsum scores from gemm dot products `sims`
+    of vec with the rows of cmat, or None where they certify not every rank.
+
+    A d-term dot product errs by at most g_d|x||y|, g_d = du/(1 - du),
+    u = 2^-53, in any summation order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1). Both kernels divide by D = cnorms |vec|; norms
+    of 0 or in [2^-400, 2^400] (the caller checks cnorms) keep |x||y| <=
+    D(1 + O(du)) despite underflow, so with the division scores differ by at most
+    (2d + 2)u(1 + O(du)). delta = 4(d + 1)u also covers forming key -/+
+    delta. A band of +/- delta around a relevant key that holds only its row
+    (and finite end keys) leaves every other row ordered as einsum orders it.
+    """
+    qnorm = np.linalg.norm(vec)
+    if not 2.0**-400 <= qnorm <= 2.0**400:
+        return None
+    ordered = np.sort(-np.divide(sims, cnorms * qnorm, out=np.zeros_like(sims), where=cnorms > 0.0))
+    keys = -_cosine_scores(cmat[relevant], cnorms[relevant], vec)
+    delta = 4 * (cmat.shape[1] + 1) * 2.0**-53
+    lo = np.searchsorted(ordered, keys - delta, "left")
+    band = np.searchsorted(ordered, keys + delta, "right") - lo
+    if np.any(band != 1) or not np.isfinite(ordered[[0, -1]]).all():  # NaN sorts last
+        return None
+    return sorted((lo + 1).tolist())
+
+
 def _ap_from_positions(positions: list[int]) -> float:
     """Exact AP from the sorted ranks p_1 < ... < p_R of the relevant items.
 
-    The mean of k/p_k is one integer ratio over D = lcm(p), and Python's
-    int/int division rounds it correctly, as float(Fraction) does.
+    With M = _AP_BITS and t = sum of floor(k 2^M / p_k), the mean of k/p_k is
+    in [t, t + R) / (R 2^M). If both ends round (int/int rounds correctly) to
+    one float, so does the mean; else it is one integer ratio over lcm(p).
     """
+    r, scale = len(positions), len(positions) << _AP_BITS
+    t = sum((k << _AP_BITS) // p for k, p in enumerate(positions, start=1))
+    if t / scale == (t + r) / scale:
+        return t / scale
     d = math.lcm(*positions)
-    return sum(k * (d // p) for k, p in enumerate(positions, start=1)) / (d * len(positions))
+    return sum(k * (d // p) for k, p in enumerate(positions, start=1)) / (d * r)
 
 
 def rank_candidates(
@@ -209,12 +244,18 @@ def evaluate_retrieval(
     row_of = {cid: i for i, cid in enumerate(ids)}
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
-    for qid, lang, qvec in zip(queries.ids, queries.langs, qmat):
-        relevant = np.array([row_of[cid] for cid in dataset.qrels[qid]], dtype=np.intp)
-        scores = _cosine_scores(cmat, cnorms, qvec)
-        ap = _ap_from_positions(_relevant_positions(scores, relevant))
-        aps.append(ap)
-        by_lang.setdefault(lang, []).append(ap)
+    fast = np.all((cnorms == 0.0) | ((2.0**-400 <= cnorms) & (cnorms <= 2.0**400)))
+    step = max(1, _BLOCK_SCORES // len(ids))
+    blocks = (row for i in range(0, len(qmat), step) for row in qmat[i : i + step] @ cmat.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rows take the exact path
+        for qid, lang, qvec, sims in zip(queries.ids, queries.langs, qmat, blocks):
+            relevant = np.array([row_of[cid] for cid in dataset.qrels[qid]], dtype=np.intp)
+            positions = _certified_positions(sims, cmat, cnorms, qvec, relevant) if fast else None
+            if positions is None:  # the exact path: einsum scores for every row
+                positions = _relevant_positions(_cosine_scores(cmat, cnorms, qvec), relevant)
+            ap = _ap_from_positions(positions)
+            aps.append(ap)
+            by_lang.setdefault(lang, []).append(ap)
     return EvalReport(
         overall_map=math.fsum(aps) / len(aps),
         per_language_map={
@@ -234,12 +275,12 @@ class LogisticConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if self.l2 < 0.0:
-            raise ConfigError("l2 must be non-negative")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ConfigError("l2 must be non-negative and finite")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -260,6 +301,16 @@ def _as_labels(labels, count: int) -> np.ndarray:
     return y
 
 
+def _logits(x: np.ndarray, w: np.ndarray, epoch: int = 0) -> np.ndarray:
+    """x @ w[:-1] + w[-1]; an overflowed logit, whose sign is unreliable,
+    raises NumericalFailure (at the given training epoch)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ w[:-1] + w[-1]
+    if not np.isfinite(z).all():
+        raise NumericalFailure("logistic logits overflow: the weights are too large", epoch)
+    return z
+
+
 def train_logistic(
     features, labels, config: LogisticConfig = LogisticConfig()
 ) -> np.ndarray:
@@ -268,7 +319,8 @@ def train_logistic(
     Zero initialization, exactly `config.epochs` iterations, mean-based
     gradients (duplicating every row leaves the result unchanged), optional
     L2 penalty on the weights but not the bias. Returns a (d+1)-vector with
-    the bias last. Deterministic by construction.
+    the bias last. Deterministic by construction. Weights or logits that
+    overflow raise NumericalFailure.
     """
     x = linalg.as_matrix(features)
     n, d = x.shape
@@ -276,11 +328,13 @@ def train_logistic(
     if n < 2 or np.unique(y).size < 2:
         raise DegenerateLabels("training labels must contain both classes")
     w = np.zeros(d + 1)
-    for _ in range(config.epochs):
-        z = x @ w[:d] + w[d]
-        resid = _sigmoid(z) - y
-        w[:d] -= config.learning_rate * (x.T @ resid / n + config.l2 * w[:d])
-        w[d] -= config.learning_rate * float(resid.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            resid = _sigmoid(_logits(x, w, epoch)) - y
+            w[:d] -= config.learning_rate * (x.T @ resid / n + config.l2 * w[:d])
+            w[d] -= config.learning_rate * float(resid.mean())
+    if not np.isfinite(w).all():
+        raise NumericalFailure("logistic weights are not finite", config.epochs)
     return w
 
 
@@ -292,8 +346,7 @@ def predict_logistic(features, weights: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"weights must have length {x.shape[1] + 1}, got {w.size}"
         )
-    z = x @ w[:-1] + w[-1]
-    return (z >= 0.0).astype(np.int64)
+    return (_logits(x, w) >= 0.0).astype(np.int64)
 
 
 def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> float:

@@ -139,6 +139,17 @@ def _header_str(header: dict, key: str) -> str:
     return value
 
 
+def _f32_rows(table: EmbeddingTable) -> np.ndarray:
+    """The table's rows as stored in .lire; a value beyond the float32 range
+    (which would be stored as inf) raises, naming the first such record."""
+    with np.errstate(over="ignore"):
+        rows = table.rows.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise FormatError(f"record {table.ids[bad[0]]!r} has values beyond the 32-bit float range")
+    return rows
+
+
 def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) -> None:
     """Write one language's records, or table, to a .lire file (32-bit values)."""
     table = EmbeddingTable.from_records(records)
@@ -151,7 +162,7 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) 
         )
     header = {"count": len(table), "dim": table.dim, "dtype": "f32", "lang": table.langs[0]}
     buf = bytearray()
-    for rec_id, vec in zip(table.ids, table.rows.astype("<f4")):
+    for rec_id, vec in zip(table.ids, _f32_rows(table)):
         idb = rec_id.encode("utf-8")
         if len(idb) > 0xFFFF:
             raise FormatError(f"record id too long to store: {rec_id[:32]!r}...")
@@ -367,17 +378,30 @@ def read_labels(path) -> dict[str, int]:
     return out
 
 
-def _write_jsonl(path, objects) -> None:
-    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objects]
+# The string encoder of json.dumps: lines formatted with it have the bytes of
+# json.dumps(obj, sort_keys=True, separators=(",", ":")).
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _write_jsonl(path, lines) -> None:
     _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
-    _write_jsonl(path, ({"query_id": q, "relevant": sorted(qrels[q])} for q in sorted(qrels)))
+    _write_jsonl(path, (
+        f'{{"query_id":{_json_str(q)},"relevant":[{",".join(map(_json_str, sorted(qrels[q])))}]}}'
+        for q in sorted(qrels)
+    ))
 
 
 def write_labels(path, labels: Mapping[str, int]) -> None:
-    _write_jsonl(path, ({"id": rec_id, "label": labels[rec_id]} for rec_id in sorted(labels)))
+    def line(rec_id):
+        label = labels[rec_id]
+        if type(label) is not int or label not in (0, 1):  # not bool, as read_labels
+            raise FormatError(f"label of {rec_id!r} must be the integer 0 or 1, got {label!r}")
+        return f'{{"id":{_json_str(rec_id)},"label":{label}}}'
+
+    _write_jsonl(path, map(line, sorted(labels)))
 
 
 def report_to_dict(report: EvalReport | TransferReport) -> dict:

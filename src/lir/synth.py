@@ -103,20 +103,25 @@ class SynthResult:
         truth = {lang: _frozen_array(vec) for lang, vec in dict(self.ground_truth).items()}
         object.__setattr__(self, "ground_truth", MappingProxyType(truth))
 
+    def _records(self, keep) -> tuple[EmbeddingRecord, ...]:
+        """Records of the rows whose (id, lang) `keep` accepts, in table order."""
+        rows = zip(self.table.ids, self.table.langs, self.table.rows)
+        return tuple(EmbeddingRecord(*row) for row in rows if keep(row[0], row[1]))
+
     @property
     def records(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(map(EmbeddingRecord, self.table.ids, self.table.langs, self.table.rows))
+        return self._records(lambda rid, lang: True)
 
     @property
     def queries(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(r for r in self.records if r.id in self.query_ids)
+        return self._records(lambda rid, lang: rid in self.query_ids)
 
     @property
     def candidates(self) -> tuple[EmbeddingRecord, ...]:
-        return tuple(r for r in self.records if r.id not in self.query_ids)
+        return self._records(lambda rid, lang: rid not in self.query_ids)
 
     def records_for(self, lang: str) -> tuple[EmbeddingRecord, ...]:
-        return tuple(r for r in self.records if r.lang == lang)
+        return self._records(lambda rid, rlang: rlang == lang)
 
     def retrieval_dataset(self) -> RetrievalDataset:
         is_query = np.array([rid in self.query_ids for rid in self.table.ids], dtype=bool)

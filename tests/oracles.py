@@ -277,3 +277,43 @@ def generate_oracle(config):
         labels=labels,
         ground_truth=offsets,
     )
+
+
+def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
+    """The per-query retrieval loop: every query scored against every
+    candidate with the einsum kernel that defines the ranks, a full stable
+    sort per query, and AP as one exact integer ratio over lcm(positions).
+    It shares the library's removal, scoring kernel and report types, so
+    evaluate_retrieval's report can be checked against it byte for byte.
+    """
+    import numpy as np
+
+    from lir.core import EvalReport, corpus_fingerprint
+    from lir.evaluation import _candidate_stack, _cosine_scores, _effective_rank, _features
+    from lir.removal import DEFAULT_MODE
+
+    mode = DEFAULT_MODE if mode is None else mode
+    queries, candidates = dataset.queries, dataset.candidates
+    qmat = _features(queries, bases, mode)
+    ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    by_lang = {}
+    for qid, lang, qvec in zip(queries.ids, queries.langs, qmat):
+        order = np.argsort(-_cosine_scores(cmat, cnorms, qvec), kind="stable")
+        relevant = dataset.qrels[qid]
+        positions = [pos for pos, i in enumerate(order.tolist(), start=1) if ids[i] in relevant]
+        d = math.lcm(*positions)
+        ap = sum(k * (d // p) for k, p in enumerate(positions, start=1)) / (d * len(positions))
+        by_lang.setdefault(lang, []).append(ap)
+    aps = [ap for lang_aps in by_lang.values() for ap in lang_aps]
+    return EvalReport(
+        overall_map=math.fsum(aps) / len(aps),
+        per_language_map={lang: math.fsum(v) / len(v) for lang, v in sorted(by_lang.items())},
+        query_count=len(queries),
+        config={
+            "candidates_fingerprint": corpus_fingerprint(candidates),
+            "mode": mode.value,
+            "queries_fingerprint": corpus_fingerprint(queries),
+            "rank": _effective_rank(bases, rank),
+            "similarity": "cosine",
+        },
+    )

@@ -90,6 +90,12 @@ class TestSynthCommand:
         assert "--per must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bias_beyond_float32_exit_2_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_synth(out, bias=1e300, labels=True) == 2
+        assert "beyond the 32-bit float range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_counts_match_files(self, tmp_path):
         run_synth(tmp_path / "d", languages=2, topics=3, per=4)
         counts = json.loads((tmp_path / "d" / "manifest.json").read_text())["counts"]
@@ -443,6 +449,25 @@ class TestEvalTransferCommand:
         ])
         assert code == 2
         assert "classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--l2", "inf"], 2), (["--l2", "nan"], 2), (["--lr", "inf"], 2), (["--lr", "1e308", "--epochs", "3"], 3)],
+    )
+    def test_non_finite_training_writes_no_report(self, pipeline, capsys, extra, code):
+        tmp_path, data, comp = pipeline
+        report = tmp_path / "r.json"
+        assert main([
+            "eval-transfer",
+            "--train", str(data / "corpus" / "l00.lire"),
+            "--tests", str(data / "corpus"),
+            "--labels", str(data / "labels.jsonl"),
+            "--report", str(report),
+            *extra,
+        ]) == code
+        err = capsys.readouterr().err
+        assert "error" in err and "Warning" not in err
+        assert not report.exists()
 
     def test_missing_label_exit_2(self, pipeline):
         tmp_path, data, comp = pipeline

@@ -29,9 +29,20 @@ from lir import (
     rank_candidates,
     train_logistic,
 )
-from lir.evaluation import _ap_from_positions, _candidate_stack, _cosine_scores
+from lir.evaluation import (
+    _ap_from_positions,
+    _candidate_stack,
+    _certified_positions,
+    _cosine_scores,
+    _relevant_positions,
+)
 from lir.io import report_json, report_to_dict
-from oracles import average_precision_oracle, logistic_gd_oracle, rank_oracle
+from oracles import (
+    average_precision_oracle,
+    evaluate_retrieval_oracle,
+    logistic_gd_oracle,
+    rank_oracle,
+)
 
 
 def rec(rid, lang, vec):
@@ -204,6 +215,23 @@ class TestAveragePrecision:
             assert _ap_from_positions(positions) == expected
             assert average_precision(RankedList("q", tuple(ids)), relevant) == expected
 
+    @pytest.mark.parametrize("bits", [128, 56, 52, 6, 0])
+    def test_fixed_point_matches_oracle(self, bits, monkeypatch):
+        # Few fraction bits leave the fixed-point interval straddling a
+        # rounding boundary, so the lcm fallback must give the answer.
+        monkeypatch.setattr(lir.evaluation, "_AP_BITS", bits)
+        lcm_calls, lcm = [], math.lcm
+        monkeypatch.setattr(lir.evaluation.math, "lcm", lambda *p: lcm_calls.append(p) or lcm(*p))
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            n = int(rng.integers(1, 300))
+            ids = [f"c{i}" for i in rng.permutation(n)]
+            relevant = set(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            positions = [pos for pos, cid in enumerate(ids, start=1) if cid in relevant]
+            assert _ap_from_positions(positions) == float(average_precision_oracle(ids, relevant))
+        assert _ap_from_positions([1, 2, 3]) == 1.0
+        assert bool(lcm_calls) == (bits < 64)
+
     def test_one_iff_relevant_on_top(self):
         ids = ("a", "b", "c", "d")
         assert average_precision(RankedList("q", ids), {"a", "c"}) < 1.0
@@ -368,6 +396,123 @@ class TestEvaluateRetrieval:
         assert 0.0 <= ap <= 1.0
 
 
+def near_tie_dataset(seed, scale_rows=(), scale_queries=1.0):
+    """Candidates that tie or nearly tie the relevant rows. Base rows and most
+    queries have small integer entries, so any kernel computes a base row's
+    dot product exactly and its score has the einsum bits. Each base row also
+    appears scaled by 1 +/- a few ulps and with one coordinate one ulp away
+    (scores a few ulps off, rounded differently by gemm and einsum), scaled by
+    2 and as an exact copy under another id (exact ties). Zero rows and noise
+    rows fill the rest, plus `scale_rows` (factor, count) scaled copies of
+    base rows; every odd query is scaled by `scale_queries`. Every query has
+    its own language, so per_language_map holds each query's AP."""
+    rng = np.random.default_rng(seed)
+    d = 24
+    base = rng.integers(-3, 4, (40, d)).astype(float)
+    vecs = []
+    for g, row in enumerate(base):  # ten rows per base row, the base row first
+        moved = row.copy()
+        moved[g % d] = np.nextafter(moved[g % d], np.inf)
+        vecs += [row, moved, row * 2.0, row.copy()]
+        vecs += [row * (1.0 + k * 2.0**-52) for k in (1, 2, 3)]
+        vecs += [row * (1.0 - k * 2.0**-53) for k in (1, 2, 3)]
+    vecs += [np.zeros(d)] * 20 + list(rng.standard_normal((100, d)))
+    for factor, count in scale_rows:
+        vecs += [base[g] * factor for g in rng.integers(0, 40, count)]
+    ids = [f"c{i:04d}" for i in rng.permutation(len(vecs))]
+    cands = [rec(cid, "en", v) for cid, v in zip(ids, vecs)]
+    base_ids = ids[: 10 * 40 : 10]
+    queries, qrels = [], {}
+    for i in range(60):
+        vec = rng.standard_normal(d) if i % 5 == 4 else rng.integers(-3, 4, d).astype(float)
+        queries.append(rec(f"q{i:02d}", f"x{i:02d}", vec * (scale_queries if i % 2 else 1.0)))
+        # Base rows, and for every third query a few rows from elsewhere.
+        qrels[f"q{i:02d}"] = set(rng.choice(base_ids, size=int(rng.integers(1, 4)), replace=False).tolist())
+        if i % 3 == 0:
+            qrels[f"q{i:02d}"] |= set(rng.choice(ids, size=3, replace=False).tolist())
+    queries.append(rec("q-zero", "x-zero", np.zeros(d)))
+    qrels["q-zero"] = set(ids[:2])
+    return RetrievalDataset(queries, cands, qrels)
+
+
+class TestCertifiedRanks:
+    """evaluate_retrieval ranks with BLAS gemm scores only where they are
+    certified against the einsum kernel; its reports must be those of the
+    per-query einsum loop in oracles.evaluate_retrieval_oracle."""
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_synth_reports_match_reference(self, seed):
+        cfg = lir.SynthConfig(
+            languages=("en", "de", "zh"), topics=8, per_topic_per_lang=12, dim=24,
+            bias_scale=4.0, seed=seed,
+        )
+        res = lir.generate(cfg)
+        ds = res.retrieval_dataset()
+        bases = {
+            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
+            for lang in cfg.languages
+        }
+        for b in (None, bases):
+            for mode in lir.RemovalMode:
+                assert report_json(evaluate_retrieval(ds, b, mode=mode)) == report_json(
+                    evaluate_retrieval_oracle(ds, b, mode)
+                )
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_near_ties_match_reference(self, seed):
+        ds = near_tie_dataset(seed)
+        assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval_oracle(ds))
+
+    @pytest.mark.parametrize("factor", [1e-160, 1e300])
+    def test_underflow_and_overflow_rows_match_reference(self, factor):
+        # Products of such rows and queries under- or overflow, silently.
+        ds = near_tie_dataset(8, scale_rows=[(factor, 30)], scale_queries=factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = report_json(evaluate_retrieval(ds))
+        assert report == report_json(evaluate_retrieval_oracle(ds))
+
+    def test_uncertifiable_queries_return_none(self):
+        rng = np.random.default_rng(47)
+        cmat = rng.standard_normal((50, 8))
+        cnorms = np.linalg.norm(cmat, axis=1)
+        relevant = np.array([3, 17])
+        q = rng.standard_normal(8)
+        sims = cmat @ q
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant)
+        assert _certified_positions(sims, cmat, cnorms, q, relevant) == expected
+        for bad in (np.nan, np.inf):
+            broken = sims.copy()
+            broken[40] = bad
+            assert _certified_positions(broken, cmat, cnorms, q, relevant) is None
+        for scale in (1e-125, 1e125, 0.0):  # norms outside [2^-400, 2^400], or zero
+            assert _certified_positions(sims * scale, cmat, cnorms, q * scale, relevant) is None
+
+    def test_fast_path_reports_do_not_depend_on_threads(self, openblas_threads, monkeypatch):
+        # 64 queries x 8000 candidates x 64 dims: a gemm the BLAS splits between threads.
+        get_threads, set_threads = openblas_threads
+        cfg = lir.SynthConfig(
+            languages=("a", "b", "c", "d"), topics=16, per_topic_per_lang=126, dim=64,
+            bias_scale=3.0, seed=12,
+        )
+        ds = lir.generate(cfg).retrieval_dataset()
+        certified, original = [], lir.evaluation._certified_positions
+
+        def spy(*args):
+            certified.append(original(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(lir.evaluation, "_certified_positions", spy)
+        reports = []
+        for threads in (1, 2):
+            set_threads(threads)
+            reports.append(report_json(evaluate_retrieval(ds)))
+            assert get_threads() == threads
+        monkeypatch.undo()
+        assert len(certified) == 128 and None not in certified  # no query took the exact path
+        assert reports[0] == reports[1] == report_json(evaluate_retrieval_oracle(ds))
+
+
 class TestTrainLogistic:
     def test_zero_epochs_predicts_half(self):
         x = np.array([[1.0], [-1.0]])
@@ -412,6 +557,25 @@ class TestTrainLogistic:
             w = train_logistic(x, y, LogisticConfig(learning_rate=0.01, epochs=epochs))
             losses.append(logistic_loss(x, y, w))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize(
+        "settings", [{"l2": math.inf}, {"l2": math.nan}, {"learning_rate": math.inf}, {"learning_rate": math.nan}]
+    )
+    def test_non_finite_settings_rejected(self, settings):
+        with pytest.raises(ConfigError):
+            LogisticConfig(**settings)
+
+    def test_overflowing_weights_raise(self):
+        x = np.array([[1e5], [-1e5], [2e5], [-3e5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for epochs in (1, 3):  # the weights or the next logits overflow
+                with pytest.raises(lir.NumericalFailure):
+                    train_logistic(x, [1, 0, 1, 0], LogisticConfig(learning_rate=1e308, epochs=epochs))
+            with pytest.raises(lir.NumericalFailure):  # logits overflow before the weights
+                predict_logistic(x * 1e300, np.array([1e10, 0.0]))
+        w = train_logistic(x, [1, 0, 1, 0], LogisticConfig(learning_rate=1e-12, epochs=3))
+        assert np.isfinite(w).all()
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):

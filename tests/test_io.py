@@ -84,6 +84,17 @@ class TestEmbeddingFiles:
         write_embeddings(p2, sample_records())
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_write_rejects_values_beyond_float32(self, tmp_path):
+        path = tmp_path / "big.lire"
+        top = float(np.finfo(np.float32).max)
+        write_embeddings(path, [rec("a", "en", [top, -top])])
+        assert read_embeddings(path)[0].vec.tolist() == [top, -top]
+        records = [rec("a", "en", [1.0, 2.0]), rec("b", "en", [1.0, -1e39]), rec("c", "en", [1e300, 0.0])]
+        path.unlink()
+        with pytest.raises(FormatError, match="'b'"):
+            write_embeddings(path, records)
+        assert not path.exists()
+
     def test_write_rejects_mixed_language_and_empty(self, tmp_path):
         with pytest.raises(LanguageMismatch):
             write_embeddings(tmp_path / "x.lire", [rec("a", "en", [1.0]), rec("b", "zh", [1.0])])
@@ -411,6 +422,35 @@ class TestJsonlReaders:
         path.write_text('{"query_id": "q", "relevant": "c1"}\n')
         with pytest.raises(ParseError):
             read_qrels(path)
+
+    def test_writers_keep_json_dumps_bytes(self, tmp_path):
+        # Ids that need escaping, including one that would break a split of
+        # one large dumps call, non-ASCII text and a lone surrogate.
+        ids = ['a", ', "b\\c", "tab\there", "\x00nul", "é", "日本", "\U0001f600", "\udcff", "", "z"]
+        qrels = {ids[i]: frozenset(ids[i:]) for i in range(len(ids))}
+        labels = {rid: i % 2 for i, rid in enumerate(ids)}
+
+        def dumps_lines(objects):
+            lines = [json.dumps(o, sort_keys=True, separators=(",", ":")) for o in objects]
+            return ("\n".join(lines) + "\n").encode("utf-8")
+
+        write_qrels(tmp_path / "q.jsonl", qrels)
+        assert (tmp_path / "q.jsonl").read_bytes() == dumps_lines(
+            {"query_id": q, "relevant": sorted(qrels[q])} for q in sorted(qrels)
+        )
+        write_labels(tmp_path / "l.jsonl", labels)
+        assert (tmp_path / "l.jsonl").read_bytes() == dumps_lines(
+            {"id": rid, "label": labels[rid]} for rid in sorted(labels)
+        )
+        write_qrels(tmp_path / "empty.jsonl", {})
+        assert (tmp_path / "empty.jsonl").read_bytes() == b"\n"
+
+    @pytest.mark.parametrize("label", [True, False, 2, -1, 1.0, np.int64(1), "1", None])
+    def test_write_labels_rejects_non_binary_ints(self, tmp_path, label):
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(FormatError, match="'b'"):
+            write_labels(path, {"a": 0, "b": label, "c": 1})
+        assert not path.exists()
 
     def test_labels_roundtrip_and_validation(self, tmp_path):
         path = tmp_path / "labels.jsonl"

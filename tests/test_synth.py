@@ -215,6 +215,29 @@ def test_generate_matches_record_at_a_time_oracle(overrides):
     for lang, offset in ref.ground_truth.items():
         assert res.ground_truth[lang].tobytes() == offset.tobytes()
     # the record views are built from the table
-    assert [(r.id, r.lang, r.vec.tobytes()) for r in res.records] == [
-        (r.id, r.lang, r.vec.tobytes()) for r in ref.records
-    ]
+    def rows(records):
+        return [(r.id, r.lang, r.vec.tobytes()) for r in records]
+
+    assert rows(res.records) == rows(ref.records)
+    assert rows(res.queries) == rows(r for r in ref.records if r.id in ref.query_ids)
+    assert rows(res.candidates) == rows(r for r in ref.records if r.id not in ref.query_ids)
+    for lang in res.config.languages:
+        assert rows(res.records_for(lang)) == rows(r for r in ref.records if r.lang == lang)
+
+
+def test_record_views_build_only_the_rows_they_return(monkeypatch):
+    res = generate(base_config())
+    built = []
+
+    def counting_record(*args):
+        built.append(args[0])
+        return lir.EmbeddingRecord(*args)
+
+    monkeypatch.setattr(lir.synth, "EmbeddingRecord", counting_record)
+    for view in ("queries", "candidates", "records"):
+        built.clear()
+        ids = [r.id for r in getattr(res, view)]
+        assert built == ids
+    built.clear()
+    ids = [r.id for r in res.records_for("l01")]
+    assert built == ids and len(ids) == 24
