@@ -136,7 +136,7 @@ def _cmd_eval_transfer(args) -> int:
     train_labels = _labeled(train, labels)
     tests = {}
     for file in sorted(Path(args.tests).glob("*.lire")):
-        table = _read_table(file)
+        table = train if file.samefile(args.train) else _read_table(file)
         lang = table.langs[0] if len(table) else file.stem
         if lang in tests:
             raise DuplicateKey(lang, f"two test files for language {lang!r}")

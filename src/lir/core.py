@@ -319,7 +319,11 @@ class RetrievalDataset:
             raise DimensionError(
                 f"query dimension {queries.dim} != candidate dimension {candidates.dim}"
             )
-        qrels = {str(k): frozenset(str(i) for i in v) for k, v in dict(self.qrels).items()}
+        qrels = {  # a frozenset of exact str is kept: read_qrels' shared ids stay shared
+            str(k): v if type(v) is frozenset and set(map(type, v)) <= {str}
+            else frozenset(map(str, v))
+            for k, v in dict(self.qrels).items()
+        }
         qids = set(queries.ids)
         cids = set(candidates.ids)
         for qid, rel in qrels.items():

@@ -13,6 +13,7 @@ converted once on the way in) and remove components on a copy of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -41,6 +42,7 @@ from .errors import (
 from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
 
 _BLOCK_SCORES = 1 << 19  # float64 scores per gemm block (4 MB); ranks do not depend on it
+_NORM_BLOCK = 1 << 16  # float64 squares per norm block (512 kB); norms do not depend on it
 _AP_BITS = 128  # fraction bits of the fixed-point AP sum
 
 
@@ -70,11 +72,14 @@ def _features(table: EmbeddingTable, bases, mode: RemovalMode, order=None) -> np
 
 def _candidate_stack(table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE):
     """Ids in ascending order, the rows in that order (removed as in
-    _features), and the row norms, for a non-empty candidate table."""
+    _features; the one n x d copy), and the row norms, for a non-empty
+    candidate table. Norms are taken _NORM_BLOCK squares at a time."""
     order = sorted(range(len(table)), key=table.ids.__getitem__)
     cmat = _features(table, bases, mode, order)
+    step = max(1, _NORM_BLOCK // cmat.shape[1])
     with np.errstate(over="ignore"):
-        return [table.ids[i] for i in order], cmat, np.linalg.norm(cmat, axis=1)
+        cnorms = [np.linalg.norm(cmat[i : i + step], axis=1) for i in range(0, len(cmat), step)]
+    return [table.ids[i] for i in order], cmat, np.concatenate(cnorms)
 
 
 def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -140,6 +145,14 @@ def _certified_positions(sims, cmat, cnorms, vec, relevant) -> Optional[list[int
     if np.any(band != 1) or not np.isfinite(ordered[[0, -1]]).all():  # NaN sorts last
         return None
     return sorted((lo + 1).tolist())
+
+
+def _gemm_rows(qmat: np.ndarray, cmat: np.ndarray):
+    """The rows of qmat @ cmat.T, from blocks of at most _BLOCK_SCORES scores.
+    Each row is a copy, so a block is freed before the next one is made."""
+    step = max(1, _BLOCK_SCORES // len(cmat))
+    for i in range(0, len(qmat), step):
+        yield from map(np.copy, qmat[i : i + step] @ cmat.T)
 
 
 def _ap_from_positions(positions: list[int]) -> float:
@@ -241,15 +254,18 @@ def evaluate_retrieval(
     }
     qmat = _features(queries, bases, mode)
     ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    # Every query's relevant rows, mapped once: query k's are flat[ends[k]:ends[k + 1]].
+    rels = [dataset.qrels[qid] for qid in queries.ids]
+    ends = np.cumsum([0, *map(len, rels)])
     row_of = {cid: i for i, cid in enumerate(ids)}
+    flat = np.fromiter(map(row_of.__getitem__, itertools.chain(*rels)), np.intp, ends[-1])
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
     fast = np.all((cnorms == 0.0) | ((2.0**-400 <= cnorms) & (cnorms <= 2.0**400)))
-    step = max(1, _BLOCK_SCORES // len(ids))
-    blocks = (row for i in range(0, len(qmat), step) for row in qmat[i : i + step] @ cmat.T)
+    blocks = _gemm_rows(qmat, cmat) if fast else itertools.repeat(None)
     with np.errstate(over="ignore", invalid="ignore"):  # huge rows take the exact path
-        for qid, lang, qvec, sims in zip(queries.ids, queries.langs, qmat, blocks):
-            relevant = np.array([row_of[cid] for cid in dataset.qrels[qid]], dtype=np.intp)
+        for k, (lang, qvec, sims) in enumerate(zip(queries.langs, qmat, blocks)):
+            relevant = flat[ends[k] : ends[k + 1]]
             positions = _certified_positions(sims, cmat, cnorms, qvec, relevant) if fast else None
             if positions is None:  # the exact path: einsum scores for every row
                 positions = _relevant_positions(_cosine_scores(cmat, cnorms, qvec), relevant)
@@ -409,7 +425,8 @@ def evaluate_transfer(
     }
 
     fit_bases = bases if placement == "both" else None
-    weights = train_logistic(_features(train, fit_bases, mode), y_train, logistic)
+    train_x = _features(train, fit_bases, mode)
+    weights = train_logistic(train_x, y_train, logistic)
 
     per_lang: dict[str, float] = {}
     test_fps: dict[str, str] = {}
@@ -423,8 +440,10 @@ def evaluate_transfer(
                 f"test set {lang!r} has dimension {recs.dim}, train has {train.dim}"
             )
         y = _as_labels(labels, len(recs))
-        test_fps[lang] = corpus_fingerprint(recs)
-        preds = predict_logistic(_features(recs, bases, mode), weights)
+        same = recs is train  # the training table tested too: reuse its fingerprint and features
+        test_fps[lang] = config["train_fingerprint"] if same else corpus_fingerprint(recs)
+        reuse = same and fit_bases is bases
+        preds = predict_logistic(train_x if reuse else _features(recs, bases, mode), weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
     config["test_fingerprints"] = test_fps
 

@@ -92,6 +92,8 @@ def _write_atomic(path, *chunks: bytes) -> None:
             break
         except FileExistsError:
             continue
+        except OSError as exc:  # named by the file asked for, not the temporary one
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "wb") as f:
             for chunk in chunks:
@@ -349,8 +351,9 @@ def read_jsonl_embeddings(path) -> list[EmbeddingRecord]:
 
 
 def read_qrels(path) -> dict[str, frozenset[str]]:
-    """Read relevance judgments from JSONL lines {"query_id","relevant":[...]}."""
+    """Read relevance judgments from JSONL lines {"query_id","relevant":[...]}, one str per id."""
     out: dict[str, frozenset[str]] = {}
+    ids: dict[str, str] = {}
     for line_no, obj in _iter_jsonl(path):
         qid = _jsonl_str(obj, "query_id", line_no)
         relevant = obj.get("relevant")
@@ -360,7 +363,7 @@ def read_qrels(path) -> dict[str, frozenset[str]]:
             raise ParseError(line_no, "field 'relevant' must be a list of ids")
         if qid in out:
             raise DuplicateKey(qid, f"line {line_no}: duplicate query_id {qid!r}")
-        out[qid] = frozenset(relevant)
+        out[qid] = frozenset(map(ids.setdefault, relevant, relevant))
     return out
 
 

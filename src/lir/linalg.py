@@ -331,7 +331,8 @@ def pca_project(m, k: int) -> np.ndarray:
 
     The scores are the centered rows times the first k right singular
     vectors, which equals the first k columns of U diag(sigma) without
-    building U. Deterministic via the SVD sign convention."""
+    building U. Deterministic via the SVD sign convention; the product, like
+    the eigensolve, runs on one BLAS thread (and touches no second one's buffer)."""
     a = as_matrix(m)
     n, d = a.shape
     if n < 2:
@@ -340,4 +341,5 @@ def pca_project(m, k: int) -> np.ndarray:
         raise RankError(f"k={k} outside valid range [1, {min(n, d)}]")
     centered = a - a.mean(axis=0)
     _, v = _right_factor(centered)
-    return centered @ v[:, :k]
+    with _one_blas_thread():
+        return centered @ v[:, :k]

@@ -4,7 +4,7 @@ A component basis for a language is the leading r right singular vectors of
 that language's embedding matrix. Removal subtracts the projection of an
 embedding onto its own language's basis; the norm-scaled variant divides the
 projection coefficients by the embedding norm instead (the two coincide on
-unit vectors). Rows are removed one matrix per language, each row rounded alike.
+unit vectors). Rows are removed per language in bounded blocks, each rounded alike.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class RemovalMode(enum.Enum):
 
 
 DEFAULT_MODE = RemovalMode.ORTHOGONAL
+_BLOCK = 1 << 16  # float64 values per removal block (512 kB); removed rows do not depend on it
 
 
 def fit_decomposition(
@@ -116,21 +117,30 @@ def remove(
 
 
 def _remove_rows(ids, langs, rows, bases, mode, *, strict=True, allow_mismatch=False):
-    """Check the rows in input order, then remove each language's rows in
-    place with one kernel call. `rows` is a writable n x d matrix or, for a
-    record batch, a list of vectors that may differ in length. Returns
-    {language without a basis: row count}."""
+    """Check the rows, raising what a row-by-row check raises at the first bad
+    row in input order, then remove each language's rows in place, at most
+    _BLOCK values at a time (a slice where a block's rows are contiguous).
+    `rows` is a writable n x d matrix or, for a record batch, a list of
+    vectors that may differ in length. Returns {language without a basis: row count}."""
     matrix = isinstance(rows, np.ndarray)
-    dims = [rows.shape[1]] * len(rows) if matrix else [v.size for v in rows]
     groups: dict[str, list[int]] = {}
-    passed: dict[str, int] = {}
     for i, lang in enumerate(langs):
+        groups.setdefault(lang, []).append(i)
+    missing = [] if strict else [lang for lang in groups if lang not in bases]
+    passed = {lang: len(groups.pop(lang)) for lang in missing}
+    dims = np.full(len(rows), rows.shape[1]) if matrix else np.array([v.size for v in rows])
+    eq1 = mode is RemovalMode.PAPER_EQ1
+    # The kernel rejects zero rows too, but only after every row is checked.
+    zero = eq1 and (~rows.any(axis=1) if matrix else np.array([not v.any() for v in rows]))
+    suspects = []  # each language's first row, where any check can fail, and first bad row
+    for lang, idx in groups.items():
         basis = bases.get(lang)
+        bad = [True] if basis is None else (dims[idx] != basis.dim) | (zero[idx] if eq1 else False)
+        suspects += [idx[0], idx[int(np.argmax(bad))]]
+    for i in sorted(suspects):
+        lang, basis = langs[i], bases.get(langs[i])
         if basis is None:
-            if strict:
-                raise MissingBasis(lang)
-            passed[lang] = passed.get(lang, 0) + 1
-            continue
+            raise MissingBasis(lang)
         if dims[i] != basis.dim:
             raise DimensionError(
                 f"record {ids[i]!r} has dimension {dims[i]}, basis expects {basis.dim}"
@@ -141,17 +151,19 @@ def _remove_rows(ids, langs, rows, bases, mode, *, strict=True, allow_mismatch=F
             )
         if mode not in (RemovalMode.ORTHOGONAL, RemovalMode.PAPER_EQ1):
             raise ConfigError(f"unknown removal mode: {mode!r}")
-        # The kernel rejects zero rows too, but only after every row is checked.
-        if mode is RemovalMode.PAPER_EQ1 and not rows[i].any():
+        if eq1 and zero[i]:
             raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
-        groups.setdefault(lang, []).append(i)
-    kernel = linalg.project_out_scaled if mode is RemovalMode.PAPER_EQ1 else linalg.project_out
+    kernel = linalg.project_out_scaled if eq1 else linalg.project_out
     for lang, idx in groups.items():
-        if matrix:  # one language's rows are all the rows: no gather
-            rows[idx] = kernel(rows if len(idx) == len(rows) else rows[idx], bases[lang].basis)
-        else:
-            for i, vec in zip(idx, kernel(np.stack([rows[i] for i in idx]), bases[lang].basis)):
-                rows[i] = vec
+        basis = bases[lang].basis
+        step = max(1, _BLOCK // basis.shape[0])
+        for blk in (idx[i : i + step] for i in range(0, len(idx), step)):
+            if matrix:
+                sel = slice(blk[0], blk[-1] + 1) if blk[-1] - blk[0] == len(blk) - 1 else blk
+                rows[sel] = kernel(rows[sel], basis)
+            else:
+                for i, vec in zip(blk, kernel(np.stack([rows[i] for i in blk]), basis)):
+                    rows[i] = vec
     return passed
 
 

@@ -265,6 +265,15 @@ class TestApplyCommand:
         assert code == 2
         assert "l02" in capsys.readouterr().err
 
+    def test_missing_output_directory_names_the_output(self, pipeline, capsys):
+        tmp_path, data, comp = pipeline
+        target = tmp_path / "missing" / "x.lire"
+        code = main(["apply", "--components", str(comp),
+                     "--input", str(data / "corpus" / "l00.lire"), "--output", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
 
 class TestEvalRetrievalCommand:
     def test_baseline_and_improvement(self, pipeline, capsys):
@@ -544,6 +553,36 @@ class TestTransferWrapperParity:
             tests,
             read_components_dir(comp),
             placement="eval",
+            logistic=lir.LogisticConfig(learning_rate=0.5, epochs=40, l2=0.0),
+        )
+        assert report_path.read_text() == report_json(expected)
+
+    def test_training_file_among_tests_matches_library_bytes(self, pipeline):
+        # The training file is also in --tests: the CLI reads it once.
+        tmp_path, data, comp = pipeline
+        report_path = tmp_path / "cli.json"
+        assert main([
+            "eval-transfer",
+            "--train", str(data / "corpus" / "l00.lire"),
+            "--tests", str(data / "corpus"),
+            "--labels", str(data / "labels.jsonl"),
+            "--components", str(comp),
+            "--placement", "both",
+            "--epochs", "40",
+            "--report", str(report_path),
+        ]) == 0
+        from lir.io import read_labels, report_json
+
+        labels = read_labels(data / "labels.jsonl")
+        tests = {}
+        for f in sorted((data / "corpus").glob("*.lire")):
+            recs = read_embeddings(f)
+            tests[recs[0].lang] = (recs, [labels[r.id] for r in recs])
+        expected = lir.evaluate_transfer(
+            *tests["l00"],
+            tests,
+            read_components_dir(comp),
+            placement="both",
             logistic=lir.LogisticConfig(learning_rate=0.5, epochs=40, l2=0.0),
         )
         assert report_path.read_text() == report_json(expected)

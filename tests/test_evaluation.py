@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -488,6 +489,16 @@ class TestCertifiedRanks:
         for scale in (1e-125, 1e125, 0.0):  # norms outside [2^-400, 2^400], or zero
             assert _certified_positions(sims * scale, cmat, cnorms, q * scale, relevant) is None
 
+    def test_uncertifiable_stack_builds_no_gemm_block(self, monkeypatch):
+        # Rows scaled by 1e300 put candidate norms beyond 2^400: no query can be
+        # certified, so no gemm block is made.
+        def no_gemm(*args):
+            raise AssertionError("gemm block built for an uncertifiable stack")
+
+        ds = near_tie_dataset(8, scale_rows=[(1e300, 30)], scale_queries=1e300)
+        monkeypatch.setattr(lir.evaluation, "_gemm_rows", no_gemm)
+        assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval_oracle(ds))
+
     def test_fast_path_reports_do_not_depend_on_threads(self, openblas_threads, monkeypatch):
         # 64 queries x 8000 candidates x 64 dims: a gemm the BLAS splits between threads.
         get_threads, set_threads = openblas_threads
@@ -511,6 +522,61 @@ class TestCertifiedRanks:
         monkeypatch.undo()
         assert len(certified) == 128 and None not in certified  # no query took the exact path
         assert reports[0] == reports[1] == report_json(evaluate_retrieval_oracle(ds))
+
+
+class TestBoundedMemory:
+    """evaluate_retrieval holds one candidate copy plus bounded blocks."""
+
+    @pytest.mark.parametrize("block", [None, 7 * 3, 7 * 5 - 1])
+    def test_blocked_norms_match_one_reduction(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(lir.evaluation, "_NORM_BLOCK", block)
+        rng = np.random.default_rng(63)
+        rows = rng.standard_normal((50, 7)) * np.logspace(-150, 150, 50)[:, None]
+        rows[[4, 9]] = 0.0
+        rows[11, 2] = 1e200  # the plain sum of squares overflows
+        records = [rec(f"c{i:02d}", "en" if i % 3 else "de", v) for i, v in enumerate(rows)]
+        bases = {lang: fit_components(LanguageMatrix(lang=lang, rows=rows[20:30]), 1) for lang in ("en", "de")}
+        for b in (None, bases):
+            ids, cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b)
+            with np.errstate(over="ignore"):
+                assert cnorms.tobytes() == np.linalg.norm(cmat, axis=1).tobytes()
+
+    def test_peak_beyond_inputs_is_one_candidate_copy(self):
+        # 19,960 candidates x 128 (19.5 MB): the blocks are small beside it.
+        cfg = lir.SynthConfig(
+            languages=("a", "b", "c", "d"), topics=10, per_topic_per_lang=500, dim=128,
+            bias_scale=5.0, seed=3,
+        )
+        res = lir.generate(cfg)
+        ds = res.retrieval_dataset()
+        bases = {
+            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
+            for lang in cfg.languages
+        }
+        n, d = ds.candidates.rows.shape
+        relevant = [len(rel) for rel in ds.qrels.values()]
+        # One candidate copy, one gemm block, the einsum-scored relevant rows of
+        # a query, the norm and removal blocks, the relevant row indices, and
+        # 128 B per candidate for its sorted id, sort key, row map and norm.
+        design = (
+            ds.candidates.rows.nbytes
+            + 8 * (lir.evaluation._BLOCK_SCORES + lir.evaluation._NORM_BLOCK)
+            + 8 * 3 * lir.removal._BLOCK
+            + 8 * d * max(relevant)
+            + 8 * sum(relevant)
+            + 128 * n
+        )
+        assert design < 1.6 * ds.candidates.rows.nbytes  # the parent held 2.07x
+        tracemalloc.start()
+        try:
+            for b, mode in [(None, lir.RemovalMode.ORTHOGONAL), *((bases, m) for m in lir.RemovalMode)]:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                evaluate_retrieval(ds, b, mode=mode)
+                assert tracemalloc.get_traced_memory()[1] - start <= design
+        finally:
+            tracemalloc.stop()
 
 
 class TestTrainLogistic:
@@ -669,6 +735,21 @@ class TestEvaluateTransfer:
         assert eval_only.config["placement"] == "eval"
         assert report_json(both) != report_json(eval_only)
 
+    @pytest.mark.parametrize("placement", ["both", "eval"])
+    def test_training_table_as_a_test_set(self, placement):
+        # The training table itself as a test set reports what an equal copy does.
+        _, _, bases, tests, train_recs, train_labels = transfer_fixture()
+        train = lir.EmbeddingTable.from_records(train_recs)
+        copy = lir.EmbeddingTable(ids=list(train.ids), langs=list(train.langs), rows=train.rows.copy())
+        for b in (None, bases):
+            reports = [
+                report_json(evaluate_transfer(
+                    train, train_labels, {**tests, "l00": (table, train_labels)}, b, placement=placement
+                ))
+                for table in (train, copy)
+            ]
+            assert reports[0] == reports[1]
+
     def test_invalid_inputs(self):
         _, _, _, tests, train_recs, train_labels = transfer_fixture()
         with pytest.raises(ConfigError):
@@ -707,6 +788,20 @@ class TestExportProjection:
         records = [rec(f"r{i}", "en", [1.0, 2.0, 3.0]) for i in range(4)]
         rows = export_projection(records, 1)
         assert all(abs(r[2][0]) <= 1e-12 for r in rows)
+
+    def test_csv_does_not_depend_on_threads(self, openblas_threads, tmp_path):
+        # 20,000 x 64: a score product the BLAS would split between threads.
+        get_threads, set_threads = openblas_threads
+        rng = np.random.default_rng(64)
+        rows = rng.standard_normal((20000, 64)) + 4.0 * (np.arange(20000) % 2)[:, None]
+        table = lir.EmbeddingTable(
+            ids=[f"r{i:05d}" for i in range(20000)], langs=["en"] * 20000, rows=rows
+        )
+        for threads in (1, 2):
+            set_threads(threads)
+            lir.io.write_projection_csv(tmp_path / f"{threads}.csv", export_projection(table, 2))
+            assert get_threads() == threads
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
     def test_errors(self):
         with pytest.raises(lir.RankError):

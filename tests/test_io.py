@@ -417,6 +417,24 @@ class TestJsonlReaders:
         with pytest.raises(DuplicateKey):
             read_qrels(path)
 
+    def test_qrels_hold_one_object_per_id(self, tmp_path):
+        path = tmp_path / "qrels.jsonl"
+        path.write_text("".join(
+            f'{{"query_id": "q{q}", "relevant": ["c1", "c{q}", "c9"]}}\n' for q in range(2, 7)
+        ))
+        qrels = read_qrels(path)
+        ids = [cid for rel in qrels.values() for cid in rel]
+        assert len(ids) == 15
+        assert len({id(cid) for cid in ids}) == len(set(ids)) == 7
+        # A dataset keeps such frozensets as they are; other inputs are converted.
+        records = [lir.EmbeddingRecord(id=f"c{i}", lang="en", vec=np.ones(2)) for i in range(10)]
+        queries = [lir.EmbeddingRecord(id=f"q{q}", lang="en", vec=np.ones(2)) for q in range(2, 7)]
+        ds = lir.RetrievalDataset(queries=queries, candidates=records, qrels=qrels)
+        assert all(ds.qrels[q] is qrels[q] for q in qrels)
+        converted = {**qrels, "q2": ["c1", "c2"], "q3": {"c3"}}
+        ds = lir.RetrievalDataset(queries=queries, candidates=records, qrels=converted)
+        assert ds.qrels["q2"] == frozenset({"c1", "c2"}) and type(ds.qrels["q3"]) is frozenset
+
     def test_qrels_bad_relevant(self, tmp_path):
         path = tmp_path / "qrels.jsonl"
         path.write_text('{"query_id": "q", "relevant": "c1"}\n')

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,98 @@ class TestOnSyntheticData:
 
         assert top1_fraction(res.records) < 0.2
         assert top1_fraction(remove_batch(res.records, bases).records) > 0.9
+
+
+class TestMatrixRemoval:
+    """_remove_rows on one matrix: in place, per language, in row blocks."""
+
+    @staticmethod
+    def interleaved(rng, n=240, d=6):
+        # Languages a and b interleave at random, c holds one contiguous run,
+        # and zz has no basis.
+        langs = [str(x) for x in rng.choice(["a", "b", "zz"], size=n, p=[0.45, 0.45, 0.1])]
+        langs[100:160] = ["c"] * 60
+        rows = rng.standard_normal((n, d)) + 3.0 * (np.arange(n) % 3 == 0)[:, None]
+        bases = {
+            lang: fit_components(LanguageMatrix(lang=lang, rows=rng.standard_normal((40, d)) + i), 2)
+            for i, lang in enumerate("abc")
+        }
+        return [f"r{i:03d}" for i in range(n)], langs, rows, bases
+
+    @pytest.mark.parametrize("block", [None, 1, 5 * 6 + 1])
+    @pytest.mark.parametrize("mode", list(RemovalMode))
+    def test_blocks_match_one_kernel_call_per_language(self, block, mode, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(lir.removal, "_BLOCK", block)
+        ids, langs, rows, bases = self.interleaved(np.random.default_rng(61))
+        kernel = lir.project_out_scaled if mode is RemovalMode.PAPER_EQ1 else lir.project_out
+        expected = rows.copy()
+        for lang, basis in bases.items():
+            idx = [i for i, x in enumerate(langs) if x == lang]
+            expected[idx] = kernel(rows[idx], basis.basis)
+        out = rows.copy()
+        passed = lir.removal._remove_rows(ids, langs, out, bases, mode, strict=False)
+        assert passed == {"zz": langs.count("zz")}
+        assert out.tobytes() == expected.tobytes()
+        with pytest.raises(MissingBasis):
+            lir.removal._remove_rows(ids, langs, rows.copy(), bases, mode)
+
+    @pytest.mark.parametrize("mode", [*RemovalMode, "unknown"])
+    def test_first_bad_row_in_input_order_raises(self, mode):
+        # A matrix raises what a record-by-record loop raises, and changes nothing.
+        bases = {
+            "en": axis_basis("en", 2, 0),
+            "de": axis_basis("de", 2, 1),
+            "fr": axis_basis("de", 2, 1),
+            "xx": axis_basis("xx", 3, 1),
+        }
+        bad = {"missing": ("zh", [1.0, 2.0]), "dim": ("xx", [1.0, 2.0]),
+               "lang": ("fr", [1.0, 2.0]), "zero": ("en", [0.0, 0.0])}
+        good = [("en", [1.0, 2.0]), ("de", [3.0, 4.0])]
+        for first in bad:
+            for second in bad:
+                if second == first:
+                    continue
+                batch = [good[0], good[1], bad[first], good[0], bad[second], good[1]]
+                ids = [f"r{i}" for i in range(len(batch))]
+                langs = [lang for lang, _ in batch]
+                rows = np.array([vec for _, vec in batch])
+                expected = None
+                try:
+                    for rid, (lang, vec) in zip(ids, batch):
+                        if lang not in bases:
+                            raise MissingBasis(lang)
+                        remove(rec(rid, lang, vec), bases[lang], mode)
+                except lir.LirError as exc:
+                    expected = exc
+                out = rows.copy()
+                if expected is None:  # a zero row is fine in orthogonal mode
+                    lir.removal._remove_rows(ids, langs, out, bases, mode)
+                    continue
+                with pytest.raises(type(expected)) as exc_info:
+                    lir.removal._remove_rows(ids, langs, out, bases, mode)
+                assert str(exc_info.value) == str(expected)
+                assert out.tobytes() == rows.tobytes()
+
+    def test_peak_memory_is_bounded_blocks(self):
+        # The parent's gathered copy and kernel output were 0.55x this matrix.
+        rng = np.random.default_rng(62)
+        n, d = 20000, 128
+        langs = [str(x) for x in rng.choice(["a", "b"], size=n)]
+        basis = np.linalg.qr(rng.standard_normal((d, 4)))[0]
+        bases = {
+            lang: ComponentBasis(lang=lang, basis=basis, rank=4, source_fingerprint="f", sample_count=d)
+            for lang in "ab"
+        }
+        rows = rng.standard_normal((n, d))
+        ids = [f"r{i}" for i in range(n)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            lir.removal._remove_rows(ids, langs, rows, bases, RemovalMode.ORTHOGONAL)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # A gathered block, the kernel's output and its temporaries, and the
+        # per-row bookkeeping (language groups and dimensions).
+        assert peak <= 8 * 3 * lir.removal._BLOCK + 96 * n
