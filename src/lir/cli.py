@@ -22,7 +22,9 @@ from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer, export_projection
 from .io import (
+    _decode,
     _f32_rows,
+    _lire_shape,
     _read_table,
     _write_atomic,
     read_components_dir,
@@ -61,15 +63,35 @@ def _embedding_paths(target: str) -> list[Path]:
 
 
 def _read_collection(target: str) -> EmbeddingTable:
-    """One table of every file's rows, checked as one record collection."""
-    tables = [_read_table(file) for file in _embedding_paths(target)]
-    if len(tables) == 1:
-        return tables[0]
-    ids = [rid for t in tables for rid in t.ids]
-    _check_collection(ids, np.repeat([t.dim for t in tables], [len(t) for t in tables]))
-    rows = np.concatenate([t.rows for t in tables if len(t)] or [tables[0].rows])
-    rows.flags.writeable = False
-    return EmbeddingTable(ids=ids, langs=[lang for t in tables for lang in t.langs], rows=rows)
+    """One table of every file's rows, decoded into one matrix and checked
+    once. Errors are those of reading each file as a table in turn, then
+    checking all their rows as one record collection."""
+    files = _embedding_paths(target)
+    if len(files) == 1:
+        return _read_table(files[0])
+    shapes = list(filter(None, map(_lire_shape, files)))
+    dims = {dim for _, dim in shapes}
+    block = np.empty((sum(n for n, _ in shapes), dims.pop())) if len(dims) == 1 else None
+    parts, at = [], 0
+    try:
+        for file in files:
+            parts.append(_decode(file, None if block is None else block[at:]))
+            at += len(parts[-1][0])
+        ids = [rid for file_ids, _, _ in parts for rid in file_ids]
+        langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
+        matrices = [rows for _, _, rows in parts]
+        if block is not None and at == len(block) and all(m.base is block for m in matrices):
+            rows = block
+        else:  # files of several dimensions (or changed since their headers were read)
+            widths = [m.shape[1] for m in matrices]
+            _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
+            rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
+        rows.flags.writeable = False
+        return EmbeddingTable(ids=ids, langs=langs, rows=rows)
+    except (LirError, OSError):
+        for ids, lang, rows in parts:  # each earlier file's own checks fail first
+            EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
+        raise
 
 
 def _cmd_fit(args) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -102,8 +102,11 @@ def _check_collection(ids, dims) -> int:
 def _check_rows(ids, langs, rows: np.ndarray) -> None:
     """Raise what EmbeddingRecord raises for the first row it would reject
     (langs are trimmed)."""
-    finite = (np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)).tolist()
-    good = list(map(all, zip(finite, map(isinstance, ids, itertools.repeat(str)), ids, langs)))
+    finite = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
+    if finite.all() and set(map(type, ids)) <= {str} and all(ids) and all(langs):
+        return
+    is_str = map(isinstance, ids, itertools.repeat(str))
+    good = list(map(all, zip(finite.tolist(), is_str, ids, langs)))
     if False in good:
         i = good.index(False)
         EmbeddingRecord(id=ids[i], lang=langs[i], vec=rows[i])
@@ -127,7 +130,7 @@ class EmbeddingTable:
         if rows.ndim != 2 or not len(ids) == len(langs) == rows.shape[0]:
             raise DimensionError("a table needs an n x d matrix and n ids and languages")
         _check_rows(ids, langs, rows)
-        _check_collection(ids, rows.shape[1:] * len(ids))
+        _check_collection(ids, np.full(len(ids), rows.shape[1]))
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "langs", langs)
         object.__setattr__(self, "rows", rows)
@@ -302,11 +305,15 @@ class RetrievalDataset:
     tables. Every qrels key must name a query, every query must have at least
     one relevant candidate, and every relevant id must exist in the candidate
     pool. Queries are never silently deduplicated from the candidate pool.
+    Query k's relevant candidates are the candidate rows
+    relevant_rows[relevant_ends[k]:relevant_ends[k + 1]], each id looked up once.
     """
 
     queries: EmbeddingTable
     candidates: EmbeddingTable
     qrels: Mapping[str, frozenset[str]]
+    relevant_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    relevant_ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         queries = EmbeddingTable.from_records(self.queries)
@@ -319,34 +326,58 @@ class RetrievalDataset:
             raise DimensionError(
                 f"query dimension {queries.dim} != candidate dimension {candidates.dim}"
             )
-        qrels = {  # a frozenset of exact str is kept: read_qrels' shared ids stay shared
-            str(k): v if type(v) is frozenset and set(map(type, v)) <= {str}
-            else frozenset(map(str, v))
-            for k, v in dict(self.qrels).items()
-        }
-        qids = set(queries.ids)
-        cids = set(candidates.ids)
-        for qid, rel in qrels.items():
-            if qid not in qids:
-                raise DatasetError(f"qrels references unknown query id {qid!r}")
-            if not rel:
-                raise NoRelevantError(f"query {qid!r} has no relevant candidates")
-            unknown = rel - cids
-            if unknown:
-                raise DatasetError(
-                    f"qrels for query {qid!r} references unknown candidate ids: "
-                    f"{sorted(unknown)[:5]}"
-                )
-        for qid in queries.ids:
-            if qid not in qrels:
-                raise NoRelevantError(f"query {qid!r} has no qrels entry")
+        kept: dict[int, frozenset[str]] = {}  # each frozenset object is checked once
+
+        def as_set(v) -> frozenset[str]:
+            # A frozenset of exact str is kept: read_qrels' shared ids and sets stay shared.
+            if type(v) is not frozenset:
+                return frozenset(map(str, v))
+            if id(v) not in kept:
+                kept[id(v)] = v if set(map(type, v)) <= {str} else frozenset(map(str, v))
+            return kept[id(v)]
+
+        qrels = {str(k): as_set(v) for k, v in dict(self.qrels).items()}
+        row_of = dict(zip(candidates.ids, range(len(candidates))))
+        rels = [qrels.get(qid, frozenset()) for qid in queries.ids]
+        mapped = {}  # each distinct relevant set is looked up once (-1: unknown id)
+        for rel in rels:
+            if rel not in mapped:
+                found = map(row_of.get, rel, itertools.repeat(-1))
+                mapped[rel] = np.fromiter(found, np.intp, len(rel))
+        rows = np.concatenate([mapped[rel] for rel in rels])
+        ends = np.cumsum([0, *map(len, rels)])
+        if len(qrels) != len(rels) or not all(rels) or (rows < 0).any():
+            _raise_qrels_error(qrels, queries.ids, row_of)
+        rows.flags.writeable = ends.flags.writeable = False
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "qrels", MappingProxyType(qrels))
+        object.__setattr__(self, "relevant_rows", rows)
+        object.__setattr__(self, "relevant_ends", ends)
 
     @property
     def dim(self) -> int:
         return self.queries.dim
+
+
+def _raise_qrels_error(qrels, query_ids, row_of) -> NoReturn:
+    """Raise for the first qrels entry, in qrels order, that names an unknown
+    query, is empty or names an unknown candidate; else for the first query
+    without an entry."""
+    qids = set(query_ids)
+    for qid, rel in qrels.items():
+        if qid not in qids:
+            raise DatasetError(f"qrels references unknown query id {qid!r}")
+        if not rel:
+            raise NoRelevantError(f"query {qid!r} has no relevant candidates")
+        unknown = rel.difference(row_of)
+        if unknown:
+            raise DatasetError(
+                f"qrels for query {qid!r} references unknown candidate ids: "
+                f"{sorted(unknown)[:5]}"
+            )
+    qid = next(qid for qid in query_ids if qid not in qrels)
+    raise NoRelevantError(f"query {qid!r} has no qrels entry")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import floordiv, lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -71,15 +72,16 @@ def _features(table: EmbeddingTable, bases, mode: RemovalMode, order=None) -> np
 
 
 def _candidate_stack(table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE):
-    """Ids in ascending order, the rows in that order (removed as in
-    _features; the one n x d copy), and the row norms, for a non-empty
+    """The table's row indices in ascending id order, the rows in that order
+    (removed as in _features; at most one n x d copy, none when the rows are
+    in id order and nothing is removed), and the row norms, for a non-empty
     candidate table. Norms are taken _NORM_BLOCK squares at a time."""
     order = sorted(range(len(table)), key=table.ids.__getitem__)
-    cmat = _features(table, bases, mode, order)
+    cmat = _features(table, bases, mode, None if order == list(range(len(table))) else order)
     step = max(1, _NORM_BLOCK // cmat.shape[1])
     with np.errstate(over="ignore"):
         cnorms = [np.linalg.norm(cmat[i : i + step], axis=1) for i in range(0, len(cmat), step)]
-    return [table.ids[i] for i in order], cmat, np.concatenate(cnorms)
+    return np.array(order), cmat, np.concatenate(cnorms)
 
 
 def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -123,7 +125,8 @@ def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
 
 def _certified_positions(sims, cmat, cnorms, vec, relevant) -> Optional[list[int]]:
     """_relevant_positions of the einsum scores from gemm dot products `sims`
-    of vec with the rows of cmat, or None where they certify not every rank.
+    of vec with the rows of cmat (overwritten with their sorted scores), or
+    None where they certify not every rank.
 
     A d-term dot product errs by at most g_d|x||y|, g_d = du/(1 - du),
     u = 2^-53, in any summation order (Higham, Accuracy and Stability of
@@ -137,14 +140,21 @@ def _certified_positions(sims, cmat, cnorms, vec, relevant) -> Optional[list[int
     qnorm = np.linalg.norm(vec)
     if not 2.0**-400 <= qnorm <= 2.0**400:
         return None
-    ordered = np.sort(-np.divide(sims, cnorms * qnorm, out=np.zeros_like(sims), where=cnorms > 0.0))
-    keys = -_cosine_scores(cmat[relevant], cnorms[relevant], vec)
-    delta = 4 * (cmat.shape[1] + 1) * 2.0**-53
-    lo = np.searchsorted(ordered, keys - delta, "left")
-    band = np.searchsorted(ordered, keys + delta, "right") - lo
-    if np.any(band != 1) or not np.isfinite(ordered[[0, -1]]).all():  # NaN sorts last
+    if cnorms.all():
+        sims /= cnorms * qnorm
+    else:  # a zero-norm row scores 0, whatever its (underflowed) dot product
+        np.divide(sims, cnorms * qnorm, out=sims, where=cnorms > 0.0)
+        sims[cnorms == 0.0] = 0.0
+    sims.sort()
+    if not np.isfinite(sims[[0, -1]]).all():  # NaN sorts last
         return None
-    return sorted((lo + 1).tolist())
+    # Sorted needles; the rows scoring above a relevant score s are those above s + delta.
+    scores = np.sort(_cosine_scores(cmat[relevant], cnorms[relevant], vec))
+    delta = 4 * (cmat.shape[1] + 1) * 2.0**-53
+    hi = np.searchsorted(sims, scores + delta, "right")
+    if np.any(hi - np.searchsorted(sims, scores - delta, "left") != 1):
+        return None
+    return (len(sims) + 1 - hi)[::-1].tolist()
 
 
 def _gemm_rows(qmat: np.ndarray, cmat: np.ndarray):
@@ -163,7 +173,7 @@ def _ap_from_positions(positions: list[int]) -> float:
     one float, so does the mean; else it is one integer ratio over lcm(p).
     """
     r, scale = len(positions), len(positions) << _AP_BITS
-    t = sum((k << _AP_BITS) // p for k, p in enumerate(positions, start=1))
+    t = sum(map(floordiv, map(lshift, range(1, r + 1), itertools.repeat(_AP_BITS)), positions))
     if t / scale == (t + r) / scale:
         return t / scale
     d = math.lcm(*positions)
@@ -185,9 +195,9 @@ def rank_candidates(
         raise DimensionError(
             f"query dimension {query.dim} != candidate dimension {table.dim}"
         )
-    ids, cmat, cnorms = _candidate_stack(table)
-    order = np.argsort(-_cosine_scores(cmat, cnorms, query.vec), kind="stable")
-    return RankedList(query_id=query.id, candidate_ids=tuple(ids[i] for i in order.tolist()))
+    order, cmat, cnorms = _candidate_stack(table)
+    ranked = order[np.argsort(-_cosine_scores(cmat, cnorms, query.vec), kind="stable")]
+    return RankedList(query_id=query.id, candidate_ids=tuple(map(table.ids.__getitem__, ranked)))
 
 
 def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
@@ -253,12 +263,11 @@ def evaluate_retrieval(
         "similarity": "cosine",
     }
     qmat = _features(queries, bases, mode)
-    ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
-    # Every query's relevant rows, mapped once: query k's are flat[ends[k]:ends[k + 1]].
-    rels = [dataset.qrels[qid] for qid in queries.ids]
-    ends = np.cumsum([0, *map(len, rels)])
-    row_of = {cid: i for i, cid in enumerate(ids)}
-    flat = np.fromiter(map(row_of.__getitem__, itertools.chain(*rels)), np.intp, ends[-1])
+    order, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    # Query k's relevant rows of cmat are flat[ends[k]:ends[k + 1]].
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    flat, ends = place[dataset.relevant_rows], dataset.relevant_ends
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
     fast = np.all((cnorms == 0.0) | ((2.0**-400 <= cnorms) & (cnorms <= 2.0**400)))
@@ -300,12 +309,9 @@ class LogisticConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, bit for bit."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _as_labels(labels, count: int) -> np.ndarray:

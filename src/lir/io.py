@@ -51,6 +51,7 @@ from .errors import (
     FormatError,
     InvalidVector,
     LanguageMismatch,
+    LirError,
     ParseError,
     TruncatedFile,
 )
@@ -163,59 +164,122 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) 
             f"an embedding file holds a single language, got {sorted(langs)}"
         )
     header = {"count": len(table), "dim": table.dim, "dtype": "f32", "lang": table.langs[0]}
-    buf = bytearray()
-    for rec_id, vec in zip(table.ids, _f32_rows(table)):
-        idb = rec_id.encode("utf-8")
-        if len(idb) > 0xFFFF:
-            raise FormatError(f"record id too long to store: {rec_id[:32]!r}...")
-        buf += struct.pack("<H", len(idb))
-        buf += idb
-        buf += vec.data
+    values = _f32_rows(table).view(np.uint8)
+    width = values.shape[1]
+    encoded = list(map(str.encode, table.ids))
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    if lengths.max() > 0xFFFF:
+        rec_id = table.ids[np.argmax(lengths > 0xFFFF)]
+        raise FormatError(f"record id too long to store: {rec_id[:32]!r}...")
+    # Record i: its u16 id length at starts[i], its id bytes, then its values.
+    ends = np.cumsum(lengths + (2 + width))
+    starts = ends - (lengths + (2 + width))
+    buf = np.empty(ends[-1], np.uint8)
+    buf[starts] = lengths & 0xFF
+    buf[starts + 1] = lengths >> 8
+    id_ends = np.cumsum(lengths)
+    id_bytes = np.frombuffer(b"".join(encoded), np.uint8)
+    buf[np.repeat(starts + 2 - (id_ends - lengths), lengths) + np.arange(len(id_bytes))] = id_bytes
+    # Every record's values through a writable window of the buffer at their offset.
+    windows = np.lib.stride_tricks.as_strided(buf, (len(buf) - width + 1, width), (1, 1))
+    windows[ends - width] = values
     _write_atomic(path, _header_bytes(EMBEDDING_MAGIC, header), buf)
+
+
+def _lire_header(f: BinaryIO) -> tuple[int, int, str]:
+    """The record count, dimension and language of a .lire header; f is left
+    at the first record, which the file must have room for."""
+    header = _read_header(f, EMBEDDING_MAGIC)
+    count = _header_int(header, "count")
+    dim = _header_int(header, "dim", minimum=1)
+    lang = _header_str(header, "lang")
+    if header.get("dtype") != "f32":
+        raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
+    _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
+    return count, dim, lang
+
+
+def _lire_shape(path) -> tuple[int, int] | None:
+    """(record count, dimension) from a .lire header, or None where it does not read."""
+    try:
+        with open(path, "rb") as f:
+            return _lire_header(f)[:2]
+    except (LirError, OSError):
+        return None
+
+
+def _utf8(raw: bytes) -> str | None:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def _frame(data: bytes, count: int, dim: int) -> tuple[list[str], list[int], LirError | None]:
+    """The ids and value offsets of data's records up to the first bad one,
+    and the error that one raises: its framing or id (the id is checked
+    first), else trailing data after the last record, else None."""
+    width, size = 4 * dim, len(data)
+    starts, offsets, pos, error = [], [], 0, None
+    for idx in range(count):
+        start = pos + 2
+        if start > size:
+            error = TruncatedFile(f"file ends inside record {idx} id length")
+            break
+        at = start + (data[pos] | data[pos + 1] << 8)
+        pos = at + width
+        if pos > size:
+            if at > size:
+                error = TruncatedFile(f"file ends inside record {idx} id")
+            elif _utf8(data[start:at]) is None:
+                error = FormatError(f"record {idx} id is not valid UTF-8")
+            else:
+                error = TruncatedFile(f"file ends inside record {idx} values")
+            break
+        starts.append(start)
+        offsets.append(at)
+    else:
+        if pos != size:
+            error = FormatError("trailing data after the declared record count")
+    raw = list(map(data.__getitem__, map(slice, starts, offsets)))
+    try:
+        ids = list(map(bytes.decode, raw))
+    except UnicodeDecodeError:  # an earlier record's id, which fails first
+        ids = list(map(_utf8, raw))
+        del ids[ids.index(None) :], offsets[len(ids) :]
+        error = FormatError(f"record {len(ids)} id is not valid UTF-8")
+    return ids, offsets, error
+
+
+def _decode(path, block: np.ndarray | None = None) -> tuple[list[str], str, np.ndarray]:
+    """A .lire file's ids, language and rows. The rows are decoded into the
+    head of block where it has the file's dimension and room for its records,
+    else into a new array. Errors name the first bad record, as reading record
+    by record would: its framing, id or values, else trailing data."""
+    with open(path, "rb") as f:
+        count, dim, lang = _lire_header(f)
+        data = f.read()
+    ids, offsets, error = _frame(data, count, dim)
+    fits = block is not None and block.shape[1] == dim and len(block) >= count
+    rows = block[: len(ids)] if fits else np.empty((len(ids), dim))
+    if ids:  # one gather of every record's values from the window at its offset
+        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
+        rows[...] = windows[np.array(offsets)].view("<f4")
+    del data
+    if error is not None:
+        # The records before the failure were built first; a bad one wins.
+        _check_rows(ids, [lang.strip()] * len(ids), rows)
+        raise error
+    return ids, lang, rows
 
 
 def _read_table(path) -> EmbeddingTable:
     """Decode a .lire file into a table. Errors name the first bad record, as
     reading record by record would: its framing, id or values, else trailing
     data, else a repeated id."""
-    with open(path, "rb") as f:
-        header = _read_header(f, EMBEDDING_MAGIC)
-        count = _header_int(header, "count")
-        dim = _header_int(header, "dim", minimum=1)
-        lang = _header_str(header, "lang")
-        if header.get("dtype") != "f32":
-            raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
-        _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
-        data = f.read()
-    ids, values, pos, error = [], [], 0, None
-    for idx in range(count):
-        id_at = pos + 2
-        vec_at = id_at + int.from_bytes(data[pos:id_at], "little")
-        if vec_at > len(data):
-            part = "id length" if id_at > len(data) else "id"
-            error = TruncatedFile(f"file ends inside record {idx} {part}")
-            break
-        try:
-            ids.append(data[id_at:vec_at].decode("utf-8"))
-        except UnicodeDecodeError:
-            error = FormatError(f"record {idx} id is not valid UTF-8")
-            break
-        pos = vec_at + 4 * dim
-        if pos > len(data):
-            error = TruncatedFile(f"file ends inside record {idx} values")
-            break
-        values.append(data[vec_at:pos])
-    else:
-        if pos != len(data):
-            error = FormatError("trailing data after the declared record count")
-    del data
-    rows = np.frombuffer(b"".join(values), dtype="<f4").reshape(len(values), dim).astype(np.float64)
+    ids, lang, rows = _decode(path)
     rows.flags.writeable = False
-    if error is not None:
-        # The records before the failure were built first; a bad one wins.
-        _check_rows(ids, [lang.strip()] * len(values), rows)
-        raise error
-    return EmbeddingTable(ids=ids, langs=[lang] * count, rows=rows)
+    return EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:
@@ -351,19 +415,22 @@ def read_jsonl_embeddings(path) -> list[EmbeddingRecord]:
 
 
 def read_qrels(path) -> dict[str, frozenset[str]]:
-    """Read relevance judgments from JSONL lines {"query_id","relevant":[...]}, one str per id."""
+    """Read relevance judgments from JSONL lines {"query_id","relevant":[...]}:
+    one str per id, and one frozenset per distinct relevant list."""
     out: dict[str, frozenset[str]] = {}
     ids: dict[str, str] = {}
+    sets: dict[tuple[str, ...], frozenset[str]] = {}
     for line_no, obj in _iter_jsonl(path):
         qid = _jsonl_str(obj, "query_id", line_no)
         relevant = obj.get("relevant")
-        if not isinstance(relevant, list) or not all(
-            isinstance(x, str) and x for x in relevant
-        ):
+        if type(relevant) is not list or not set(map(type, relevant)) <= {str} or "" in relevant:
             raise ParseError(line_no, "field 'relevant' must be a list of ids")
         if qid in out:
             raise DuplicateKey(qid, f"line {line_no}: duplicate query_id {qid!r}")
-        out[qid] = frozenset(map(ids.setdefault, relevant, relevant))
+        key = tuple(relevant)
+        if key not in sets:
+            sets[key] = frozenset(map(ids.setdefault, relevant, relevant))
+        out[qid] = sets[key]
     return out
 
 
@@ -440,12 +507,13 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
     rows = list(rows)
     if not rows:
         raise FormatError("refusing to write an empty projection CSV")
-    k = len(rows[0][2])
+    ids, langs, scores = zip(*rows)
+    k = len(scores[0])
+    if len(set(map(len, scores))) > 1:
+        raise DimensionError("projection rows have mixed score counts")
     text = StringIO(newline="")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(k)])
-    for rec_id, lang, scores in rows:
-        if len(scores) != k:
-            raise DimensionError("projection rows have mixed score counts")
-        writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
+    columns = (map(repr, map(float, column)) for column in zip(*scores))
+    writer.writerows(zip(ids, langs, *columns))
     _write_atomic(path, text.getvalue().encode("utf-8"))

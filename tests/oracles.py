@@ -168,6 +168,43 @@ def read_embeddings_oracle(path):
     return records
 
 
+def read_collection_oracle(target):
+    """The file-by-file directory read: each .lire file read on its own by
+    read_embeddings_oracle (so each is checked as a collection), then every
+    file's rows concatenated and checked as one collection. Returns the
+    collection's ids, languages and float64 rows.
+    """
+    from pathlib import Path
+
+    import numpy as np
+
+    from lir.core import _check_collection
+    from lir.errors import FormatError
+
+    path = Path(target)
+    files = sorted(path.glob("*.lire")) if path.is_dir() else [path]
+    if not files:
+        raise FormatError(f"no .lire files found in {path}")
+    per_file = [read_embeddings_oracle(file) for file in files]
+    records = [r for file_records in per_file for r in file_records]
+    _check_collection([r.id for r in records], [r.dim for r in records])
+    rows = np.array([r.vec for r in records]) if records else np.empty((0, 0))
+    return [r.id for r in records], [r.lang for r in records], rows
+
+
+def sigmoid_oracle(z):
+    """The logistic function with boolean-mask indexing: 1 / (1 + exp(-z))
+    where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so nothing overflows."""
+    import numpy as np
+
+    out = np.empty_like(z)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def generate_oracle(config):
     """The record-at-a-time synthetic generator: one EmbeddingRecord per row,
     each summed as offset + topic + noise on its own, plus its own copy of the
@@ -295,7 +332,8 @@ def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
     mode = DEFAULT_MODE if mode is None else mode
     queries, candidates = dataset.queries, dataset.candidates
     qmat = _features(queries, bases, mode)
-    ids, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    order, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    ids = [candidates.ids[i] for i in order]
     by_lang = {}
     for qid, lang, qvec in zip(queries.ids, queries.langs, qmat):
         order = np.argsort(-_cosine_scores(cmat, cnorms, qvec), kind="stable")

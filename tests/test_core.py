@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,35 @@ class TestRetrievalDataset:
         queries, candidates = tiny_dataset()
         ds = RetrievalDataset(queries=queries, candidates=candidates, qrels={"q1": {"c1"}})
         assert ds.dim == 2
+
+    def test_relevant_rows_look_up_each_set_once(self):
+        queries = [rec(f"q{i}", "en", [1.0, float(i)]) for i in range(4)]
+        candidates = [rec(cid, "en", [1.0, 0.5]) for cid in ("c3", "c1", "c0", "c2", "c4")]
+        shared = frozenset({"c1", "c4"})
+        qrels = {"q2": shared, "q0": shared, "q3": ["c0", "c3", "c2"], "q1": frozenset({"c1", "c4"})}
+        ds = RetrievalDataset(queries=queries, candidates=candidates, qrels=qrels)
+        rows, ends = ds.relevant_rows, ds.relevant_ends
+        assert ends.tolist() == [0, 2, 4, 6, 9]
+        for k, query in enumerate(queries):
+            named = [candidates[i].id for i in rows[ends[k] : ends[k + 1]].tolist()]
+            assert sorted(named) == sorted(qrels[query.id])
+        assert ds.qrels["q0"] is ds.qrels["q2"] is shared
+        assert not rows.flags.writeable and not ends.flags.writeable
+
+    def test_first_bad_qrels_entry_raises(self):
+        # Entries are checked in qrels order; a query without one is reported last.
+        queries, candidates = tiny_dataset()
+        queries = [*queries, rec("q2", "en", [0.0, 1.0])]
+        cases = [
+            ({"q1": {"nope"}, "qX": {"c1"}}, DatasetError, "unknown candidate ids: ['nope']"),
+            ({"qX": {"c1"}, "q1": {"nope"}}, DatasetError, "unknown query id 'qX'"),
+            ({"q2": {"c1"}, "q1": set(), "qX": {"c1"}}, NoRelevantError, "'q1' has no relevant"),
+            ({"q2": {"c2"}}, NoRelevantError, "'q1' has no qrels entry"),
+            ({"q2": {"c2"}, "q1": {"c1", 5}}, DatasetError, "unknown candidate ids: ['5']"),
+        ]
+        for qrels, error, message in cases:
+            with pytest.raises(error, match=re.escape(message)):
+                RetrievalDataset(queries=queries, candidates=candidates, qrels=qrels)
 
     def test_unknown_query_in_qrels(self):
         queries, candidates = tiny_dataset()

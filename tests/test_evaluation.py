@@ -36,6 +36,7 @@ from lir.evaluation import (
     _certified_positions,
     _cosine_scores,
     _relevant_positions,
+    _sigmoid,
 )
 from lir.io import report_json, report_to_dict
 from oracles import (
@@ -43,6 +44,7 @@ from oracles import (
     evaluate_retrieval_oracle,
     logistic_gd_oracle,
     rank_oracle,
+    sigmoid_oracle,
 )
 
 
@@ -489,6 +491,55 @@ class TestCertifiedRanks:
         for scale in (1e-125, 1e125, 0.0):  # norms outside [2^-400, 2^400], or zero
             assert _certified_positions(sims * scale, cmat, cnorms, q * scale, relevant) is None
 
+    def test_positions_come_out_ascending(self):
+        # 300 relevant rows in shuffled order; the ranks come back sorted, without sorting them.
+        rng = np.random.default_rng(48)
+        cmat = rng.standard_normal((2000, 16))
+        cnorms = np.linalg.norm(cmat, axis=1)
+        q = rng.standard_normal(16)
+        relevant = rng.permutation(2000)[:300]
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant)
+        positions = _certified_positions(cmat @ q, cmat, cnorms, q, relevant)
+        assert positions == expected == sorted(set(expected))
+
+    def test_zero_norm_rows_score_exactly_zero(self):
+        # sims is overwritten with the sorted scores; a row of 1e-170s has a
+        # zero norm (its squares underflow) but a nonzero dot product.
+        rng = np.random.default_rng(51)
+        cmat = np.vstack([rng.standard_normal((40, 6)), np.zeros((3, 6)), np.full((4, 6), 1e-170)])
+        cnorms = np.linalg.norm(cmat, axis=1)
+        q = rng.standard_normal(6) * 1e10
+        sims = cmat @ q
+        assert np.count_nonzero(sims == 0.0) == 3
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), np.arange(5))
+        assert _certified_positions(sims, cmat, cnorms, q, np.arange(5)) == expected
+        assert np.count_nonzero(sims == 0.0) == 7 and np.all(np.diff(sims) >= 0.0)
+
+    def test_zero_norm_candidates_match_reference(self, monkeypatch):
+        # Exact zero rows and rows whose squared norm underflows to 0 score 0 in
+        # both kernels, though the second kind has nonzero gemm dot products.
+        rng = np.random.default_rng(49)
+        d = 8
+        vecs = list(rng.standard_normal((300, d)))
+        vecs += [np.zeros(d)] * 5 + list(rng.standard_normal((5, d)) * 1e-170)
+        cands = [rec(f"c{i:03d}", "en", v) for i, v in enumerate(vecs)]
+        queries, qrels = [], {}
+        for i in range(20):  # the last five may have zero-norm rows among their relevant ones
+            queries.append(rec(f"q{i:02d}", "en", rng.standard_normal(d) * 1e10))
+            pool = 300 if i < 15 else 310
+            qrels[f"q{i:02d}"] = {f"c{j:03d}" for j in rng.choice(pool, size=12, replace=False)}
+        ds = RetrievalDataset(queries, cands, qrels)
+        certified, original = [], lir.evaluation._certified_positions
+
+        def spy(sims, cmat, cnorms, *args):
+            assert not cnorms.all()  # the divide that skips zero norms
+            certified.append(original(sims, cmat, cnorms, *args))
+            return certified[-1]
+
+        monkeypatch.setattr(lir.evaluation, "_certified_positions", spy)
+        assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval_oracle(ds))
+        assert len(certified) == 20 and None not in certified[:15]
+
     def test_uncertifiable_stack_builds_no_gemm_block(self, monkeypatch):
         # Rows scaled by 1e300 put candidate norms beyond 2^400: no query can be
         # certified, so no gemm block is made.
@@ -580,6 +631,17 @@ class TestBoundedMemory:
 
 
 class TestTrainLogistic:
+    def test_sigmoid_is_the_masked_formula_bit_for_bit(self):
+        edges = [0.0, 1e-320, 1e-300, 1.0, 36.0, 37.0, 709.0, 745.0, 746.0, 800.0, 1e308]
+        rng = np.random.default_rng(50)
+        z = np.concatenate([
+            np.array(edges), -np.array(edges),
+            *(rng.standard_normal(100_000) * scale for scale in (1e-3, 1.0, 30.0, 700.0)),
+        ])
+        got, expected = _sigmoid(z), sigmoid_oracle(z)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert got[0] == got[len(edges)] == 0.5  # +0 and -0
+
     def test_zero_epochs_predicts_half(self):
         x = np.array([[1.0], [-1.0]])
         w = train_logistic(x, [1, 0], LogisticConfig(learning_rate=0.1, epochs=0))

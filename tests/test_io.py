@@ -1,5 +1,7 @@
+import csv
 import json
 import struct
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -33,7 +35,8 @@ from lir.io import (
     write_qrels,
     write_report,
 )
-from oracles import read_embeddings_oracle
+from lir.cli import _read_collection
+from oracles import read_collection_oracle, read_embeddings_oracle
 
 
 def rec(rid, lang, vec):
@@ -57,6 +60,29 @@ def lire_payload(ids, rows):
         idb = rid.encode()
         out += struct.pack("<H", len(idb)) + idb + np.asarray(row, dtype="<f4").tobytes()
     return out
+
+
+def lire_file(path, lang, ids, rows=None, dim=None, cut=None, tail=b""):
+    """A .lire file of the given records, its payload cut at byte `cut` and
+    followed by `tail`; dim defaults to the rows' width."""
+    rows = np.zeros((len(ids), dim or 2)) if rows is None else np.asarray(rows, dtype=float)
+    header = {"count": len(ids), "dim": dim or rows.shape[1], "dtype": "f32", "lang": lang}
+    path.write_bytes(framed(b"LIRE", header, lire_payload(ids, rows)[:cut] + tail))
+
+
+def outcome(reader, path):
+    """(ids, langs, row bytes) of what reader returns, or (error class, message)."""
+    try:
+        out = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, lir.EmbeddingTable):
+        out = out.ids, out.langs, out.rows
+    elif not isinstance(out, tuple):
+        out = lir.EmbeddingTable.from_records(out)
+        out = out.ids, out.langs, out.rows
+    ids, langs, rows = out
+    return list(ids), list(langs), rows.tobytes()
 
 
 def sample_records():
@@ -233,6 +259,144 @@ def fitted_basis(seed=0, d=6, r=3):
     rng = np.random.default_rng(seed)
     matrix = lir.LanguageMatrix(lang="en", rows=rng.standard_normal((20, d)))
     return lir.fit_components(matrix, r)
+
+
+# Variable-length ids, one byte to 300, with two- and three-byte UTF-8 characters.
+# The long one comes first: a cut before the declared minimum size of every
+# record is caught by that check, not by the framing loop.
+MIXED_IDS = ["x" * 300, "a", "bé", "日本語", "ü" * 40, "q"]
+
+
+class TestColumnarCodec:
+    """The one-pass encoder and the framing-loop decoder against record-at-a-time
+    references: the same bytes, tables and errors."""
+
+    def test_write_matches_record_encoding(self, tmp_path):
+        rows = np.random.default_rng(21).standard_normal((len(MIXED_IDS), 5))
+        rows = rows.astype(np.float32).astype(float)
+        path = tmp_path / "en.lire"
+        write_embeddings(path, [rec(i, "en", r) for i, r in zip(MIXED_IDS, rows)])
+        header = {"count": len(MIXED_IDS), "dim": 5, "dtype": "f32", "lang": "en"}
+        expected = lir.io._header_bytes(b"LIRE", header) + lire_payload(MIXED_IDS, rows)
+        assert path.read_bytes() == expected
+        assert outcome(_read_table, path) == (MIXED_IDS, ["en"] * 6, rows.tobytes())
+
+    def test_write_checks_ids_and_values_before_writing(self, tmp_path):
+        path = tmp_path / "long.lire"
+        longest = "é" * (0xFFFF // 2) + "x"  # 0xFFFF bytes, the most a record stores
+        write_embeddings(path, [rec("a", "en", [1.0]), rec(longest, "en", [2.0])])
+        assert _read_table(path).ids == ("a", longest)
+        path.unlink()
+        too_long = [rec("a", "en", [1.0]), rec("é" * 0x8000, "en", [2.0])]
+        with pytest.raises(FormatError, match=r"^record id too long to store: 'ééé"):
+            write_embeddings(path, too_long)
+        # Values are checked first, as the record loop did.
+        with pytest.raises(FormatError, match="'b' has values beyond the 32-bit float range"):
+            write_embeddings(path, [*too_long, rec("b", "en", [1e39])])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("variant", ["valid", "invalid UTF-8", "trailing byte"])
+    def test_decoder_matches_record_reader_at_every_cut(self, tmp_path, variant):
+        rows = np.arange(2.0 * len(MIXED_IDS)).reshape(-1, 2)
+        rows[4, 1] = np.nan  # record 4 fails as a record once the cut passes it
+        payload = lire_payload(MIXED_IDS, rows)
+        if variant == "invalid UTF-8":
+            payload = payload.replace("日".encode(), b"\xff\xfe\xfd", 1)
+        elif variant == "trailing byte":
+            payload += b"\x00"
+        header = {"count": len(MIXED_IDS), "dim": 2, "dtype": "f32", "lang": "en"}
+        path = tmp_path / "cut.lire"
+        messages = set()
+        for cut in range(len(payload) + 1):
+            path.write_bytes(framed(b"LIRE", header, payload[:cut]))
+            expected = outcome(read_embeddings_oracle, path)
+            assert outcome(_read_table, path) == expected, cut
+            messages.add(expected[1])
+        assert len(messages) >= 10, messages  # cuts in every part of several records
+
+
+BASE = np.arange(30.0).reshape(10, 3) - 7.5
+
+
+def collection_dir(root, **changes):
+    """Four files in name order: a (3 records), b (empty), c (2), d (2), all
+    of dimension 3; changes[name] = dict(ids=, rows=, dim=, cut=, tail=, raw=)."""
+    files = {
+        "a": dict(lang="en", ids=["x", "yé", "日本"], rows=BASE[0:3]),
+        "b": dict(lang="de", ids=[], dim=3),
+        "c": dict(lang="fr", ids=["long-" * 20, "z"], rows=BASE[3:5]),
+        "d": dict(lang="zh", ids=["ü" * 5, "w"], rows=BASE[5:7]),
+    }
+    root.mkdir()
+    for name, spec in files.items():
+        spec = {**spec, **changes.get(name, {})}
+        raw = spec.pop("raw", None)
+        if raw is not None:
+            (root / f"{name}.lire").write_bytes(raw)
+        else:
+            lire_file(root / f"{name}.lire", **spec)
+    return root
+
+
+def rows_with(rows, at, value):
+    rows = np.array(rows)
+    rows[at] = value
+    return rows
+
+
+COLLECTIONS = {
+    "valid, an empty file in the middle": {},
+    "an empty file of another dimension": dict(b=dict(dim=7)),
+    "a duplicate id across files": dict(d=dict(ids=["ü" * 5, "x"])),
+    "a dimension mismatch across files": dict(c=dict(rows=np.ones((2, 4)))),
+    "a duplicate before a wider file": dict(c=dict(ids=["x", "z"]), d=dict(rows=np.ones((2, 4)))),
+    "a duplicate after a wider file": dict(c=dict(rows=np.ones((2, 4))), d=dict(ids=["x", "w"])),
+    "a non-finite value in the third file": dict(c=dict(rows=rows_with(BASE[3:5], (1, 2), np.nan))),
+    "a duplicate in the first file, a non-finite value in the third": dict(
+        a=dict(ids=["x", "yé", "x"]), c=dict(rows=rows_with(BASE[3:5], (0, 0), np.inf))),
+    "a duplicate in the first file, the fourth cut short": dict(
+        a=dict(ids=["x", "x", "日本"]), d=dict(cut=9)),
+    "a non-finite value in the third file, the fourth cut short": dict(
+        c=dict(rows=rows_with(BASE[3:5], (0, 1), -np.inf)), d=dict(cut=30)),
+    "a non-finite value in the first file, a bad magic in the second": dict(
+        a=dict(rows=rows_with(BASE[0:3], (2, 0), np.nan)), b=dict(raw=b"LIRX")),
+    "a bad magic in the second file": dict(b=dict(raw=b"LIRX\x01")),
+    "an invalid UTF-8 id in the fourth file, a duplicate in the third": dict(
+        c=dict(ids=["z", "z"]), d=dict(raw=framed(b"LIRE", {"count": 1, "dim": 3, "dtype": "f32",
+                                                           "lang": "zh"}, b"\x01\x00\xff" + bytes(12)))),
+    "trailing data after the third file's records": dict(c=dict(tail=b"\x00")),
+    "a non-finite value before the fourth file's cut": dict(
+        d=dict(rows=rows_with(BASE[5:7], (0, 2), np.nan), cut=30)),
+    "only empty files": dict(a=dict(ids=[], dim=3), c=dict(ids=[], dim=5), d=dict(ids=[], dim=3)),
+}
+
+
+class TestCollectionRead:
+    """A directory decodes into one matrix and is checked once, with the
+    outcome of reading file by file: oracles.read_collection_oracle."""
+
+    @pytest.mark.parametrize("case", sorted(COLLECTIONS))
+    def test_matches_file_by_file_read(self, tmp_path, case):
+        root = collection_dir(tmp_path / "dir", **COLLECTIONS[case])
+        expected = outcome(read_collection_oracle, root)
+        assert outcome(_read_collection, str(root)) == expected
+        valid = case.startswith(("valid", "an empty", "only"))
+        assert isinstance(expected[0], list) == valid
+
+    def test_one_matrix_for_every_file(self, tmp_path):
+        root = collection_dir(tmp_path / "dir")
+        table = _read_collection(str(root))
+        assert table.rows.base is None and not table.rows.flags.writeable
+        assert table.rows.tobytes() == BASE[:7].tobytes()
+        assert table.langs == ("en",) * 3 + ("fr",) * 2 + ("zh",) * 2
+
+    def test_every_cut_of_the_middle_file(self, tmp_path):
+        spec = dict(ids=["ü" * 3, "k"], rows=rows_with(BASE[3:5], (1, 0), np.nan))
+        full = len(lire_payload(spec["ids"], spec["rows"]))
+        for cut in range(full + 1):
+            root = collection_dir(tmp_path / f"cut{cut}", c=dict(spec, cut=cut))
+            expected = outcome(read_collection_oracle, root)
+            assert outcome(_read_collection, str(root)) == expected, cut
 
 
 class TestComponentFiles:
@@ -441,6 +605,23 @@ class TestJsonlReaders:
         with pytest.raises(ParseError):
             read_qrels(path)
 
+    @pytest.mark.parametrize("relevant", ['[""]', '["c1", 1]', '["c1", null]', '{"c1": 1}'])
+    def test_qrels_relevant_must_be_non_empty_strings(self, tmp_path, relevant):
+        path = tmp_path / "qrels.jsonl"
+        path.write_text(f'{{"query_id": "q", "relevant": ["c0"]}}\n{{"query_id": "r", "relevant": {relevant}}}\n')
+        with pytest.raises(ParseError, match=r"^line 2: field 'relevant' must be a list of ids$"):
+            read_qrels(path)
+
+    def test_qrels_share_one_set_per_relevant_list(self, tmp_path):
+        path = tmp_path / "qrels.jsonl"
+        lists = [["c1", "c2"], ["c3"], ["c1", "c2"], ["c2", "c1"]]
+        path.write_text("".join(
+            f'{{"query_id": "q{i}", "relevant": {json.dumps(rel)}}}\n' for i, rel in enumerate(lists)
+        ))
+        qrels = read_qrels(path)
+        assert qrels["q0"] is qrels["q2"] and qrels["q3"] == qrels["q0"]
+        assert qrels == {f"q{i}": frozenset(rel) for i, rel in enumerate(lists)}
+
     def test_writers_keep_json_dumps_bytes(self, tmp_path):
         # Ids that need escaping, including one that would break a split of
         # one large dumps call, non-ASCII text and a lone surrogate.
@@ -521,6 +702,23 @@ class TestReportsAndCsv:
         # full-precision floats round-trip exactly
         value = float(lines[2].split(",")[2])
         assert value == 1.0 / 3.0
+
+    def test_projection_csv_matches_row_by_row_writer(self, tmp_path):
+        # Ids that need quoting, numpy scalars, subnormals and -0.0: the bytes of
+        # one csv.writer row per record with repr(float(score)) cells.
+        rows = [
+            ("a,b", "en", (0.1, np.float64(-2.0))),
+            ('q"uote', "zh", (1.0 / 3.0, 5e-324)),
+            ("日本\nx", "de", (np.float32(1.5), -0.0)),
+        ]
+        text = StringIO(newline="")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["id", "lang", "score_1", "score_2"])
+        for rec_id, lang, scores in rows:
+            writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
+        path = tmp_path / "proj.csv"
+        write_projection_csv(path, iter(rows))
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
 
     def test_projection_csv_rejects_empty_and_ragged(self, tmp_path):
         with pytest.raises(FormatError):
