@@ -18,22 +18,22 @@ from pathlib import Path
 import numpy as np
 
 from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, corpus_fingerprint
-from .core import _check_collection
+from .core import _check_collection, _release
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
-from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer, export_projection
+from .evaluation import LogisticConfig, _projection_scores, evaluate_retrieval, evaluate_transfer
 from .io import (
     _decode,
     _f32_rows,
     _lire_shape,
     _read_table,
     _write_atomic,
+    _write_projection,
     read_components_dir,
     read_labels,
     read_qrels,
     write_components,
     write_embeddings,
     write_labels,
-    write_projection_csv,
     write_qrels,
     write_report,
 )
@@ -108,6 +108,7 @@ def _cmd_fit(args) -> int:
         )
         top = ", ".join(f"{s:.6g}" for s in sigma[:5])
         fitted[matrix.lang] = (basis, f"n={matrix.n} d={matrix.d} top_singular_values=[{top}]")
+        del matrix  # freed before the next file is decoded
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for lang, (basis, summary) in fitted.items():
@@ -118,9 +119,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     bases = read_components_dir(args.components)
-    table = _read_table(args.input)
-    ids, langs, rows = table.ids, table.langs, table.rows.copy()
-    del table  # the decoded matrix is freed before removal allocates
+    ids, langs, rows = _release(_read_table(args.input))  # removed in place on the decoded rows
     passed = _remove_rows(ids, langs, rows, bases, _MODES[args.mode], strict=args.strict)
     if passed:
         _log(
@@ -139,7 +138,8 @@ def _cmd_eval_retrieval(args) -> int:
         qrels=read_qrels(args.qrels),
     )
     bases = read_components_dir(args.components) if args.components else None
-    report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode])
+    # The dataset is this command's own: removal overwrites its decoded matrices.
+    report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode], copy=False)
     write_report(args.report, report)
     print(f"overall_map={report.overall_map!r} queries={report.query_count}")
     return EXIT_OK
@@ -181,9 +181,11 @@ def _cmd_eval_transfer(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    rows = export_projection(_read_collection(args.input), args.dims)
-    write_projection_csv(args.output, rows)
-    print(f"wrote {len(rows)} rows with {args.dims} scores each")
+    # export_projection and write_projection_csv, centering the decoded matrix in place.
+    ids, langs, rows = _release(_read_collection(args.input))
+    scores = _projection_scores(rows, args.dims)
+    _write_projection(args.output, ids, langs, scores.T.tolist())
+    print(f"wrote {len(ids)} rows with {args.dims} scores each")
     return EXIT_OK
 
 

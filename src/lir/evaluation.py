@@ -8,7 +8,8 @@ ascending id, so rankings and reports are permutation-invariant. A dataset
 evaluation ranks with gemm scores where einsum scores of the relevant rows
 certify them, and takes exact AP from those ranks, rounded once to float.
 Harnesses score, train and project on EmbeddingTable rows (records are
-converted once on the way in) and remove components on a copy of them.
+converted once on the way in) and remove components on a copy of them; a
+caller that owns a retrieval dataset may have them removed in place instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import floordiv, lshift
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     EvalReport,
     RetrievalDataset,
     TransferReport,
+    _release,
     corpus_fingerprint,
 )
 from .errors import (
@@ -45,6 +46,9 @@ from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
 _BLOCK_SCORES = 1 << 19  # float64 scores per gemm block (4 MB); ranks do not depend on it
 _NORM_BLOCK = 1 << 16  # float64 squares per norm block (512 kB); norms do not depend on it
 _AP_BITS = 128  # fraction bits of the fixed-point AP sum
+# Ranks per query from which the uint64 limb division beats Python integers
+# (numpy's ~20 us per call: 37 vs 28 us at R = 200, 41 vs 61 us at R = 312).
+_AP_LIMB_MIN = 256
 
 
 @dataclass(frozen=True)
@@ -58,30 +62,34 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _features(table: EmbeddingTable, bases, mode: RemovalMode, order=None) -> np.ndarray:
-    """The table's rows (in `order`, if given), each with its own language's
-    components removed on a copy (strict: uncovered languages raise)."""
-    ids, langs, rows = table.ids, table.langs, table.rows
-    if order is not None:
-        ids, langs, rows = [ids[i] for i in order], [langs[i] for i in order], rows[order]
-    elif bases is not None:
-        rows = rows.copy()
-    if bases is not None:
-        _remove_rows(ids, langs, rows, bases, mode)
+def _features(table: EmbeddingTable, bases, mode: RemovalMode, copy: bool = True) -> np.ndarray:
+    """The table's rows, each with its own language's components removed
+    (strict: uncovered languages raise) on a copy, or with copy=False in
+    place on the table's own matrix, which then holds the removed rows."""
+    if bases is None:
+        return table.rows
+    rows = table.rows.copy() if copy else _release(table)[2]
+    _remove_rows(table.ids, table.langs, rows, bases, mode)
     return rows
 
 
-def _candidate_stack(table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE):
-    """The table's row indices in ascending id order, the rows in that order
-    (removed as in _features; at most one n x d copy, none when the rows are
-    in id order and nothing is removed), and the row norms, for a non-empty
-    candidate table. Norms are taken _NORM_BLOCK squares at a time."""
-    order = sorted(range(len(table)), key=table.ids.__getitem__)
-    cmat = _features(table, bases, mode, None if order == list(range(len(table))) else order)
+def _candidate_stack(
+    table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE, copy: bool = True
+):
+    """The rows of a non-empty candidate table in table order, removed as in
+    _features, and their norms, taken _NORM_BLOCK squares at a time."""
+    cmat = _features(table, bases, mode, copy)
     step = max(1, _NORM_BLOCK // cmat.shape[1])
     with np.errstate(over="ignore"):
         cnorms = [np.linalg.norm(cmat[i : i + step], axis=1) for i in range(0, len(cmat), step)]
-    return np.array(order), cmat, np.concatenate(cnorms)
+    return cmat, np.concatenate(cnorms)
+
+
+def _id_ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each row's position in ascending id order."""
+    ranks = np.empty(len(ids), np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
 
 
 def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -107,10 +115,12 @@ def _cosine_scores(cmat: np.ndarray, cnorms: np.ndarray, vec: np.ndarray) -> np.
     return scores
 
 
-def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
-    """Sorted 1-based ranks of the rows `relevant` under a stable sort on
-    -score of rows in id order: a row follows every higher score and every
-    equal score with a smaller id (NaN sorts last, as in np.argsort)."""
+def _relevant_positions(
+    scores: np.ndarray, relevant: np.ndarray, id_rank: np.ndarray
+) -> list[int]:
+    """Sorted 1-based ranks of the rows `relevant` when rows are ordered by
+    (-score, id rank): a row follows every higher score and every equal score
+    whose id ranks lower (NaN sorts last, as in np.argsort)."""
     keys = -scores
     ordered = np.sort(keys)
     rel_keys = keys[relevant]
@@ -118,8 +128,9 @@ def _relevant_positions(scores: np.ndarray, relevant: np.ndarray) -> list[int]:
     ties = np.searchsorted(ordered, rel_keys, "right") - above
     positions = above + 1
     for m in np.flatnonzero(ties > 1):
-        before, key = keys[: relevant[m]], rel_keys[m]
-        positions[m] += np.count_nonzero(np.isnan(before) if np.isnan(key) else before == key)
+        key = rel_keys[m]
+        equal = np.isnan(keys) if np.isnan(key) else keys == key
+        positions[m] += np.count_nonzero(equal & (id_rank < id_rank[relevant[m]]))
     return sorted(positions.tolist())
 
 
@@ -165,15 +176,37 @@ def _gemm_rows(qmat: np.ndarray, cmat: np.ndarray):
         yield from map(np.copy, qmat[i : i + step] @ cmat.T)
 
 
-def _ap_from_positions(positions: list[int]) -> float:
+def _fixed_point_sum(positions: Sequence[int]) -> int:
+    """t = sum over k of floor(k 2^_AP_BITS / p_k), for sorted ranks p_k >= k.
+
+    Fewer than _AP_LIMB_MIN ranks are summed in Python integers. Longer
+    lists are divided schoolbook-style on uint64 arrays, at most 32 bits at a
+    time: each step shifts the remainders (below p_k < 2^32, as 2^32
+    candidate rows cannot be held) left into the next digit, so no value
+    reaches 2^64, and each digit's quotients sum to below R 2^32 < 2^64. The
+    digit sums join in Python integers.
+    """
+    if len(positions) < _AP_LIMB_MIN:
+        return sum((k << _AP_BITS) // p for k, p in enumerate(positions, start=1))
+    p = np.asarray(positions, dtype=np.uint64)
+    q, rem = np.divmod(np.arange(1, len(p) + 1, dtype=np.uint64), p)
+    t = int(q.sum())
+    for done in range(0, _AP_BITS, 32):
+        shift = min(32, _AP_BITS - done)
+        q, rem = np.divmod(rem << shift, p)
+        t = (t << shift) + int(q.sum())
+    return t
+
+
+def _ap_from_positions(positions: Sequence[int]) -> float:
     """Exact AP from the sorted ranks p_1 < ... < p_R of the relevant items.
 
-    With M = _AP_BITS and t = sum of floor(k 2^M / p_k), the mean of k/p_k is
-    in [t, t + R) / (R 2^M). If both ends round (int/int rounds correctly) to
-    one float, so does the mean; else it is one integer ratio over lcm(p).
+    With M = _AP_BITS and t = _fixed_point_sum(positions), the mean of k/p_k
+    is in [t, t + R) / (R 2^M). If both ends round (int/int rounds correctly)
+    to one float, so does the mean; else it is one integer ratio over lcm(p).
     """
     r, scale = len(positions), len(positions) << _AP_BITS
-    t = sum(map(floordiv, map(lshift, range(1, r + 1), itertools.repeat(_AP_BITS)), positions))
+    t = _fixed_point_sum(positions)
     if t / scale == (t + r) / scale:
         return t / scale
     d = math.lcm(*positions)
@@ -195,8 +228,8 @@ def rank_candidates(
         raise DimensionError(
             f"query dimension {query.dim} != candidate dimension {table.dim}"
         )
-    order, cmat, cnorms = _candidate_stack(table)
-    ranked = order[np.argsort(-_cosine_scores(cmat, cnorms, query.vec), kind="stable")]
+    cmat, cnorms = _candidate_stack(table)
+    ranked = np.lexsort((_id_ranks(table.ids), -_cosine_scores(cmat, cnorms, query.vec)))
     return RankedList(query_id=query.id, candidate_ids=tuple(map(table.ids.__getitem__, ranked)))
 
 
@@ -243,6 +276,7 @@ def evaluate_retrieval(
     *,
     mode: RemovalMode = DEFAULT_MODE,
     rank: Optional[int] = None,
+    copy: bool = True,
 ) -> EvalReport:
     """Cosine-retrieval MAP over a dataset, optionally after removal.
 
@@ -252,6 +286,11 @@ def evaluate_retrieval(
     of per-query AP values. The config block records mode, rank, similarity,
     and fingerprints of the raw inputs, so a run is reproducible and a rank-0
     run serializes identically to a no-removal run.
+
+    With copy=False the components are removed in place on the dataset's own
+    matrices, queries first, so no second copy of the candidates is made. The
+    dataset then holds the removed rows: this is for a caller that uses it
+    for nothing else, as the CLI does.
     """
     queries = dataset.queries
     candidates = dataset.candidates
@@ -262,12 +301,12 @@ def evaluate_retrieval(
         "rank": _effective_rank(bases, rank),
         "similarity": "cosine",
     }
-    qmat = _features(queries, bases, mode)
-    order, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    # One matrix behind both tables is removed once, on a copy for the queries.
+    qmat = _features(queries, bases, mode, copy or queries.rows is candidates.rows)
+    cmat, cnorms = _candidate_stack(candidates, bases, mode, copy)
     # Query k's relevant rows of cmat are flat[ends[k]:ends[k + 1]].
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    flat, ends = place[dataset.relevant_rows], dataset.relevant_ends
+    flat, ends = dataset.relevant_rows, dataset.relevant_ends
+    id_rank = None  # built when a query first takes the exact path
     aps: list[float] = []
     by_lang: dict[str, list[float]] = {}
     fast = np.all((cnorms == 0.0) | ((2.0**-400 <= cnorms) & (cnorms <= 2.0**400)))
@@ -277,7 +316,9 @@ def evaluate_retrieval(
             relevant = flat[ends[k] : ends[k + 1]]
             positions = _certified_positions(sims, cmat, cnorms, qvec, relevant) if fast else None
             if positions is None:  # the exact path: einsum scores for every row
-                positions = _relevant_positions(_cosine_scores(cmat, cnorms, qvec), relevant)
+                id_rank = _id_ranks(candidates.ids) if id_rank is None else id_rank
+                scores = _cosine_scores(cmat, cnorms, qvec)
+                positions = _relevant_positions(scores, relevant, id_rank)
             ap = _ap_from_positions(positions)
             aps.append(ap)
             by_lang.setdefault(lang, []).append(ap)
@@ -470,7 +511,14 @@ def export_projection(
     the top-k principal directions of the centered matrix.
     """
     table = EmbeddingTable.from_records(records)
-    if len(table) < 2:
-        raise RankError("projection export needs at least two records")
-    scores = linalg.pca_project(table.rows, k)
+    scores = _projection_scores(table.rows.copy(), k)
     return list(zip(table.ids, table.langs, map(tuple, scores.tolist())))
+
+
+def _projection_scores(rows: np.ndarray, k: int) -> np.ndarray:
+    """export_projection's scores of a writable matrix, centered in place
+    (a - a.mean(axis=0) in the same bits, with no second n x d array)."""
+    if len(rows) < 2:
+        raise RankError("projection export needs at least two records")
+    rows -= rows.mean(axis=0)
+    return linalg._pca_scores(rows, k)

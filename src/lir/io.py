@@ -508,12 +508,16 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
     if not rows:
         raise FormatError("refusing to write an empty projection CSV")
     ids, langs, scores = zip(*rows)
-    k = len(scores[0])
     if len(set(map(len, scores))) > 1:
         raise DimensionError("projection rows have mixed score counts")
+    _write_projection(path, ids, langs, [list(map(float, column)) for column in zip(*scores)])
+
+
+def _write_projection(path, ids, langs, columns: Sequence[Sequence[float]]) -> None:
+    """write_projection_csv of the rows' ids and languages and one list of
+    Python floats per score, with no tuple per row held."""
     text = StringIO(newline="")
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(k)])
-    columns = (map(repr, map(float, column)) for column in zip(*scores))
-    writer.writerows(zip(ids, langs, *columns))
+    writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(len(columns))])
+    writer.writerows(zip(ids, langs, *(map(repr, column) for column in columns)))
     _write_atomic(path, text.getvalue().encode("utf-8"))

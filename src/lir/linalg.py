@@ -334,12 +334,17 @@ def pca_project(m, k: int) -> np.ndarray:
     building U. Deterministic via the SVD sign convention; the product, like
     the eigensolve, runs on one BLAS thread (and touches no second one's buffer)."""
     a = as_matrix(m)
-    n, d = a.shape
-    if n < 2:
+    if a.shape[0] < 2:
         raise RankError("PCA projection needs at least two rows")
+    return _pca_scores(a - a.mean(axis=0), k)
+
+
+def _pca_scores(centered: np.ndarray, k: int) -> np.ndarray:
+    """pca_project's scores of an already centered matrix of at least two
+    rows; a k outside [1, min(n, d)] raises before any factorization."""
+    n, d = centered.shape
     if not 1 <= k <= min(n, d):
         raise RankError(f"k={k} outside valid range [1, {min(n, d)}]")
-    centered = a - a.mean(axis=0)
     _, v = _right_factor(centered)
     with _one_blas_thread():
         return centered @ v[:, :k]

@@ -78,6 +78,11 @@ def average_precision_oracle(ranked_ids, relevant):
     return total / len(relevant)
 
 
+def ap_fixed_point_oracle(positions, bits=128):
+    """t = sum over k of floor(k 2^bits / p_k), in Python integers."""
+    return sum((k << bits) // p for k, p in enumerate(positions, start=1))
+
+
 def cosine_oracle(u, v):
     dot = math.fsum(float(a) * float(b) for a, b in zip(u, v))
     nu = math.sqrt(math.fsum(float(a) * float(a) for a in u))
@@ -326,13 +331,17 @@ def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
     import numpy as np
 
     from lir.core import EvalReport, corpus_fingerprint
-    from lir.evaluation import _candidate_stack, _cosine_scores, _effective_rank, _features
+    from lir.evaluation import _cosine_scores, _effective_rank, _features
     from lir.removal import DEFAULT_MODE
 
     mode = DEFAULT_MODE if mode is None else mode
     queries, candidates = dataset.queries, dataset.candidates
     qmat = _features(queries, bases, mode)
-    order, cmat, cnorms = _candidate_stack(candidates, bases, mode)
+    # Candidates stacked in id order, so the stable sort breaks ties by id.
+    order = sorted(range(len(candidates)), key=candidates.ids.__getitem__)
+    cmat = _features(candidates, bases, mode)[order]
+    with np.errstate(over="ignore"):
+        cnorms = np.linalg.norm(cmat, axis=1)
     ids = [candidates.ids[i] for i in order]
     by_lang = {}
     for qid, lang, qvec in zip(queries.ids, queries.langs, qmat):

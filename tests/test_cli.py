@@ -6,6 +6,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +587,146 @@ class TestTransferWrapperParity:
             logistic=lir.LogisticConfig(learning_rate=0.5, epochs=40, l2=0.0),
         )
         assert report_path.read_text() == report_json(expected)
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """A 12,000 x 128 synth corpus with rank-2 bases, plus copies of its
+    candidate and corpus files with their rows shuffled out of id order."""
+    root = tmp_path_factory.mktemp("wide")
+    data, comp = root / "data", root / "comp"
+    assert run_synth(data, languages=4, topics=10, per=300, dim=128, seed=5) == 0
+    assert main(["fit", "--input", str(data / "corpus"), "--rank", "2", "--output", str(comp)]) == 0
+    rng = np.random.default_rng(68)
+    for sub in ("candidates", "corpus"):
+        (root / "shuffled" / sub).mkdir(parents=True)
+        for f in sorted((data / sub).glob("*.lire")):
+            records = read_embeddings(f)
+            write_embeddings(root / "shuffled" / sub / f.name, [records[i] for i in rng.permutation(len(records))])
+    return root, data, comp
+
+
+def traced_beyond(monkeypatch, argv, after, until=None):
+    """Run the CLI under tracemalloc; return the traced peak from the moment
+    lir.cli.<after> returns (holding the decoded matrices) until
+    lir.cli.<until> returns, or the command ends, less the memory held then."""
+    marks = {}
+
+    def spy(name, func, at_return):
+        def wrapper(*args, **kwargs):
+            result = func(*args, **kwargs)
+            at_return()
+            return result
+        monkeypatch.setattr(lir.cli, name, wrapper)
+
+    def start():
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    spy(after, getattr(lir.cli, after), start)
+    if until is not None:
+        spy(until, getattr(lir.cli, until), lambda: marks.setdefault("peak", tracemalloc.get_traced_memory()[1]))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = marks.get("peak", tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+    return peak - marks["start"]
+
+
+class TestDecodedMatrixOnly:
+    """eval-retrieval, project and apply work on the matrix they decoded: beyond
+    it they hold bounded blocks and per-row bookkeeping, never a second n x d
+    copy (1 kB a row at d=128), whatever the order of the rows in the files."""
+
+    @pytest.mark.parametrize("order", ["id-ordered", "shuffled"])
+    @pytest.mark.parametrize("removal", [None, *sorted(m.value for m in lir.RemovalMode)])
+    def test_eval_retrieval(self, wide_corpus, monkeypatch, tmp_path, order, removal):
+        root, data, comp = wide_corpus
+        candidates = data / "candidates" if order == "id-ordered" else root / "shuffled" / "candidates"
+        argv = ["eval-retrieval", "--queries", str(data / "queries"), "--candidates", str(candidates),
+                "--qrels", str(data / "qrels.jsonl"), "--report", str(tmp_path / "cli.json")]
+        if removal is not None:
+            argv += ["--components", str(comp), "--mode", removal]
+        beyond = traced_beyond(monkeypatch, argv, "read_qrels")
+        queries = lir.cli._read_collection(str(data / "queries"))
+        dataset = lir.RetrievalDataset(queries, lir.cli._read_collection(str(candidates)),
+                                       read_qrels(data / "qrels.jsonl"))
+        bases = None if removal is None else read_components_dir(comp)
+        mode = lir.RemovalMode(removal or "orthogonal")
+        expected = lir.evaluate_retrieval(dataset, bases, mode=mode)
+        assert (tmp_path / "cli.json").read_text() == lir.io.report_json(expected)
+        n, d = dataset.candidates.rows.shape
+        relevant = np.diff(dataset.relevant_ends)
+        # The qrels' dataset index, one gemm block, the norm and removal blocks,
+        # the einsum-scored relevant rows of a query, and 200 B per candidate
+        # for its row map entry, norm and id rank.
+        design = (
+            8 * (lir.evaluation._BLOCK_SCORES + lir.evaluation._NORM_BLOCK)
+            + 8 * 3 * lir.removal._BLOCK
+            + 8 * d * relevant.max()
+            + 8 * relevant.sum()
+            + 200 * n
+        )
+        assert beyond <= design < 8 * n * d
+
+    @pytest.mark.parametrize("order", ["id-ordered", "shuffled"])
+    def test_project(self, wide_corpus, monkeypatch, tmp_path, order):
+        root, data, _ = wide_corpus
+        corpus = data / "corpus" if order == "id-ordered" else root / "shuffled" / "corpus"
+        argv = ["project", "--input", str(corpus), "--dims", "2", "--output", str(tmp_path / "cli.csv")]
+        beyond = traced_beyond(monkeypatch, argv, "_read_collection")
+        records = [r for f in sorted(corpus.glob("*.lire")) for r in read_embeddings(f)]
+        lir.io.write_projection_csv(tmp_path / "direct.csv", lir.export_projection(records, 2))
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        # The scores, their floats, and the CSV text: a string per row, then
+        # the joined text and its UTF-8 bytes, about 300 B a row in all.
+        assert beyond <= 400 * len(records)
+
+    @pytest.mark.parametrize("order", ["id-ordered", "shuffled"])
+    @pytest.mark.parametrize("mode", sorted(m.value for m in lir.RemovalMode))
+    def test_apply(self, wide_corpus, monkeypatch, tmp_path, order, mode):
+        root, data, comp = wide_corpus
+        source = (data if order == "id-ordered" else root / "shuffled") / "corpus" / "l01.lire"
+        argv = ["apply", "--components", str(comp), "--input", str(source), "--output",
+                str(tmp_path / "cli.lire"), "--mode", mode]
+        beyond = traced_beyond(monkeypatch, argv, "_read_table", "_remove_rows")
+        records = read_embeddings(source)
+        removed = lir.remove_batch(records, read_components_dir(comp), lir.RemovalMode(mode)).records
+        write_embeddings(tmp_path / "direct.lire", removed)
+        assert (tmp_path / "cli.lire").read_bytes() == (tmp_path / "direct.lire").read_bytes()
+        # A removal block, the kernel's output and temporaries, and the
+        # per-row language groups and dimensions.
+        assert beyond <= 8 * 3 * lir.removal._BLOCK + 96 * len(records)
+
+
+class TestErrorOrder:
+    def test_qrels_error_wins_over_missing_basis(self, pipeline, capsys):
+        tmp_path, data, comp = pipeline
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        (partial / "l00.lirc").write_bytes((comp / "l00.lirc").read_bytes())
+        bad = tmp_path / "bad_qrels.jsonl"
+        bad.write_text('{"query_id": "l00-t0000-0000", "relevant": ["ghost"]}\n')
+        argv = ["eval-retrieval", "--queries", str(data / "queries"), "--candidates",
+                str(data / "candidates"), "--components", str(partial), "--report", str(tmp_path / "r.json")]
+        assert main([*argv, "--qrels", str(bad)]) == 2
+        assert "ghost" in capsys.readouterr().err
+        assert main([*argv, "--qrels", str(data / "qrels.jsonl")]) == 2
+        assert capsys.readouterr().err == "error: no component basis for language 'l01'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("dims", ["1", "999"])
+    def test_one_row_projection_raises_rank_error(self, tmp_path, capsys, dims):
+        one = tmp_path / "one.lire"
+        write_embeddings(one, [lir.EmbeddingRecord(id="a", lang="en", vec=np.ones(4))])
+        with pytest.raises(lir.RankError) as exc_info:
+            lir.export_projection(read_embeddings(one), int(dims))
+        assert main(["project", "--input", str(one), "--dims", dims, "--output", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {exc_info.value}\n"
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestCliPlumbing:

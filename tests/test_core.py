@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +103,15 @@ class TestLanguageMatrix:
             LanguageMatrix(lang="en", rows=rows).fingerprint()
             != LanguageMatrix(lang="zh", rows=rows).fingerprint()
         )
+
+    def test_fingerprint_hashes_the_bytes_of_tobytes(self):
+        # A Fortran-ordered or strided input is stored C-ordered, so the buffer
+        # hashed is the rows' C-order bytes, as rows.tobytes() gives them.
+        rows = np.random.default_rng(5).standard_normal((7, 3))
+        for given in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]):
+            m = LanguageMatrix(lang="en", rows=given)
+            h = hashlib.sha256(b"en" + struct.pack("<QQ", 7, 3) + rows.tobytes())
+            assert m.fingerprint() == h.hexdigest()[:16]
 
 
 class TestComponentBasis:

@@ -35,11 +35,14 @@ from lir.evaluation import (
     _candidate_stack,
     _certified_positions,
     _cosine_scores,
+    _fixed_point_sum,
+    _id_ranks,
     _relevant_positions,
     _sigmoid,
 )
 from lir.io import report_json, report_to_dict
 from oracles import (
+    ap_fixed_point_oracle,
     average_precision_oracle,
     evaluate_retrieval_oracle,
     logistic_gd_oracle,
@@ -139,7 +142,7 @@ class TestRankCandidates:
         query = rec("q", "en", [2e300, 1e300, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands))
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands))
             scores = _cosine_scores(cmat, cnorms, query.vec)
             assert rank_candidates(query, cands).candidate_ids == ("b", "a", "z")
         assert abs(scores[0] - 0.8) <= 1e-12
@@ -239,6 +242,27 @@ class TestAveragePrecision:
         ids = ("a", "b", "c", "d")
         assert average_precision(RankedList("q", ids), {"a", "c"}) < 1.0
         assert average_precision(RankedList("q", ids), {"a", "b"}) == 1.0
+
+    @pytest.mark.parametrize("limb_min", [0, 256])
+    @pytest.mark.parametrize("bits", [128, 56, 52, 6, 0])
+    def test_fixed_point_sum_matches_big_int_sum(self, bits, limb_min, monkeypatch):
+        # The uint64 limb division (for every list when limb_min is 0) against
+        # Python integers: one rank, 2,000 random ranks, ranks just below 2^31
+        # and 2^32, and the exact-AP cases.
+        monkeypatch.setattr(lir.evaluation, "_AP_BITS", bits)
+        monkeypatch.setattr(lir.evaluation, "_AP_LIMB_MIN", limb_min)
+        rng = np.random.default_rng(64)
+        cases = [[1], [7], [2**32 - 1], list(range(1, 2001))]
+        cases.append(np.sort(rng.choice(10**6, 2000, replace=False) + 1).tolist())
+        cases.append(np.sort(rng.choice(2**32 - 1, 2000, replace=False) + 1).tolist())
+        cases.append(list(range(2**31 - 2000, 2**31 + 1)))
+        cases.append(list(range(2**32 - 2000, 2**32)))
+        for n in (3000, 2999, 300, 25):
+            ids = [f"c{i}" for i in rng.permutation(n)]
+            relevant = set(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            cases.append([pos for pos, cid in enumerate(ids, start=1) if cid in relevant])
+        for positions in cases:
+            assert _fixed_point_sum(positions) == ap_fixed_point_oracle(positions, bits)
 
 
 def axis_basis(lang, d, axis):
@@ -482,7 +506,7 @@ class TestCertifiedRanks:
         relevant = np.array([3, 17])
         q = rng.standard_normal(8)
         sims = cmat @ q
-        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant)
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant, np.arange(len(cmat)))
         assert _certified_positions(sims, cmat, cnorms, q, relevant) == expected
         for bad in (np.nan, np.inf):
             broken = sims.copy()
@@ -498,7 +522,7 @@ class TestCertifiedRanks:
         cnorms = np.linalg.norm(cmat, axis=1)
         q = rng.standard_normal(16)
         relevant = rng.permutation(2000)[:300]
-        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant)
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant, np.arange(len(cmat)))
         positions = _certified_positions(cmat @ q, cmat, cnorms, q, relevant)
         assert positions == expected == sorted(set(expected))
 
@@ -511,7 +535,7 @@ class TestCertifiedRanks:
         q = rng.standard_normal(6) * 1e10
         sims = cmat @ q
         assert np.count_nonzero(sims == 0.0) == 3
-        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), np.arange(5))
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), np.arange(5), np.arange(len(cmat)))
         assert _certified_positions(sims, cmat, cnorms, q, np.arange(5)) == expected
         assert np.count_nonzero(sims == 0.0) == 7 and np.all(np.diff(sims) >= 0.0)
 
@@ -575,6 +599,78 @@ class TestCertifiedRanks:
         assert reports[0] == reports[1] == report_json(evaluate_retrieval_oracle(ds))
 
 
+class TestCandidateOrder:
+    """Candidates are scored in the order given; ties still break by id."""
+
+    def test_relevant_positions_break_ties_by_id_rank(self):
+        # Rows in shuffled id order with exact ties and NaN keys: the ranks are
+        # those of a stable sort of the id-ordered rows.
+        rng = np.random.default_rng(65)
+        ids = [f"c{i:03d}" for i in rng.permutation(300)]
+        scores = rng.choice([0.5, 0.25, -0.5, np.nan, 0.0], 300)
+        scores[:60] = rng.random(60)  # and some distinct scores
+        by_id = sorted(range(300), key=ids.__getitem__)
+        ranked = np.array(by_id)[np.argsort(-scores[by_id], kind="stable")]
+        position_of = {row: pos for pos, row in enumerate(ranked.tolist(), start=1)}
+        for _ in range(20):
+            relevant = rng.choice(300, int(rng.integers(1, 40)), replace=False)
+            expected = sorted(position_of[row] for row in relevant.tolist())
+            assert _relevant_positions(scores, relevant, _id_ranks(ids)) == expected
+
+    def test_shuffled_candidates_match_id_ordered(self):
+        cfg = lir.SynthConfig(
+            languages=("en", "de"), topics=6, per_topic_per_lang=20, dim=16, bias_scale=4.0, seed=66,
+        )
+        res = lir.generate(cfg)
+        ds = res.retrieval_dataset()
+        cands = ds.candidates
+        shuffled = np.random.default_rng(66).permutation(len(cands))
+        table = lir.EmbeddingTable(
+            ids=[cands.ids[i] for i in shuffled], langs=[cands.langs[i] for i in shuffled],
+            rows=cands.rows[shuffled],
+        )
+        mixed = RetrievalDataset(ds.queries, table, ds.qrels)
+        bases = {
+            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
+            for lang in cfg.languages
+        }
+        for b in (None, bases):
+            got, want = report_to_dict(evaluate_retrieval(mixed, b)), report_to_dict(evaluate_retrieval(ds, b))
+            assert got["config"].pop("candidates_fingerprint") != want["config"].pop("candidates_fingerprint")
+            assert got == want
+            assert report_json(evaluate_retrieval(mixed, b)) == report_json(evaluate_retrieval_oracle(mixed, b))
+
+    def test_copy_false_removes_in_place(self):
+        cfg = lir.SynthConfig(
+            languages=("en", "de"), topics=6, per_topic_per_lang=20, dim=16, bias_scale=4.0, seed=67,
+        )
+        res = lir.generate(cfg)
+        bases = {
+            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
+            for lang in cfg.languages
+        }
+        for mode in lir.RemovalMode:
+            ds = res.retrieval_dataset()
+            expected = report_json(evaluate_retrieval(ds, bases, mode=mode))
+            removed = lir.evaluation._features(ds.candidates, bases, mode)
+            candidates = ds.candidates.rows
+            assert report_json(evaluate_retrieval(ds, bases, mode=mode, copy=False)) == expected
+            assert ds.candidates.rows is candidates and candidates.tobytes() == removed.tobytes()
+        # One table as both queries and candidates is removed once (removing
+        # twice changes paper-eq1 rows; orthogonal removal is idempotent).
+        table = res.table
+        topics = {}
+        for rid in table.ids:
+            topics.setdefault(rid.split("-")[1], set()).add(rid)
+        qrels = {rid: topics[rid.split("-")[1]] - {rid} for rid in table.ids}
+        for mode in lir.RemovalMode:
+            expected = report_json(evaluate_retrieval(RetrievalDataset(table, table, qrels), bases, mode=mode))
+            own = lir.EmbeddingTable(table.ids, table.langs, table.rows.copy())
+            shared = RetrievalDataset(own, own, qrels)
+            assert report_json(evaluate_retrieval(shared, bases, mode=mode, copy=False)) == expected
+            assert own.rows.tobytes() == lir.evaluation._features(table, bases, mode).tobytes()
+
+
 class TestBoundedMemory:
     """evaluate_retrieval holds one candidate copy plus bounded blocks."""
 
@@ -589,7 +685,7 @@ class TestBoundedMemory:
         records = [rec(f"c{i:02d}", "en" if i % 3 else "de", v) for i, v in enumerate(rows)]
         bases = {lang: fit_components(LanguageMatrix(lang=lang, rows=rows[20:30]), 1) for lang in ("en", "de")}
         for b in (None, bases):
-            ids, cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b)
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b)
             with np.errstate(over="ignore"):
                 assert cnorms.tobytes() == np.linalg.norm(cmat, axis=1).tobytes()
 
@@ -609,7 +705,7 @@ class TestBoundedMemory:
         relevant = [len(rel) for rel in ds.qrels.values()]
         # One candidate copy, one gemm block, the einsum-scored relevant rows of
         # a query, the norm and removal blocks, the relevant row indices, and
-        # 128 B per candidate for its sorted id, sort key, row map and norm.
+        # 128 B per candidate for its norm and id rank.
         design = (
             ds.candidates.rows.nbytes
             + 8 * (lir.evaluation._BLOCK_SCORES + lir.evaluation._NORM_BLOCK)
