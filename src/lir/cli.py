@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, corpus_fingerprint
-from .core import _check_collection, _release
+from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, _projection_scores, evaluate_retrieval, evaluate_transfer
 from .io import (
@@ -60,6 +60,15 @@ def _embedding_paths(target: str) -> list[Path]:
             raise FormatError(f"no .lire files found in {path}")
         return files
     return [path]
+
+
+def _release(table: EmbeddingTable) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """A table's ids, languages and matrix, the matrix made writable (a table
+    owns its matrix, so numpy allows it): for a command that holds the only
+    table on the matrix, uses only these columns from then on, and
+    overwrites the rows in place instead of copying them."""
+    table.rows.flags.writeable = True
+    return table.ids, table.langs, table.rows
 
 
 def _read_collection(target: str) -> EmbeddingTable:
@@ -139,7 +148,7 @@ def _cmd_eval_retrieval(args) -> int:
     )
     bases = read_components_dir(args.components) if args.components else None
     # The dataset is this command's own: removal overwrites its decoded matrices.
-    report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode], copy=False)
+    report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode], _in_place=True)
     write_report(args.report, report)
     print(f"overall_map={report.overall_map!r} queries={report.query_count}")
     return EXIT_OK

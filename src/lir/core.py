@@ -158,15 +158,6 @@ class EmbeddingTable:
         return self.rows.shape[1]
 
 
-def _release(table: EmbeddingTable) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """A table's ids, languages and matrix, the matrix made writable (a table
-    owns its matrix, so numpy allows it): for a caller that holds the only
-    table on the matrix, uses only these columns from then on, and
-    overwrites the rows in place instead of copying them."""
-    table.rows.flags.writeable = True
-    return table.ids, table.langs, table.rows
-
-
 def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> str:
     """Deterministic checksum identifying a record collection or table (ids, langs, values)."""
     table = EmbeddingTable.from_records(records)

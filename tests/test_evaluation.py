@@ -243,14 +243,11 @@ class TestAveragePrecision:
         assert average_precision(RankedList("q", ids), {"a", "c"}) < 1.0
         assert average_precision(RankedList("q", ids), {"a", "b"}) == 1.0
 
-    @pytest.mark.parametrize("limb_min", [0, 256])
     @pytest.mark.parametrize("bits", [128, 56, 52, 6, 0])
-    def test_fixed_point_sum_matches_big_int_sum(self, bits, limb_min, monkeypatch):
-        # The uint64 limb division (for every list when limb_min is 0) against
-        # Python integers: one rank, 2,000 random ranks, ranks just below 2^31
-        # and 2^32, and the exact-AP cases.
+    def test_fixed_point_sum_matches_big_int_sum(self, bits, monkeypatch):
+        # The uint64 digit division against Python integers: one rank, 2,000
+        # random ranks, ranks just below 2^31 and 2^32, and the exact-AP cases.
         monkeypatch.setattr(lir.evaluation, "_AP_BITS", bits)
-        monkeypatch.setattr(lir.evaluation, "_AP_LIMB_MIN", limb_min)
         rng = np.random.default_rng(64)
         cases = [[1], [7], [2**32 - 1], list(range(1, 2001))]
         cases.append(np.sort(rng.choice(10**6, 2000, replace=False) + 1).tolist())
@@ -640,7 +637,7 @@ class TestCandidateOrder:
             assert got == want
             assert report_json(evaluate_retrieval(mixed, b)) == report_json(evaluate_retrieval_oracle(mixed, b))
 
-    def test_copy_false_removes_in_place(self):
+    def test_in_place_removal_leaves_read_only_tables(self):
         cfg = lir.SynthConfig(
             languages=("en", "de"), topics=6, per_topic_per_lang=20, dim=16, bias_scale=4.0, seed=67,
         )
@@ -654,8 +651,9 @@ class TestCandidateOrder:
             expected = report_json(evaluate_retrieval(ds, bases, mode=mode))
             removed = lir.evaluation._features(ds.candidates, bases, mode)
             candidates = ds.candidates.rows
-            assert report_json(evaluate_retrieval(ds, bases, mode=mode, copy=False)) == expected
+            assert report_json(evaluate_retrieval(ds, bases, mode=mode, _in_place=True)) == expected
             assert ds.candidates.rows is candidates and candidates.tobytes() == removed.tobytes()
+            assert not ds.queries.rows.flags.writeable and not candidates.flags.writeable
         # One table as both queries and candidates is removed once (removing
         # twice changes paper-eq1 rows; orthogonal removal is idempotent).
         table = res.table
@@ -667,8 +665,19 @@ class TestCandidateOrder:
             expected = report_json(evaluate_retrieval(RetrievalDataset(table, table, qrels), bases, mode=mode))
             own = lir.EmbeddingTable(table.ids, table.langs, table.rows.copy())
             shared = RetrievalDataset(own, own, qrels)
-            assert report_json(evaluate_retrieval(shared, bases, mode=mode, copy=False)) == expected
+            assert report_json(evaluate_retrieval(shared, bases, mode=mode, _in_place=True)) == expected
             assert own.rows.tobytes() == lir.evaluation._features(table, bases, mode).tobytes()
+            assert not own.rows.flags.writeable
+        # A strict removal that fails part-way (English queries removed, then a
+        # German candidate without a basis) leaves the tables read-only too.
+        ds = res.retrieval_dataset()
+        en = np.flatnonzero(np.array(ds.queries.langs) == "en")
+        english = RetrievalDataset(
+            lir.synth._take(ds.queries, en), ds.candidates, {ds.queries.ids[i]: ds.qrels[ds.queries.ids[i]] for i in en}
+        )
+        with pytest.raises(lir.MissingBasis):
+            evaluate_retrieval(english, {"en": bases["en"]}, _in_place=True)
+        assert not english.queries.rows.flags.writeable and not english.candidates.rows.flags.writeable
 
 
 class TestBoundedMemory:
