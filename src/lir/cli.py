@@ -20,7 +20,7 @@ import numpy as np
 from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, corpus_fingerprint
 from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
-from .evaluation import LogisticConfig, _projection_scores, evaluate_retrieval, evaluate_transfer
+from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer
 from .io import (
     _decode,
     _f32_rows,
@@ -37,6 +37,7 @@ from .io import (
     write_qrels,
     write_report,
 )
+from .linalg import _pca_scores
 from .removal import RemovalMode, _remove_rows, fit_decomposition
 from .synth import TOPIC_PARITY, SynthConfig, _take, generate
 
@@ -192,7 +193,7 @@ def _cmd_eval_transfer(args) -> int:
 def _cmd_project(args) -> int:
     # export_projection and write_projection_csv, centering the decoded matrix in place.
     ids, langs, rows = _release(_read_collection(args.input))
-    scores = _projection_scores(rows, args.dims)
+    scores = _pca_scores(rows, args.dims)
     _write_projection(args.output, ids, langs, scores.T.tolist())
     print(f"wrote {len(ids)} rows with {args.dims} scores each")
     return EXIT_OK

@@ -516,14 +516,6 @@ def export_projection(
     the top-k principal directions of the centered matrix.
     """
     table = EmbeddingTable.from_records(records)
-    scores = _projection_scores(table.rows.copy(), k)
+    scores = linalg._pca_scores(table.rows.copy(), k)
     return list(zip(table.ids, table.langs, map(tuple, scores.tolist())))
 
-
-def _projection_scores(rows: np.ndarray, k: int) -> np.ndarray:
-    """export_projection's scores of a writable matrix, centered in place
-    (a - a.mean(axis=0) in the same bits, with no second n x d array)."""
-    if len(rows) < 2:
-        raise RankError("projection export needs at least two records")
-    rows -= rows.mean(axis=0)
-    return linalg._pca_scores(rows, k)

@@ -1,12 +1,15 @@
 """Deterministic dense linear algebra: thin SVD, orthogonal projections, PCA.
 
-The SVD works on the Gram matrix of the smaller side (the embedding use case
-is n >> d with d <= ~1024, so the d x d eigenproblem is cheap) and
-diagonalizes it with LAPACK's symmetric eigensolver (`np.linalg.eigh`), run
-with numpy's bundled OpenBLAS pinned to one thread: a multi-threaded
-eigensolve changes the last bits of its result with the thread count, a
-single-threaded one does not. Identical inputs therefore produce
-bit-identical outputs whatever the BLAS thread-pool setting. Sign ambiguity is
+Every factorization takes one route: form the d x d Gram matrix a^T a and
+diagonalize it with LAPACK's symmetric eigensolver (`np.linalg.eigh`), the
+product and the eigensolve together with numpy's bundled OpenBLAS pinned to
+one thread; `svd` recovers U by Gram-Schmidt on a @ V in a second pinned
+block. A multi-threaded product or eigensolve changes the last bits of its
+result with the thread count, a single-threaded one does not. Identical
+inputs therefore produce bit-identical outputs whatever the BLAS thread-pool
+setting (the tests check 1, 2, 4 and 8 threads). The embedding use case is
+n >> d with d <= ~1024, so the d x d eigenproblem is cheap; for n << d it
+still costs one d x d eigh (about 0.1 s at d=768). Sign ambiguity is
 resolved by a fixed convention: in every column of V the entry of largest
 magnitude is non-negative, with U following from V.
 
@@ -186,13 +189,6 @@ def _first_free_axis(prior: np.ndarray) -> np.ndarray:
     raise NumericalFailure("could not complete an orthonormal basis", iterations=m)
 
 
-def _recover_side(a: np.ndarray, basis: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The other orthonormal factor from a @ basis; columns of near-zero
-    singular values are completed deterministically."""
-    top = float(sigma[0]) if sigma.size else 0.0
-    return _gram_schmidt(a @ basis, 1e-8 * (top if top > 0.0 else 1.0), _first_free_axis)
-
-
 @functools.cache
 def _openblas_threads():
     """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
@@ -242,31 +238,26 @@ def _one_blas_thread():
             set_(previous)
 
 
-def _gram_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a symmetric Gram matrix."""
-    if not np.all(np.isfinite(gram)):
-        raise InvalidMatrix("matrix entries too large: the Gram matrix overflows")
-    try:
-        with _one_blas_thread():
-            w, vecs = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK does not report how many iterations it spent.
-        raise NumericalFailure(f"eigensolver failed: {exc}", iterations=0) from exc
-    return w[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1])
-
-
 def _right_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and sign-oriented right singular vectors (thin V).
 
-    For n >= d V comes straight from the d x d Gram matrix; otherwise the
-    n x n Gram matrix gives U and V is recovered from it. Either way each
-    column of V has its largest-magnitude entry (first on ties) non-negative.
+    The d x d Gram matrix is formed and eigendecomposed on one BLAS thread,
+    and the top min(n, d) pairs are kept, in descending order. Each column of
+    V has its largest-magnitude entry (first on ties) non-negative.
     """
-    n, d = a.shape
-    w, vecs = _gram_eigh(a.T @ a if n >= d else a @ a.T)
-    sigma = np.sqrt(np.maximum(w, 0.0))
-    v = vecs if n >= d else _recover_side(a.T, vecs, sigma)
-    for i in range(v.shape[1]):
+    k = min(a.shape)
+    with _one_blas_thread():
+        gram = a.T @ a
+        if not np.all(np.isfinite(gram)):
+            raise InvalidMatrix("matrix entries too large: the Gram matrix overflows")
+        try:
+            w, vecs = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:
+            # LAPACK does not report how many iterations it spent.
+            raise NumericalFailure(f"eigensolver failed: {exc}", iterations=0) from exc
+    sigma = np.sqrt(np.maximum(w[::-1][:k], 0.0))
+    v = np.ascontiguousarray(vecs[:, ::-1][:, :k])
+    for i in range(k):
         j = int(np.argmax(np.abs(v[:, i])))
         if v[j, i] < 0.0:
             v[:, i] = -v[:, i]
@@ -274,18 +265,24 @@ def _right_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svd(m) -> SvdResult:
-    """Thin SVD of a dense matrix via the Gram matrix of the smaller side.
+    """Thin SVD of a dense matrix via its d x d Gram matrix.
 
-    For an n x d input this eigendecomposes the min(n, d)-sized Gram matrix
-    with thread-pinned LAPACK `eigh` (raising NumericalFailure if it fails),
-    takes V from it and recovers U from m V. This is cheap and stable in the
-    n >> d regime this package targets. The contract is the usual one either
-    way: sigma non-negative and non-increasing, orthonormal factors, and
-    reconstruction to 1e-6 relative Frobenius error.
+    For an n x d input this eigendecomposes a^T a with thread-pinned LAPACK
+    `eigh` (raising NumericalFailure if it fails), keeps V and sigma for the
+    top min(n, d) eigenpairs, and recovers U by Gram-Schmidt on m V, also on
+    one BLAS thread; columns of near-zero singular values are completed
+    deterministically. This is cheap and stable in the n >> d regime this
+    package targets; for n << d it still costs one d x d eigensolve. The
+    contract is the usual one either way: sigma non-negative and
+    non-increasing, orthonormal factors, and reconstruction to 1e-6 relative
+    Frobenius error.
     """
     a = as_matrix(m)
     sigma, v = _right_factor(a)
-    return SvdResult(u=_recover_side(a, v, sigma), sigma=sigma, v=v)
+    top = float(sigma[0])
+    with _one_blas_thread():
+        u = _gram_schmidt(a @ v, 1e-8 * (top if top > 0.0 else 1.0), _first_free_axis)
+    return SvdResult(u=u, sigma=sigma, v=v)
 
 
 def project_out(v, basis) -> np.ndarray:
@@ -333,18 +330,19 @@ def pca_project(m, k: int) -> np.ndarray:
     vectors, which equals the first k columns of U diag(sigma) without
     building U. Deterministic via the SVD sign convention; the product, like
     the eigensolve, runs on one BLAS thread (and touches no second one's buffer)."""
-    a = as_matrix(m)
-    if a.shape[0] < 2:
+    return _pca_scores(as_matrix(m).copy(), k)
+
+
+def _pca_scores(rows: np.ndarray, k: int) -> np.ndarray:
+    """pca_project's scores of a writable float64 matrix, centered in place
+    (the bits of a - a.mean(axis=0), with no second n x d array). Fewer than
+    two rows, then a k outside [1, min(n, d)], raise before any change."""
+    n, d = rows.shape
+    if n < 2:
         raise RankError("PCA projection needs at least two rows")
-    return _pca_scores(a - a.mean(axis=0), k)
-
-
-def _pca_scores(centered: np.ndarray, k: int) -> np.ndarray:
-    """pca_project's scores of an already centered matrix of at least two
-    rows; a k outside [1, min(n, d)] raises before any factorization."""
-    n, d = centered.shape
     if not 1 <= k <= min(n, d):
         raise RankError(f"k={k} outside valid range [1, {min(n, d)}]")
-    _, v = _right_factor(centered)
+    rows -= rows.mean(axis=0)
+    _, v = _right_factor(rows)
     with _one_blas_thread():
-        return centered @ v[:, :k]
+        return rows @ v[:, :k]

@@ -359,26 +359,37 @@ def test_criterion_8_determinism(tmp_path):
     assert len(hashes1) >= 15
 
 
-@criterion("8b", "fit and PCA bytes do not depend on the BLAS thread count at d=256", 30.0)
-def test_criterion_8b_blas_thread_count(openblas_threads, monkeypatch):
-    # d=256 is large enough for a multi-threaded LAPACK eigensolve to change
-    # the last bits with the thread count; criterion 8's d=24 is not.
+@criterion("8b", "fit, SVD and PCA bytes do not depend on the BLAS thread count (1, 2, 4, 8)", 30.0)
+def test_criterion_8b_blas_thread_count(openblas_threads, across_threads, monkeypatch):
+    # Multi-threaded OpenBLAS rounds a^T a differently from one thread at
+    # 3000 x 300 (not at 1000 x 256), a a^T at the n < d 100 x 768, and U's
+    # recovery from a V at most shapes. Criterion 8's d=24 sees none of this.
     get_threads, set_threads = openblas_threads
-    rows = np.random.default_rng(7).standard_normal((1000, 256))
-    matrix = lir.LanguageMatrix(lang="en", rows=rows)
-    outputs = []
-    for threads in (1, 2):
-        set_threads(threads)
-        basis, sigma = lir.fit_decomposition(matrix, 4)
-        assert get_threads() == threads
-        scores = lir.pca_project(rows, 2)
-        assert get_threads() == threads
-        outputs.append((basis.basis.tobytes(), sigma.tobytes(), scores.tobytes()))
-    assert outputs[0] == outputs[1]
+    rng = np.random.default_rng(7)
+    for n, d in ((1000, 256), (3000, 300), (100, 768)):
+        rows = rng.standard_normal((n, d))
+        matrix = lir.LanguageMatrix(lang="en", rows=rows)
+
+        def factorizations():
+            basis, sigma = lir.fit_decomposition(matrix, 4)
+            full = lir.svd(rows)
+            return (
+                basis.basis.tobytes(),
+                sigma.tobytes(),
+                lir.pca_project(rows, 2).tobytes(),
+                full.u.tobytes(),
+                full.sigma.tobytes(),
+                full.v.tobytes(),
+            )
+
+        outputs = across_threads(factorizations)
+        for threads, output in outputs.items():
+            assert output == outputs[1], f"{n} x {d}: {threads} threads"
 
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    set_threads(2)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(lir.NumericalFailure):
         lir.fit_decomposition(matrix, 4)

@@ -526,6 +526,30 @@ class TestProjectCommand:
         assert direct.read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "synth, source",
+    [
+        (dict(topics=30, per=100, dim=300, labels=True), "corpus"),
+        (dict(topics=10, per=10, dim=768), "corpus/l00.lire"),
+    ],
+    ids=["6000x300", "100x768"],
+)
+def test_project_csv_does_not_depend_on_blas_threads(tmp_path, across_threads, synth, source):
+    # Multi-threaded OpenBLAS rounds a^T a of the first input differently from
+    # one thread; the second has n < d, where a a^T rounds differently.
+    assert run_synth(tmp_path / "data", languages=2, seed=3, bias=5.0, **synth) == 0
+    out = tmp_path / "p.csv"
+
+    def project():
+        argv = ["project", "--input", str(tmp_path / "data" / source), "--dims", "2", "--output", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    outputs = across_threads(project)
+    for threads, csv in outputs.items():
+        assert csv == outputs[1], f"{threads} threads"
+
+
 class TestTransferWrapperParity:
     def test_report_matches_library_bytes(self, pipeline):
         tmp_path, data, comp = pipeline
