@@ -13,6 +13,7 @@ import dataclasses
 import json
 import re
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from .core import _check_collection
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer
 from .io import (
+    _check_f32,
     _decode,
-    _f32_rows,
+    _lire_lang,
     _lire_shape,
     _read_table,
     _write_atomic,
@@ -162,30 +164,73 @@ def _labeled(table, labels):
     return [labels[rid] for rid in table.ids]
 
 
+class _TestTables(Mapping):
+    """Test tables and their labels by language, from {language: file, or
+    None for the training file}. A lookup decodes the file (the training
+    table is reused) and labels its records; nothing here keeps the table."""
+
+    def __init__(self, files: dict, train: EmbeddingTable, labels: dict):
+        self._files, self._train, self._labels = files, train, labels
+
+    def __getitem__(self, lang):
+        file = self._files[lang]
+        table = self._train if file is None else _read_table(file)
+        return table, _labeled(table, self._labels)
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self):
+        return len(self._files)
+
+
+def _check_tests(files, train_path, train, labels) -> None:
+    """Raise the first error of reading the test files in turn, each as a
+    table (the training file's reused), then its language, then its labels."""
+    langs = set()
+    for file in files:
+        table = train if file.samefile(train_path) else _read_table(file)
+        lang = table.langs[0] if len(table) else file.stem
+        if lang in langs:
+            raise DuplicateKey(lang, f"two test files for language {lang!r}")
+        langs.add(lang)
+        _labeled(table, labels)
+        del table  # freed before the next file is decoded
+
+
 def _cmd_eval_transfer(args) -> int:
     labels = read_labels(args.labels)
     train = _read_table(args.train)
     train_labels = _labeled(train, labels)
-    tests = {}
-    for file in sorted(Path(args.tests).glob("*.lire")):
-        table = train if file.samefile(args.train) else _read_table(file)
-        lang = table.langs[0] if len(table) else file.stem
-        if lang in tests:
-            raise DuplicateKey(lang, f"two test files for language {lang!r}")
-        tests[lang] = (table, _labeled(table, labels))
-    if not tests:
+    files = sorted(Path(args.tests).glob("*.lire"))
+    if not files:
         raise FormatError(f"no .lire files found in {args.tests}")
-    bases = read_components_dir(args.components) if args.components else None
-    report = evaluate_transfer(
-        train,
-        train_labels,
-        tests,
-        bases,
-        mode=_MODES[args.mode],
-        placement=args.placement,
-        logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
-    )
-    write_report(args.report, report)
+    # The test files are decoded one at a time, as evaluate_transfer looks them up.
+    try:
+        tests = {}
+        for file in files:
+            lang = _lire_lang(file) or file.stem
+            if lang in tests:
+                raise DuplicateKey(lang, f"two test files for language {lang!r}")
+            tests[lang] = None if file.samefile(args.train) else file
+        bases = read_components_dir(args.components) if args.components else None
+        # The tables are this command's own: removal overwrites their decoded matrices.
+        report = evaluate_transfer(
+            train,
+            train_labels,
+            _TestTables(tests, train, labels),
+            bases,
+            mode=_MODES[args.mode],
+            placement=args.placement,
+            logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
+            _in_place=True,
+        )
+        write_report(args.report, report)
+    except (LirError, OSError):
+        # Every test file's own error comes before what reads components or
+        # trains, as when all the files were read first.
+        _check_tests(files, args.train, train, labels)
+        raise
     print(f"average_accuracy={report.average!r} train_language={report.train_language}")
     return EXIT_OK
 
@@ -215,7 +260,7 @@ def _cmd_synth(args) -> int:
         skew=args.skew,
     )
     result = generate(config)
-    _f32_rows(result.table)  # a value .lire cannot store raises before anything is written
+    _check_f32(result.table)  # a value .lire cannot store raises before anything is written
     out = Path(args.out)
     subsets = ("corpus", "queries", "candidates")
     for sub in subsets:

@@ -441,6 +441,7 @@ def evaluate_transfer(
     placement: str = "both",
     rank: Optional[int] = None,
     logistic: LogisticConfig = LogisticConfig(),
+    _in_place: bool = False,
 ) -> TransferReport:
     """Zero-shot transfer: train on one language, evaluate accuracy per language.
 
@@ -449,6 +450,16 @@ def evaluate_transfer(
     always transformed with their own language's basis; train features are
     transformed too when placement="both" and left raw when placement="eval".
     The report's average is the unweighted mean over evaluated languages.
+
+    tests may load lazily: each language's value is looked up once, in sorted
+    language order, and no longer referenced here once it is evaluated, so
+    a mapping that decodes a test set on lookup is held one set at a time.
+
+    _in_place is not for library callers: the CLI, which decodes the tables
+    itself and uses them for nothing else, sets it so that components are
+    removed on the training table's and each test table's own matrix instead
+    of on copies. The tables stay read-only but then hold the removed rows;
+    fingerprints are taken before removal.
     """
     if placement not in ("both", "eval"):
         raise ConfigError(f"placement must be 'both' or 'eval', got {placement!r}")
@@ -477,7 +488,7 @@ def evaluate_transfer(
     }
 
     fit_bases = bases if placement == "both" else None
-    train_x = _features(train, fit_bases, mode)
+    train_x = _features(train, fit_bases, mode, _in_place)
     weights = train_logistic(train_x, y_train, logistic)
 
     per_lang: dict[str, float] = {}
@@ -495,8 +506,10 @@ def evaluate_transfer(
         same = recs is train  # the training table tested too: reuse its fingerprint and features
         test_fps[lang] = config["train_fingerprint"] if same else corpus_fingerprint(recs)
         reuse = same and fit_bases is bases
-        preds = predict_logistic(train_x if reuse else _features(recs, bases, mode), weights)
+        x = train_x if reuse else _features(recs, bases, mode, _in_place)
+        preds = predict_logistic(x, weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
+        del recs, labels, y, x, preds  # a lazily loaded test set is freed before the next one
     config["test_fingerprints"] = test_fps
 
     return TransferReport(

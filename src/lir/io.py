@@ -31,7 +31,7 @@ import os
 import struct
 from io import StringIO
 from pathlib import Path
-from typing import BinaryIO, Mapping, NoReturn, Sequence
+from typing import BinaryIO, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ COMPONENT_MAGIC = b"LIRC"
 FORMAT_VERSION = 1
 
 _CORRUPT_BASIS_TOL = 1e-2
+_WRITE_BLOCK = 1 << 16  # float32 values per encoded .lire block (256 kB); bytes do not depend on it
 
 
 def _read_exact(f: BinaryIO, nbytes: int, what: str) -> bytes:
@@ -77,12 +78,13 @@ def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
         raise TruncatedFile(f"file is shorter than its declared {what}")
 
 
-def _write_atomic(path, *chunks: bytes) -> None:
+def _write_atomic(path, *chunks: bytes | Iterator[bytes]) -> None:
     """Write chunks to a temporary file beside path, then rename it onto path.
 
     Readers see the old file or the whole new one; on any failure the
     temporary file is removed. It is created like open(path, "wb") would
-    create path (mode 0o666 less the umask).
+    create path (mode 0o666 less the umask). A chunk may also be an iterator
+    of chunks, which is written one at a time as it yields them.
     """
     head, name = os.path.split(os.fspath(path))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
@@ -98,7 +100,8 @@ def _write_atomic(path, *chunks: bytes) -> None:
     try:
         with open(fd, "wb") as f:
             for chunk in chunks:
-                f.write(chunk)
+                for part in chunk if isinstance(chunk, Iterator) else (chunk,):
+                    f.write(part)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -142,35 +145,35 @@ def _header_str(header: dict, key: str) -> str:
     return value
 
 
-def _f32_rows(table: EmbeddingTable) -> np.ndarray:
-    """The table's rows as stored in .lire; a value beyond the float32 range
+def _f32_blocks(table: EmbeddingTable) -> Iterator[tuple[slice, np.ndarray]]:
+    """The table's rows as stored in .lire, _WRITE_BLOCK values at a time,
+    each with its slice of the table; a value beyond the float32 range
     (which would be stored as inf) raises, naming the first such record."""
-    with np.errstate(over="ignore"):
-        rows = table.rows.astype("<f4")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise FormatError(f"record {table.ids[bad[0]]!r} has values beyond the 32-bit float range")
-    return rows
+    step = max(1, _WRITE_BLOCK // table.dim)
+    for start in range(0, len(table), step):
+        rows = slice(start, start + step)
+        with np.errstate(over="ignore"):
+            values = table.rows[rows].astype("<f4")
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            rec_id = table.ids[start + bad[0]]
+            raise FormatError(f"record {rec_id!r} has values beyond the 32-bit float range")
+        yield rows, values
 
 
-def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) -> None:
-    """Write one language's records, or table, to a .lire file (32-bit values)."""
-    table = EmbeddingTable.from_records(records)
-    if not len(table):
-        raise FormatError("refusing to write an empty embedding file")
-    langs = set(table.langs)
-    if len(langs) > 1:
-        raise LanguageMismatch(
-            f"an embedding file holds a single language, got {sorted(langs)}"
-        )
-    header = {"count": len(table), "dim": table.dim, "dtype": "f32", "lang": table.langs[0]}
-    values = _f32_rows(table).view(np.uint8)
+def _check_f32(table: EmbeddingTable) -> None:
+    """Raise what writing the table to .lire raises for a value beyond the
+    float32 range, holding one block of 32-bit values at a time."""
+    for _ in _f32_blocks(table):
+        pass
+
+
+def _encode_records(ids: Sequence[str], values: np.ndarray) -> np.ndarray:
+    """The .lire payload bytes of records with these ids and float32 rows."""
+    values = values.view(np.uint8)
     width = values.shape[1]
-    encoded = list(map(str.encode, table.ids))
+    encoded = list(map(str.encode, ids))
     lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    if lengths.max() > 0xFFFF:
-        rec_id = table.ids[np.argmax(lengths > 0xFFFF)]
-        raise FormatError(f"record id too long to store: {rec_id[:32]!r}...")
     # Record i: its u16 id length at starts[i], its id bytes, then its values.
     ends = np.cumsum(lengths + (2 + width))
     starts = ends - (lengths + (2 + width))
@@ -183,7 +186,31 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) 
     # Every record's values through a writable window of the buffer at their offset.
     windows = np.lib.stride_tricks.as_strided(buf, (len(buf) - width + 1, width), (1, 1))
     windows[ends - width] = values
-    _write_atomic(path, _header_bytes(EMBEDDING_MAGIC, header), buf)
+    return buf
+
+
+def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) -> None:
+    """Write one language's records, or table, to a .lire file (32-bit values).
+    The payload is encoded and written one block of records at a time."""
+    table = EmbeddingTable.from_records(records)
+    if not len(table):
+        raise FormatError("refusing to write an empty embedding file")
+    langs = set(table.langs)
+    if len(langs) > 1:
+        raise LanguageMismatch(
+            f"an embedding file holds a single language, got {sorted(langs)}"
+        )
+    header = {"count": len(table), "dim": table.dim, "dtype": "f32", "lang": table.langs[0]}
+    # Only a non-ASCII or long id can fail to encode or to fit in 0xFFFF bytes.
+    if not all(map(str.isascii, table.ids)) or max(map(len, table.ids)) > 0xFFFF:
+        _check_f32(table)  # every row's values are checked before any id
+        lengths = [len(rid.encode()) for rid in table.ids]
+        too_long = [rid for rid, n in zip(table.ids, lengths) if n > 0xFFFF]
+        if too_long:
+            raise FormatError(f"record id too long to store: {too_long[0][:32]!r}...")
+    # A value beyond the float32 range raises from its block, and the file is not written.
+    payload = (_encode_records(table.ids[rows], values) for rows, values in _f32_blocks(table))
+    _write_atomic(path, _header_bytes(EMBEDDING_MAGIC, header), payload)
 
 
 def _lire_header(f: BinaryIO) -> tuple[int, int, str]:
@@ -197,6 +224,14 @@ def _lire_header(f: BinaryIO) -> tuple[int, int, str]:
         raise FormatError(f"unsupported dtype {header.get('dtype')!r}")
     _check_remaining(f, count * (2 + 4 * dim), f"{count} records")
     return count, dim, lang
+
+
+def _lire_lang(path) -> str | None:
+    """The language a .lire file's table has, from its header: None where it
+    declares no records. A header that does not read raises as decoding does."""
+    with open(path, "rb") as f:
+        count, _, lang = _lire_header(f)
+    return lang.strip() if count else None
 
 
 def _lire_shape(path) -> tuple[int, int] | None:
@@ -361,6 +396,22 @@ def read_components_dir(path) -> dict[str, ComponentBasis]:
     return bases
 
 
+# json.loads's own decoder's scanner: one value from an index, no whitespace skipped.
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """json.loads of a line with no surrounding whitespace: the scanner's
+    value where it spans the whole line, else json.loads's value or error."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def _iter_jsonl(path):
     # surrogateescape keeps bad bytes in their line, for the encode check below.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
@@ -370,7 +421,7 @@ def _iter_jsonl(path):
                 raise ParseError(line_no, "blank line")
             try:
                 stripped.encode("utf-8")
-                obj = json.loads(stripped)
+                obj = _json_line(stripped)
             except UnicodeEncodeError:
                 raise ParseError(line_no, "invalid UTF-8") from None
             except (ValueError, RecursionError) as exc:

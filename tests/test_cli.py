@@ -22,6 +22,7 @@ from lir.io import (
     read_qrels,
     write_components,
     write_embeddings,
+    write_labels,
 )
 
 
@@ -725,6 +726,36 @@ class TestDecodedMatrixOnly:
         # per-row language groups and dimensions.
         assert beyond <= 8 * 3 * lir.removal._BLOCK + 96 * len(records)
 
+    @pytest.mark.parametrize("placement", ["both", "eval"])
+    @pytest.mark.parametrize("mode", sorted(m.value for m in lir.RemovalMode))
+    def test_eval_transfer(self, wide_corpus, monkeypatch, tmp_path, placement, mode):
+        # Four 3,000-row test files, the training file among them: the command
+        # holds the training table and one test table, never all of them.
+        _, data, comp = wide_corpus
+        corpus = data / "corpus"
+        tables = {f.stem: lir.io._read_table(f) for f in sorted(corpus.glob("*.lire"))}
+        labels = {rid: int(rid.split("-")[1][1:]) % 2 for t in tables.values() for rid in t.ids}
+        write_labels(tmp_path / "labels.jsonl", labels)
+        argv = ["eval-transfer", "--train", str(corpus / "l00.lire"), "--tests", str(corpus),
+                "--labels", str(tmp_path / "labels.jsonl"), "--components", str(comp),
+                "--placement", placement, "--mode", mode, "--epochs", "20",
+                "--report", str(tmp_path / "cli.json")]
+        tests = {lang: (t, [labels[rid] for rid in t.ids]) for lang, t in tables.items()}
+        # Computed first, so that what it imports is not traced in the command.
+        expected = lir.evaluate_transfer(
+            *tests["l00"], tests, read_components_dir(comp), mode=lir.RemovalMode(mode),
+            placement=placement, logistic=lir.LogisticConfig(epochs=20),
+        )
+        beyond = traced_beyond(monkeypatch, argv, "read_labels")
+        assert (tmp_path / "cli.json").read_text() == lir.io.report_json(expected)
+        n, d = tables["l00"].rows.shape
+        # Beyond the training table (8 B a value): one test table while it is
+        # decoded (its matrix, the file's bytes and its gathered 32-bit values),
+        # the removal blocks, and 200 B a row for ids, labels and predictions.
+        # Two more held test tables, or a copy of the features, exceed it.
+        design = 8 * n * d + 16 * n * d + 8 * 3 * lir.removal._BLOCK + 200 * n
+        assert beyond <= design < 8 * n * d + 24 * n * d
+
 
 class TestErrorOrder:
     def test_qrels_error_wins_over_missing_basis(self, pipeline, capsys):
@@ -741,6 +772,81 @@ class TestErrorOrder:
         assert main([*argv, "--qrels", str(data / "qrels.jsonl")]) == 2
         assert capsys.readouterr().err == "error: no component basis for language 'l01'\n"
         assert not (tmp_path / "r.json").exists()
+
+    # eval-transfer decodes each test file only when it is evaluated, yet every
+    # test file's own error still comes before what components or training raise.
+
+    @staticmethod
+    def truncated(source, target):
+        """target: source less its last 3 bytes (inside the last record's
+        values, past what its header can check); the error reading it raises."""
+        target.write_bytes(source.read_bytes()[:-3])
+        with pytest.raises(lir.TruncatedFile) as exc_info:
+            lir.io._read_table(target)
+        return str(exc_info.value)
+
+    @staticmethod
+    def transfer(capsys, tmp_path, data, tests, *extra, components=None):
+        """(exit code, stderr) of eval-transfer on l00 against tests; no report is written."""
+        report = tmp_path / "r.json"
+        argv = ["eval-transfer", "--train", str(data / "corpus" / "l00.lire"), "--tests", str(tests),
+                "--labels", str(data / "labels.jsonl"), "--report", str(report), *extra]
+        if components is not None:
+            argv += ["--components", str(components)]
+        code = main(argv)
+        assert not report.exists()
+        return code, capsys.readouterr().err
+
+    def copies(self, data, tests, *names):
+        tests.mkdir()
+        for name in names:
+            (tests / name).write_bytes((data / "corpus" / name).read_bytes())
+
+    def test_truncated_test_file_wins_over_training_overflow(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire", "l02.lire")
+        overflow = ("--lr", "1e308", "--epochs", "3")
+        assert self.transfer(capsys, tmp_path, data, tests, *overflow)[0] == 3
+        message = self.truncated(data / "corpus" / "l02.lire", tests / "l02.lire")
+        assert self.transfer(capsys, tmp_path, data, tests, *overflow) == (2, f"error: {message}\n")
+
+    def test_truncated_test_file_wins_over_earlier_dimension(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire", "l02.lire")
+        # Language a0 sorts first; its records reuse labeled ids at dimension 3.
+        narrow = [lir.EmbeddingRecord(r.id, "a0", np.ones(3)) for r in read_embeddings(tests / "l01.lire")]
+        write_embeddings(tests / "a0.lire", narrow)
+        dimension = "error: test set 'a0' has dimension 3, train has 16\n"
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, dimension)
+        message = self.truncated(data / "corpus" / "l02.lire", tests / "l02.lire")
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, f"error: {message}\n")
+
+    def test_missing_label_wins_over_missing_training_basis(self, pipeline, capsys):
+        tmp_path, data, comp = pipeline
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        for name in ("l01.lirc", "l02.lirc"):
+            (partial / name).write_bytes((comp / name).read_bytes())
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire", "l02.lire")
+        basis = "error: no component basis for language 'l00'\n"
+        assert self.transfer(capsys, tmp_path, data, tests, components=partial) == (2, basis)
+        ghost = lir.EmbeddingRecord("ghost", "l02", np.ones(16))
+        write_embeddings(tests / "l02.lire", [*read_embeddings(tests / "l02.lire"), ghost])
+        label = "error: no label for record 'ghost'\n"
+        assert self.transfer(capsys, tmp_path, data, tests, components=partial) == (2, label)
+
+    def test_truncated_test_file_wins_over_duplicate_language(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire")
+        (tests / "l01b.lire").write_bytes((tests / "l01.lire").read_bytes())
+        duplicate = "error: two test files for language 'l01'\n"
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, duplicate)
+        message = self.truncated(tests / "l01.lire", tests / "l01b.lire")
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, f"error: {message}\n")
 
     @pytest.mark.parametrize("dims", ["1", "999"])
     def test_one_row_projection_raises_rank_error(self, tmp_path, capsys, dims):

@@ -2,6 +2,8 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -916,6 +918,52 @@ class TestEvaluateTransfer:
                 for table in (train, copy)
             ]
             assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("placement", ["both", "eval"])
+    @pytest.mark.parametrize("mode", list(lir.RemovalMode))
+    def test_lazy_tests_fetched_once_in_order(self, placement, mode):
+        # A mapping that decodes on lookup, as the CLI's does: the training
+        # table for its own language, a fresh table for every other one.
+        _, _, bases, tests, train_recs, train_labels = transfer_fixture()
+        expected = report_json(evaluate_transfer(
+            train_recs, train_labels, tests, bases, mode=mode, placement=placement
+        ))
+
+        class Lazy(Mapping):
+            def __init__(self, train):
+                self.train, self.fetched, self.last = train, [], None
+
+            def __getitem__(self, lang):
+                # The previously fetched test table is no longer referenced.
+                assert self.last is None or self.last() is None
+                self.fetched.append(lang)
+                recs, labels = tests[lang]
+                if lang == self.train.langs[0]:
+                    return self.train, labels
+                table = lir.EmbeddingTable.from_records(recs)
+                self.last = weakref.ref(table.rows)
+                return table, labels
+
+            def __iter__(self):
+                return iter(tests)
+
+            def __len__(self):
+                return len(tests)
+
+        for in_place in (False, True):
+            train = lir.EmbeddingTable.from_records(train_recs)
+            raw = train.rows.copy()
+            lazy = Lazy(train)
+            report = evaluate_transfer(
+                train, train_labels, lazy, bases, mode=mode, placement=placement, _in_place=in_place
+            )
+            assert report_json(report) == expected
+            assert lazy.fetched == sorted(tests)
+            assert not train.rows.flags.writeable
+            # The library default leaves the caller's table as it was; in place,
+            # the training table ends up holding its rows with components removed.
+            removed = lir.evaluation._features(lir.EmbeddingTable.from_records(train_recs), bases, mode)
+            assert train.rows.tobytes() == (removed if in_place else raw).tobytes()
 
     def test_invalid_inputs(self):
         _, _, _, tests, train_recs, train_labels = transfer_fixture()

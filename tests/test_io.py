@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+import tracemalloc
 from io import StringIO
 
 import numpy as np
@@ -295,6 +296,58 @@ class TestColumnarCodec:
             write_embeddings(path, [*too_long, rec("b", "en", [1e39])])
         assert not path.exists()
 
+    @pytest.mark.parametrize("block", [1, 7, 12])
+    def test_block_size_changes_no_byte_or_error(self, tmp_path, monkeypatch, block):
+        # One record per block, several records with a short last block, and
+        # the id-length error in an earlier block than the value error.
+        monkeypatch.setattr(lir.io, "_WRITE_BLOCK", block)
+        rows = np.random.default_rng(22).standard_normal((len(MIXED_IDS), 5))
+        rows = rows.astype(np.float32).astype(float)
+        path = tmp_path / "en.lire"
+        write_embeddings(path, [rec(i, "en", r) for i, r in zip(MIXED_IDS, rows)])
+        header = {"count": len(MIXED_IDS), "dim": 5, "dtype": "f32", "lang": "en"}
+        assert path.read_bytes() == lir.io._header_bytes(b"LIRE", header) + lire_payload(MIXED_IDS, rows)
+        path.unlink()
+        records = [rec(f"r{i}", "en", [1.0] * 5) for i in range(8)]
+        records[1] = rec("é" * 0x8000, "en", [1.0] * 5)
+        with pytest.raises(FormatError, match=r"^record id too long to store: 'ééé"):
+            write_embeddings(path, records)
+        records[6] = rec("r6", "en", [1.0, 1.0, 1.0, 1.0, -1e39])
+        with pytest.raises(FormatError, match="^record 'r6' has values beyond the 32-bit float range$"):
+            write_embeddings(path, records)
+        del records[1]
+        with pytest.raises(FormatError, match="^record 'r6' has values beyond the 32-bit float range$"):
+            write_embeddings(path, records)
+        # An id UTF-8 cannot encode fails after every value, before any id length.
+        records[0] = rec("r0\ud800", "en", [1.0] * 5)
+        with pytest.raises(FormatError, match="^record 'r6' has values beyond the 32-bit float range$"):
+            write_embeddings(path, records)
+        records[5] = rec("r6", "en", [1.0] * 5)
+        records.insert(0, rec("é" * 0x8000, "en", [1.0] * 5))
+        with pytest.raises(UnicodeEncodeError):
+            write_embeddings(path, records)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_holds_bounded_blocks(self, tmp_path):
+        # 8,000 x 128: a 4 MB float32 payload, written without holding it.
+        n, d = 8000, 128
+        table = lir.EmbeddingTable(
+            ids=[f"rec-{i:06d}" for i in range(n)], langs=["en"] * n,
+            rows=np.random.default_rng(23).standard_normal((n, d)),
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_embeddings(tmp_path / "en.lire", table)
+            beyond = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert _read_table(tmp_path / "en.lire").rows.tobytes() == table.rows.astype("<f4").astype(float).tobytes()
+        # The block being written and the next: each its 32-bit values and its
+        # encoded records, about 4 x 256 kB in all.
+        assert beyond <= 5 * 4 * lir.io._WRITE_BLOCK < 4 * n * d
+
     @pytest.mark.parametrize("variant", ["valid", "invalid UTF-8", "trailing byte"])
     def test_decoder_matches_record_reader_at_every_cut(self, tmp_path, variant):
         rows = np.arange(2.0 * len(MIXED_IDS)).reshape(-1, 2)
@@ -533,6 +586,59 @@ class TestJsonlReaders:
         with pytest.raises(ParseError, match="UTF-8") as exc_info:
             reader(path)
         assert exc_info.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"id": "a", "label": 1}',
+            b'{"id": "a", "label": 1} x',
+            b'{"id": "a", "label": 1}{"id": "b", "label": 0}',
+            b'{"id": "a", "label": 1,}',
+            b'{"id": "a", "label": 1, "w": [NaN, Infinity, -Infinity]}',
+            b'\xef\xbb\xbf{"id": "a", "label": 1}',
+            b'{"id": "\\ud800", "label": 1}',
+            b'{"id": "\xed\xa0\x80", "label": 1}',
+            DEEP_JSON,
+            b'[{"id": "a", "label": 1}]',
+            b"1 2",
+            b"nul",
+        ],
+        ids=["object", "extra data", "two objects", "trailing comma", "NaN and Infinity",
+             "BOM", "escaped lone surrogate", "raw lone surrogate", "deep nesting", "list",
+             "two numbers", "bad literal"],
+    )
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_lines_decode_as_json_loads(self, tmp_path, line, at):
+        # The scanner shortcut yields json.loads's value, and json.loads's
+        # error and message, on every line of a file.
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'{"id": "z", "label": 0}\n' * (at - 1) + line + b"\n")
+
+        def outcomes(parse):
+            out = []
+            with open(path, encoding="utf-8", errors="surrogateescape") as f:
+                for line_no, text in enumerate(f, start=1):
+                    try:
+                        text.strip().encode("utf-8")
+                        out.append((line_no, repr(parse(text.strip()))))
+                    except (UnicodeEncodeError, ValueError, RecursionError) as exc:
+                        return out + [(line_no, type(exc), str(exc))]
+            return out
+
+        expected = outcomes(json.loads)
+        assert outcomes(lir.io._json_line) == expected
+        got = []
+        try:
+            got.extend((n, repr(obj)) for n, obj in lir.io._iter_jsonl(path))
+        except ParseError as exc:
+            got.append((exc.line_no, str(exc)))
+        if len(expected[-1]) == 3:  # an error: _iter_jsonl names the line and the message
+            line_no, kind, message = expected.pop()
+            reason = "invalid UTF-8" if kind is UnicodeEncodeError else f"invalid JSON: {message}"
+            expected.append((line_no, f"line {line_no}: {reason}"))
+        elif not expected[-1][1].startswith("{"):
+            expected[-1] = (at, f"line {at}: expected a JSON object")
+        assert got == expected
 
     def test_nested_too_deep_cites_line(self, tmp_path):
         path = tmp_path / "deep.jsonl"
