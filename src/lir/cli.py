@@ -18,15 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, corpus_fingerprint
-from .core import _check_collection
+from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, _lent_rows, corpus_fingerprint
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer
 from .io import (
     _check_f32,
-    _decode,
-    _lire_lang,
-    _lire_shape,
+    _lire_head,
     _read_table,
     _write_atomic,
     _write_projection,
@@ -65,45 +62,9 @@ def _embedding_paths(target: str) -> list[Path]:
     return [path]
 
 
-def _release(table: EmbeddingTable) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """A table's ids, languages and matrix, the matrix made writable (a table
-    owns its matrix, so numpy allows it): for a command that holds the only
-    table on the matrix, uses only these columns from then on, and
-    overwrites the rows in place instead of copying them."""
-    table.rows.flags.writeable = True
-    return table.ids, table.langs, table.rows
-
-
 def _read_collection(target: str) -> EmbeddingTable:
-    """One table of every file's rows, decoded into one matrix and checked
-    once. Errors are those of reading each file as a table in turn, then
-    checking all their rows as one record collection."""
-    files = _embedding_paths(target)
-    if len(files) == 1:
-        return _read_table(files[0])
-    shapes = list(filter(None, map(_lire_shape, files)))
-    dims = {dim for _, dim in shapes}
-    block = np.empty((sum(n for n, _ in shapes), dims.pop())) if len(dims) == 1 else None
-    parts, at = [], 0
-    try:
-        for file in files:
-            parts.append(_decode(file, None if block is None else block[at:]))
-            at += len(parts[-1][0])
-        ids = [rid for file_ids, _, _ in parts for rid in file_ids]
-        langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
-        matrices = [rows for _, _, rows in parts]
-        if block is not None and at == len(block) and all(m.base is block for m in matrices):
-            rows = block
-        else:  # files of several dimensions (or changed since their headers were read)
-            widths = [m.shape[1] for m in matrices]
-            _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
-            rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
-        rows.flags.writeable = False
-        return EmbeddingTable(ids=ids, langs=langs, rows=rows)
-    except (LirError, OSError):
-        for ids, lang, rows in parts:  # each earlier file's own checks fail first
-            EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
-        raise
+    """One table of every .lire file that target names, decoded into one matrix."""
+    return _read_table(*_embedding_paths(target))
 
 
 def _cmd_fit(args) -> int:
@@ -131,15 +92,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     bases = read_components_dir(args.components)
-    ids, langs, rows = _release(_read_table(args.input))  # removed in place on the decoded rows
-    passed = _remove_rows(ids, langs, rows, bases, _MODES[args.mode], strict=args.strict)
+    table, mode = _read_table(args.input), _MODES[args.mode]
+    with _lent_rows(table) as rows:  # removed in place on the decoded rows
+        passed = _remove_rows(table.ids, table.langs, rows, bases, mode, strict=args.strict)
     if passed:
         _log(
             f"warning: {sum(passed.values())} records passed through without a basis "
             f"(languages: {', '.join(sorted(passed))})"
         )
-    rows.flags.writeable = False
-    write_embeddings(args.output, EmbeddingTable(ids=ids, langs=langs, rows=rows))
+    write_embeddings(args.output, table)
     return EXIT_OK
 
 
@@ -209,7 +170,8 @@ def _cmd_eval_transfer(args) -> int:
     try:
         tests = {}
         for file in files:
-            lang = _lire_lang(file) or file.stem
+            count, _, lang = _lire_head(file) or (0, 0, "")
+            lang = lang.strip() if count else file.stem  # a file without records: its stem
             if lang in tests:
                 raise DuplicateKey(lang, f"two test files for language {lang!r}")
             tests[lang] = None if file.samefile(args.train) else file
@@ -237,10 +199,11 @@ def _cmd_eval_transfer(args) -> int:
 
 def _cmd_project(args) -> int:
     # export_projection and write_projection_csv, centering the decoded matrix in place.
-    ids, langs, rows = _release(_read_collection(args.input))
-    scores = _pca_scores(rows, args.dims)
-    _write_projection(args.output, ids, langs, scores.T.tolist())
-    print(f"wrote {len(ids)} rows with {args.dims} scores each")
+    table = _read_collection(args.input)
+    with _lent_rows(table) as rows:
+        scores = _pca_scores(rows, args.dims)
+    _write_projection(args.output, table.ids, table.langs, scores.T.tolist())
+    print(f"wrote {len(table)} rows with {args.dims} scores each")
     return EXIT_OK
 
 

@@ -2,9 +2,12 @@
 component bases, retrieval datasets, and evaluation reports. The pipeline
 passes EmbeddingTables, whole collections checked once; records are the row API.
 
-All types are immutable after construction and safe to share across threads.
-Array fields are stored as read-only float64 arrays regardless of the input
-dtype; files may store 32-bit values but all computation happens in 64-bit.
+All types are immutable after construction and safe to share across threads,
+but for one lending rule: a table's matrix is writable only inside _lent_rows,
+which only the CLI opens (itself, or through evaluation's _in_place), on
+tables it decoded and shares with no one. Array fields are stored as
+read-only float64 arrays regardless of the input dtype; files may store
+32-bit values but all computation happens in 64-bit.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -156,6 +160,18 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+
+@contextmanager
+def _lent_rows(table: EmbeddingTable) -> Iterator[np.ndarray]:
+    """The table's own matrix (a table owns it, so numpy allows this), writable
+    inside the block and read-only again on leaving it, error or not: for the
+    holder of the only reference to a table, to overwrite its rows in place."""
+    table.rows.flags.writeable = True
+    try:
+        yield table.rows
+    finally:
+        table.rows.flags.writeable = False
 
 
 def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> str:

@@ -8,7 +8,9 @@ ascending id, so rankings and reports are permutation-invariant. A dataset
 evaluation ranks with gemm scores where einsum scores of the relevant rows
 certify them, and takes exact AP from those ranks, rounded once to float.
 Harnesses score, train and project on EmbeddingTable rows (records are
-converted once on the way in) and remove components on a copy of them.
+converted once on the way in) and remove components on a copy of them; the
+CLI's _in_place calls remove them on the tables' own matrices, lent by
+core._lent_rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .core import (
     EvalReport,
     RetrievalDataset,
     TransferReport,
+    _lent_rows,
     corpus_fingerprint,
 )
 from .errors import (
@@ -62,19 +65,15 @@ def _features(
 ) -> np.ndarray:
     """The table's rows, each with its own language's components removed
     (strict: uncovered languages raise) on a copy, or with in_place on the
-    table's own matrix, which is read-only again afterwards, error or not."""
+    table's own matrix, lent by _lent_rows."""
     if bases is None:
         return table.rows
     if not in_place:
         rows = table.rows.copy()
         _remove_rows(table.ids, table.langs, rows, bases, mode)
         return rows
-    rows = table.rows
-    rows.flags.writeable = True  # the table owns its matrix, so numpy allows it
-    try:
+    with _lent_rows(table) as rows:
         _remove_rows(table.ids, table.langs, rows, bases, mode)
-    finally:
-        rows.flags.writeable = False
     return rows
 
 
@@ -393,7 +392,7 @@ def train_logistic(
     x = linalg.as_matrix(features)
     n, d = x.shape
     y = _as_labels(labels, n)
-    if n < 2 or np.unique(y).size < 2:
+    if n < 2 or y.min() == y.max():
         raise DegenerateLabels("training labels must contain both classes")
     w = np.zeros(d + 1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,7 +427,6 @@ def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> flo
 
 
 LabeledRecords = tuple[Sequence[EmbeddingRecord] | EmbeddingTable, Sequence[int]]
-
 
 
 def evaluate_transfer(
@@ -473,7 +471,7 @@ def evaluate_transfer(
     if not tests:
         raise ConfigError("transfer needs at least one test language")
     y_train = _as_labels(train_labels, len(train))
-    if np.unique(y_train).size < 2:
+    if y_train.min() == y_train.max():
         raise DegenerateLabels("training labels must contain both classes")
 
     config = {

@@ -13,10 +13,10 @@ Binary layouts (all integers little-endian):
     {"dim","rank","lang","sample_count","source_fingerprint"[,"mode_hint"]}
     | dim*rank float32 values in column-major order.
 
-One decoder reads a .lire file into an EmbeddingTable and one encoder writes
-a table; the record functions convert on the way. Files store 32-bit floats;
-everything is upcast to 64-bit on read, and a stored basis is
-re-orthonormalized after the 32-bit round trip. Writes are
+One reader decodes one or many .lire files into a single EmbeddingTable and
+one encoder writes a table; the record functions convert on the way. Files
+store 32-bit floats; everything is upcast to 64-bit on read, and a stored
+basis is re-orthonormalized after the 32-bit round trip. Writes are
 byte-deterministic: the same in-memory value always produces the same file.
 They are also atomic: a file appears whole under its name or not at all.
 Every malformed input raises a structured error, never a crash.
@@ -41,6 +41,7 @@ from .core import (
     EmbeddingTable,
     EvalReport,
     TransferReport,
+    _check_collection,
     _check_rows,
     check_collection,
 )
@@ -226,19 +227,12 @@ def _lire_header(f: BinaryIO) -> tuple[int, int, str]:
     return count, dim, lang
 
 
-def _lire_lang(path) -> str | None:
-    """The language a .lire file's table has, from its header: None where it
-    declares no records. A header that does not read raises as decoding does."""
-    with open(path, "rb") as f:
-        count, _, lang = _lire_header(f)
-    return lang.strip() if count else None
-
-
-def _lire_shape(path) -> tuple[int, int] | None:
-    """(record count, dimension) from a .lire header, or None where it does not read."""
+def _lire_head(path) -> tuple[int, int, str] | None:
+    """The record count, dimension and language of a .lire file's header, or
+    None where it does not read (reading the file then raises its error)."""
     try:
         with open(path, "rb") as f:
-            return _lire_header(f)[:2]
+            return _lire_header(f)
     except (LirError, OSError):
         return None
 
@@ -308,13 +302,35 @@ def _decode(path, block: np.ndarray | None = None) -> tuple[list[str], str, np.n
     return ids, lang, rows
 
 
-def _read_table(path) -> EmbeddingTable:
-    """Decode a .lire file into a table. Errors name the first bad record, as
-    reading record by record would: its framing, id or values, else trailing
-    data, else a repeated id."""
-    ids, lang, rows = _decode(path)
-    rows.flags.writeable = False
-    return EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
+def _read_table(*paths) -> EmbeddingTable:
+    """Decode .lire files into one table, whose rows are one matrix checked
+    once. Errors are those of reading each file in turn as a table (the first
+    bad record, as reading record by record would: its framing, id or values,
+    else trailing data, else a repeated id), then of checking all their rows
+    as one record collection."""
+    heads = list(filter(None, map(_lire_head, paths)))
+    dims = {dim for _, dim, _ in heads}
+    block = np.empty((sum(n for n, _, _ in heads), dims.pop())) if len(dims) == 1 else None
+    parts, at = [], 0
+    try:
+        for path in paths:
+            parts.append(_decode(path, None if block is None else block[at:]))
+            at += len(parts[-1][0])
+        ids = [rid for file_ids, _, _ in parts for rid in file_ids]
+        langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
+        matrices = [rows for _, _, rows in parts]
+        if block is not None and at == len(block) and all(m.base is block for m in matrices):
+            rows = block
+        else:  # files of several dimensions (or changed since their headers were read)
+            widths = [m.shape[1] for m in matrices]
+            _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
+            rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
+        rows.flags.writeable = False
+        return EmbeddingTable(ids=ids, langs=langs, rows=rows)
+    except (LirError, OSError):
+        for ids, lang, rows in parts:  # each earlier file's own checks fail first
+            EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
+        raise
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:

@@ -757,6 +757,69 @@ class TestDecodedMatrixOnly:
         assert beyond <= design < 8 * n * d + 24 * n * d
 
 
+class TestOneReader:
+    """Every command decodes its .lire files through _read_table, one file or
+    a directory of them, each file once."""
+
+    def test_rows_read_are_the_rows_of_the_files(self, pipeline, monkeypatch, tmp_path, capsys):
+        _, data, comp = pipeline
+        calls = []
+        read_table = lir.cli._read_table
+
+        def spy(*paths):
+            table = read_table(*paths)
+            calls.append((paths, len(table)))
+            return table
+
+        monkeypatch.setattr(lir.cli, "_read_table", spy)
+        corpus = sorted((data / "corpus").glob("*.lire"))
+        queries = sorted((data / "queries").glob("*.lire"))
+        candidates = sorted((data / "candidates").glob("*.lire"))
+        commands = {
+            "fit": (["--input", str(data / "corpus"), "--rank", "1", "--output", str(tmp_path / "c")],
+                    corpus),
+            "apply": (["--components", str(comp), "--input", str(corpus[0]),
+                       "--output", str(tmp_path / "a.lire")], corpus[:1]),
+            "eval-retrieval": (["--queries", str(data / "queries"), "--candidates",
+                                str(data / "candidates"), "--qrels", str(data / "qrels.jsonl"),
+                                "--report", str(tmp_path / "r.json")], queries + candidates),
+            # The training file is also a test file: it is read once.
+            "eval-transfer": (["--train", str(corpus[0]), "--tests", str(data / "corpus"),
+                               "--labels", str(data / "labels.jsonl"),
+                               "--report", str(tmp_path / "t.json")], corpus),
+            "project": (["--input", str(data / "corpus"), "--dims", "2",
+                         "--output", str(tmp_path / "p.csv")], corpus),
+        }
+        for command, (argv, files) in commands.items():
+            calls.clear()
+            assert main([command, *argv]) == 0, capsys.readouterr().err
+            read = sorted(Path(path) for paths, _ in calls for path in paths)
+            assert read == sorted(files), command
+            rows = sum(len(read_embeddings(file)) for file in files)
+            assert sum(n for _, n in calls) == rows, command
+        capsys.readouterr()
+
+    def test_apply_error_leaves_the_decoded_matrix_read_only(self, pipeline, monkeypatch, tmp_path,
+                                                             capsys):
+        _, data, comp = pipeline
+        partial = tmp_path / "partial"
+        partial.mkdir()
+        (partial / "l01.lirc").write_bytes((comp / "l01.lirc").read_bytes())
+        tables = []
+        read_table = lir.cli._read_table
+
+        def spy(*paths):
+            tables.append(read_table(*paths))
+            return tables[-1]
+
+        monkeypatch.setattr(lir.cli, "_read_table", spy)
+        assert main(["apply", "--components", str(partial), "--input", str(data / "corpus" / "l00.lire"),
+                     "--output", str(tmp_path / "a.lire"), "--strict"]) == 2
+        assert capsys.readouterr().err == "error: no component basis for language 'l00'\n"
+        assert len(tables) == 1 and not tables[0].rows.flags.writeable
+        assert not (tmp_path / "a.lire").exists()
+
+
 class TestErrorOrder:
     def test_qrels_error_wins_over_missing_basis(self, pipeline, capsys):
         tmp_path, data, comp = pipeline
@@ -847,6 +910,37 @@ class TestErrorOrder:
         assert self.transfer(capsys, tmp_path, data, tests) == (2, duplicate)
         message = self.truncated(tests / "l01.lire", tests / "l01b.lire")
         assert self.transfer(capsys, tmp_path, data, tests) == (2, f"error: {message}\n")
+
+    # A test file whose header does not read is named by its stem until it is decoded.
+
+    @staticmethod
+    def bad_magic(source, target):
+        """target: source with its magic changed; reading it raises 'bad magic'."""
+        target.write_bytes(b"LIRX" + source.read_bytes()[4:])
+        with pytest.raises(lir.FormatError, match="^bad magic$"):
+            lir.io._read_table(target)
+
+    def test_bad_magic_test_file_wins_over_training_overflow(self, pipeline, capsys):
+        tmp_path, data, _ = pipeline
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire", "l02.lire")
+        overflow = ("--lr", "1e308", "--epochs", "3")
+        assert self.transfer(capsys, tmp_path, data, tests, *overflow)[0] == 3
+        self.bad_magic(data / "corpus" / "l02.lire", tests / "l02.lire")
+        assert self.transfer(capsys, tmp_path, data, tests, *overflow) == (2, "error: bad magic\n")
+
+    @pytest.mark.parametrize("other", ["k01.lire", "m01.lire"])
+    def test_bad_magic_test_file_wins_over_its_stem_as_duplicate_language(self, pipeline, capsys,
+                                                                          other):
+        # other holds language l01 and sorts before or after l01.lire.
+        tmp_path, data, _ = pipeline
+        tests = tmp_path / "tests"
+        self.copies(data, tests, "l00.lire", "l01.lire")
+        (tests / other).write_bytes((tests / "l01.lire").read_bytes())
+        duplicate = "error: two test files for language 'l01'\n"
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, duplicate)
+        self.bad_magic(data / "corpus" / "l01.lire", tests / "l01.lire")
+        assert self.transfer(capsys, tmp_path, data, tests) == (2, "error: bad magic\n")
 
     @pytest.mark.parametrize("dims", ["1", "999"])
     def test_one_row_projection_raises_rank_error(self, tmp_path, capsys, dims):

@@ -22,6 +22,7 @@ from lir import (
     check_collection,
     corpus_fingerprint,
 )
+from lir.core import EmbeddingTable, _lent_rows
 
 
 def rec(rid, lang, vec):
@@ -79,6 +80,34 @@ class TestCollection:
         assert corpus_fingerprint(a) != corpus_fingerprint(b)
         assert corpus_fingerprint(a) != corpus_fingerprint(list(reversed(a)))
         assert corpus_fingerprint(a) == corpus_fingerprint(list(a))
+
+
+class TestLentRows:
+    """A table's matrix is writable only inside _lent_rows."""
+
+    @staticmethod
+    def table():
+        return EmbeddingTable.from_records([rec("a", "en", [1.0, 2.0]), rec("b", "en", [3.0, 4.0])])
+
+    def test_writable_inside_read_only_after(self):
+        table = self.table()
+        assert not table.rows.flags.writeable
+        with _lent_rows(table) as rows:
+            assert rows is table.rows and rows.flags.writeable
+            rows[0] = 5.0
+        assert not table.rows.flags.writeable
+        assert table.rows.tolist() == [[5.0, 5.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 6.0
+
+    def test_read_only_after_an_error_inside(self):
+        table = self.table()
+        with pytest.raises(DimensionError, match="^inside$"):
+            with _lent_rows(table) as rows:
+                rows[1] = 0.0
+                raise DimensionError("inside")
+        assert not table.rows.flags.writeable
+        assert table.rows.tolist() == [[1.0, 2.0], [0.0, 0.0]]
 
 
 class TestLanguageMatrix:
