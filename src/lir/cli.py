@@ -105,11 +105,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_eval_retrieval(args) -> int:
-    dataset = RetrievalDataset(
-        queries=_read_collection(args.queries),
-        candidates=_read_collection(args.candidates),
-        qrels=read_qrels(args.qrels),
-    )
+    queries = _read_collection(args.queries)
+    candidates = _read_collection(args.candidates)
+    # Relevant ids are the candidate table's own strings, not a copy of each.
+    dataset = RetrievalDataset(queries, candidates, read_qrels(args.qrels, _strings=candidates.ids))
     bases = read_components_dir(args.components) if args.components else None
     # The dataset is this command's own: removal overwrites its decoded matrices.
     report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode], _in_place=True)
@@ -202,7 +201,7 @@ def _cmd_project(args) -> int:
     table = _read_collection(args.input)
     with _lent_rows(table) as rows:
         scores = _pca_scores(rows, args.dims)
-    _write_projection(args.output, table.ids, table.langs, scores.T.tolist())
+    _write_projection(args.output, table.ids, table.langs, scores)
     print(f"wrote {len(table)} rows with {args.dims} scores each")
     return EXIT_OK
 

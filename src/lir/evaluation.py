@@ -163,8 +163,12 @@ def _certified_positions(sims, cmat, cnorms, vec, relevant) -> Optional[list[int
     sims.sort()
     if not np.isfinite(sims[[0, -1]]).all():  # NaN sorts last
         return None
-    # Sorted needles; the rows scoring above a relevant score s are those above s + delta.
-    scores = np.sort(_cosine_scores(cmat[relevant], cnorms[relevant], vec))
+    # Sorted needles, from the relevant rows _NORM_BLOCK values at a time (einsum
+    # rounds each row alike); the rows scoring above a relevant score s are those above s + delta.
+    step = max(1, _NORM_BLOCK // cmat.shape[1])
+    parts = [relevant[i : i + step] for i in range(0, len(relevant), step)]
+    scores = np.concatenate([_cosine_scores(cmat[part], cnorms[part], vec) for part in parts])
+    scores.sort()
     delta = 4 * (cmat.shape[1] + 1) * 2.0**-53
     hi = np.searchsorted(sims, scores + delta, "right")
     if np.any(hi - np.searchsorted(sims, scores - delta, "left") != 1):

@@ -20,6 +20,12 @@ basis is re-orthonormalized after the 32-bit round trip. Writes are
 byte-deterministic: the same in-memory value always produces the same file.
 They are also atomic: a file appears whole under its name or not at all.
 Every malformed input raises a structured error, never a crash.
+
+Besides the table, reads and writes hold blocks of bounded size: a .lire
+file streams through one read buffer whose records are framed and whose
+values are gathered into the table's matrix; .lire writes encode, and the
+projection CSV formats, one block of rows at a time. No byte or error
+depends on the block sizes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import os
 import struct
 from io import StringIO
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -64,6 +70,8 @@ FORMAT_VERSION = 1
 
 _CORRUPT_BASIS_TOL = 1e-2
 _WRITE_BLOCK = 1 << 16  # float32 values per encoded .lire block (256 kB); bytes do not depend on it
+_CSV_BLOCK = 1 << 12  # projection scores per encoded CSV block; bytes do not depend on it
+_READ_BUFFER = 1 << 20  # bytes per .lire read (1 MB) or one longer record; rows do not depend on it
 
 
 def _read_exact(f: BinaryIO, nbytes: int, what: str) -> bytes:
@@ -237,69 +245,103 @@ def _lire_head(path) -> tuple[int, int, str] | None:
         return None
 
 
-def _utf8(raw: bytes) -> str | None:
+def _utf8(raw: bytes | bytearray) -> str | None:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
 
 
-def _frame(data: bytes, count: int, dim: int) -> tuple[list[str], list[int], LirError | None]:
-    """The ids and value offsets of data's records up to the first bad one,
-    and the error that one raises: its framing or id (the id is checked
-    first), else trailing data after the last record, else None."""
-    width, size = 4 * dim, len(data)
-    starts, offsets, pos, error = [], [], 0, None
-    for idx in range(count):
+def _cut_error(data: bytearray, pos: int, size: int, idx: int) -> LirError:
+    """The error of record idx, which starts at data[pos] and is cut off at size."""
+    start = pos + 2
+    if start > size:
+        return TruncatedFile(f"file ends inside record {idx} id length")
+    at = start + (data[pos] | data[pos + 1] << 8)
+    if at > size:
+        return TruncatedFile(f"file ends inside record {idx} id")
+    if _utf8(data[start:at]) is None:
+        return FormatError(f"record {idx} id is not valid UTF-8")
+    return TruncatedFile(f"file ends inside record {idx} values")
+
+
+def _frame(
+    buf: bytearray, size: int, first: int, count: int, width: int
+) -> tuple[list[str], list[int], int, LirError | None]:
+    """Frame the whole records in buf[:size], which starts with record first,
+    up to record count: their ids and value offsets up to the first id that is
+    not UTF-8, the end of the last record framed, and that id's error or None."""
+    starts, offsets, pos = [], [], 0
+    for _ in range(first, count):
         start = pos + 2
         if start > size:
-            error = TruncatedFile(f"file ends inside record {idx} id length")
             break
-        at = start + (data[pos] | data[pos + 1] << 8)
-        pos = at + width
-        if pos > size:
-            if at > size:
-                error = TruncatedFile(f"file ends inside record {idx} id")
-            elif _utf8(data[start:at]) is None:
-                error = FormatError(f"record {idx} id is not valid UTF-8")
-            else:
-                error = TruncatedFile(f"file ends inside record {idx} values")
+        at = start + (buf[pos] | buf[pos + 1] << 8)
+        end = at + width
+        if end > size:
             break
         starts.append(start)
         offsets.append(at)
-    else:
-        if pos != size:
-            error = FormatError("trailing data after the declared record count")
-    raw = list(map(data.__getitem__, map(slice, starts, offsets)))
+        pos = end
+    raw = list(map(buf.__getitem__, map(slice, starts, offsets)))
     try:
-        ids = list(map(bytes.decode, raw))
+        return list(map(bytearray.decode, raw)), offsets, pos, None
     except UnicodeDecodeError:  # an earlier record's id, which fails first
         ids = list(map(_utf8, raw))
         del ids[ids.index(None) :], offsets[len(ids) :]
-        error = FormatError(f"record {len(ids)} id is not valid UTF-8")
-    return ids, offsets, error
+        return ids, offsets, pos, FormatError(f"record {first + len(ids)} id is not valid UTF-8")
 
 
-def _decode(path, block: np.ndarray | None = None) -> tuple[list[str], str, np.ndarray]:
-    """A .lire file's ids, language and rows. The rows are decoded into the
-    head of block where it has the file's dimension and room for its records,
-    else into a new array. Errors name the first bad record, as reading record
-    by record would: its framing, id or values, else trailing data."""
+def _gather(rows: np.ndarray, buf: bytearray, size: int, offsets: list[int]) -> None:
+    """rows = the float32 values at each offset of buf[:size], one row each."""
+    data = np.frombuffer(buf, np.uint8, size)
+    windows = np.lib.stride_tricks.sliding_window_view(data, 4 * rows.shape[1])
+    rows[...] = windows[np.array(offsets)].view("<f4")
+
+
+def _decode(
+    path, block: np.ndarray | None = None
+) -> tuple[list[str], str, np.ndarray, LirError | None]:
+    """A .lire file's ids, language and rows up to its first bad record, and
+    the error that record raises: its framing or id (the id is checked
+    first), else trailing data after the last record, else None. A bad value
+    is left to the caller's check of the rows, which comes first.
+
+    The file is read through one buffer of _READ_BUFFER bytes, grown only to
+    hold a record longer than that. The records it holds are framed, and
+    their values gathered into the head of block where it has the file's
+    dimension and room for the file's records, else into a new array.
+    """
     with open(path, "rb") as f:
         count, dim, lang = _lire_header(f)
-        data = f.read()
-    ids, offsets, error = _frame(data, count, dim)
-    fits = block is not None and block.shape[1] == dim and len(block) >= count
-    rows = block[: len(ids)] if fits else np.empty((len(ids), dim))
-    if ids:  # one gather of every record's values from the window at its offset
-        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
-        rows[...] = windows[np.array(offsets)].view("<f4")
-    del data
-    if error is not None:
-        # The records before the failure were built first; a bad one wins.
-        _check_rows(ids, [lang.strip()] * len(ids), rows)
-        raise error
-    return ids, lang, rows
+        fits = block is not None and block.shape[1] == dim and len(block) >= count
+        rows = block[:count] if fits else np.empty((count, dim))
+        width = 4 * dim
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        buf = bytearray(max(2, min(_READ_BUFFER, remaining)))
+        ids: list[str] = []
+        size = pos = 0  # buf[pos:size] is read and not yet framed
+        error = None
+        while len(ids) < count:
+            tail = size - pos
+            need = 2 if tail < 2 else 2 + (buf[pos] | buf[pos + 1] << 8) + width
+            if need > len(buf):  # the next record alone is longer than the buffer
+                buf = buf[pos:size] + bytes(need - tail)
+            else:
+                buf[:tail] = buf[pos:size]
+            size = tail + f.readinto(memoryview(buf)[tail:])  # full, unless the file ends
+            new, offsets, pos, error = _frame(buf, size, len(ids), count, width)
+            if offsets:
+                _gather(rows[len(ids) : len(ids) + len(offsets)], buf, size, offsets)
+            ids += new
+            if error is not None or len(ids) == count:
+                break
+            if size < len(buf):  # the file ends inside the next record
+                error = _cut_error(buf, pos, size, len(ids))
+                break
+        if error is None and (pos < size or f.read(1)):
+            error = FormatError("trailing data after the declared record count")
+    return ids, lang, rows[: len(ids)], error
 
 
 def _read_table(*paths) -> EmbeddingTable:
@@ -314,8 +356,13 @@ def _read_table(*paths) -> EmbeddingTable:
     parts, at = [], 0
     try:
         for path in paths:
-            parts.append(_decode(path, None if block is None else block[at:]))
-            at += len(parts[-1][0])
+            ids, lang, rows, error = _decode(path, None if block is None else block[at:])
+            if error is not None:
+                # The records before the failure were built first; a bad one wins.
+                _check_rows(ids, [lang.strip()] * len(ids), rows)
+                raise error
+            parts.append((ids, lang, rows))
+            at += len(ids)
         ids = [rid for file_ids, _, _ in parts for rid in file_ids]
         langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
         matrices = [rows for _, _, rows in parts]
@@ -481,11 +528,15 @@ def read_jsonl_embeddings(path) -> list[EmbeddingRecord]:
     return records
 
 
-def read_qrels(path) -> dict[str, frozenset[str]]:
+def read_qrels(path, _strings: Iterable[str] = ()) -> dict[str, frozenset[str]]:
     """Read relevance judgments from JSONL lines {"query_id","relevant":[...]}:
-    one str per id, and one frozenset per distinct relevant list."""
+    one str per id, and one frozenset per distinct relevant list.
+
+    _strings is not for library callers: the CLI passes the candidate
+    table's ids, so that a relevant id equal to one of them is that string.
+    """
     out: dict[str, frozenset[str]] = {}
-    ids: dict[str, str] = {}
+    ids: dict[str, str] = dict(zip(_strings, _strings))
     sets: dict[tuple[str, ...], frozenset[str]] = {}
     for line_no, obj in _iter_jsonl(path):
         qid = _jsonl_str(obj, "query_id", line_no)
@@ -577,14 +628,24 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
     ids, langs, scores = zip(*rows)
     if len(set(map(len, scores))) > 1:
         raise DimensionError("projection rows have mixed score counts")
-    _write_projection(path, ids, langs, [list(map(float, column)) for column in zip(*scores)])
+    _write_projection(path, ids, langs, np.array([list(map(float, row)) for row in scores]))
 
 
-def _write_projection(path, ids, langs, columns: Sequence[Sequence[float]]) -> None:
-    """write_projection_csv of the rows' ids and languages and one list of
-    Python floats per score, with no tuple per row held."""
-    text = StringIO(newline="")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(len(columns))])
-    writer.writerows(zip(ids, langs, *(map(repr, column) for column in columns)))
-    _write_atomic(path, text.getvalue().encode("utf-8"))
+def _write_projection(path, ids, langs, scores: np.ndarray) -> None:
+    """write_projection_csv of the rows' ids and languages and their n x K
+    scores, converted to floats and encoded _CSV_BLOCK scores at a time."""
+    k = scores.shape[1]
+    step = max(1, _CSV_BLOCK // max(1, k))
+
+    def blocks():
+        for start in range(0, len(ids), step):
+            text = StringIO(newline="")
+            writer = csv.writer(text, lineterminator="\n")
+            if not start:
+                writer.writerow(["id", "lang", *(f"score_{i + 1}" for i in range(k))])
+            rows = slice(start, start + step)
+            # csv writes a Python float as its repr: full precision, round-trip exact.
+            writer.writerows(zip(ids[rows], langs[rows], *scores[rows].T.tolist()))
+            yield text.getvalue().encode("utf-8")
+
+    _write_atomic(path, blocks())

@@ -68,6 +68,12 @@ class SynthConfig:
                 f"dim must be >= languages + 2 = {len(langs) + 2} to leave room "
                 "for orthogonal offsets plus semantic directions"
             )
+        # The topics span min(topics, dim) directions, leaving too few for the offsets.
+        if self.topics + len(langs) > self.dim:
+            raise ConfigError(
+                "cannot orthogonalize language offsets against the topic span; "
+                "increase dim or reduce topics"
+            )
         if not self.semantic_scale > 0.0:
             raise ConfigError("semantic_scale must be positive")
         if self.bias_scale < 0.0:

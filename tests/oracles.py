@@ -197,6 +197,95 @@ def read_collection_oracle(target):
     return [r.id for r in records], [r.lang for r in records], rows
 
 
+def read_table_oracle(*paths):
+    """The whole-file .lire table reader that the streamed one replaced: each
+    file's bytes read at once, its records framed in one loop and its values
+    gathered in one step, then the rows decoded so far checked on an error.
+    Returns an EmbeddingTable, or raises what it raises.
+
+    The streamed reader must return the same ids, languages and rows, or
+    raise the same error class with the same text, whatever its buffer size.
+    """
+    import numpy as np
+
+    from lir.core import EmbeddingTable, _check_collection, _check_rows
+    from lir.errors import FormatError, LirError, TruncatedFile
+    from lir.io import _lire_head, _lire_header
+
+    def utf8(raw):
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+
+    def frame(data, count, dim):
+        width, size = 4 * dim, len(data)
+        starts, offsets, pos, error = [], [], 0, None
+        for idx in range(count):
+            start = pos + 2
+            if start > size:
+                error = TruncatedFile(f"file ends inside record {idx} id length")
+                break
+            at = start + (data[pos] | data[pos + 1] << 8)
+            pos = at + width
+            if pos > size:
+                if at > size:
+                    error = TruncatedFile(f"file ends inside record {idx} id")
+                elif utf8(data[start:at]) is None:
+                    error = FormatError(f"record {idx} id is not valid UTF-8")
+                else:
+                    error = TruncatedFile(f"file ends inside record {idx} values")
+                break
+            starts.append(start)
+            offsets.append(at)
+        else:
+            if pos != size:
+                error = FormatError("trailing data after the declared record count")
+        ids = [utf8(data[a:b]) for a, b in zip(starts, offsets)]
+        if None in ids:  # an earlier record's id, which fails first
+            del ids[ids.index(None) :], offsets[len(ids) :]
+            error = FormatError(f"record {len(ids)} id is not valid UTF-8")
+        return ids, offsets, error
+
+    def decode(path, block):
+        with open(path, "rb") as f:
+            count, dim, lang = _lire_header(f)
+            data = f.read()
+        ids, offsets, error = frame(data, count, dim)
+        fits = block is not None and block.shape[1] == dim and len(block) >= count
+        rows = block[: len(ids)] if fits else np.empty((len(ids), dim))
+        if ids:
+            windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
+            rows[...] = windows[np.array(offsets)].view("<f4")
+        if error is not None:
+            _check_rows(ids, [lang.strip()] * len(ids), rows)
+            raise error
+        return ids, lang, rows
+
+    heads = list(filter(None, map(_lire_head, paths)))
+    dims = {dim for _, dim, _ in heads}
+    block = np.empty((sum(n for n, _, _ in heads), dims.pop())) if len(dims) == 1 else None
+    parts, at = [], 0
+    try:
+        for path in paths:
+            parts.append(decode(path, None if block is None else block[at:]))
+            at += len(parts[-1][0])
+        ids = [rid for file_ids, _, _ in parts for rid in file_ids]
+        langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
+        matrices = [rows for _, _, rows in parts]
+        if block is not None and at == len(block) and all(m.base is block for m in matrices):
+            rows = block
+        else:
+            widths = [m.shape[1] for m in matrices]
+            _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
+            rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
+        return EmbeddingTable(ids=ids, langs=langs, rows=rows)
+    except (LirError, OSError):
+        for ids, lang, rows in parts:
+            EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
+        raise
+
+
 def sigmoid_oracle(z):
     """The logistic function with boolean-mask indexing: 1 / (1 + exp(-z))
     where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so nothing overflows."""

@@ -85,6 +85,18 @@ class TestSynthCommand:
         assert run_synth(tmp_path / "x", topics=1) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("languages", [2, 3])
+    def test_topics_beyond_the_free_dims_exit_2_writes_nothing(self, tmp_path, capsys, languages):
+        # At dim 16, 16 - languages topics leave room for the offsets; one more does not.
+        out = tmp_path / "x"
+        assert run_synth(out, languages=languages, topics=17 - languages, dim=16) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot orthogonalize language offsets against the topic span; "
+            "increase dim or reduce topics\n"
+        )
+        assert not out.exists()
+        assert run_synth(out, languages=languages, topics=16 - languages, dim=16) == 0
+
     @pytest.mark.parametrize("per", [1, 0])
     def test_per_below_two_exit_2_writes_nothing(self, tmp_path, capsys, per):
         out = tmp_path / "x"
@@ -305,6 +317,23 @@ class TestEvalRetrievalCommand:
         assert set(treated["per_language_map"]) == {"l00", "l01", "l02"}
         out = capsys.readouterr().out
         assert "overall_map" in out
+
+    def test_relevant_ids_are_the_candidate_strings(self, pipeline, monkeypatch, tmp_path):
+        _, data, _ = pipeline
+        seen = []
+
+        def spy(dataset, *args, **kwargs):
+            seen.append(dataset)
+            return evaluate(dataset, *args, **kwargs)
+
+        evaluate = lir.cli.evaluate_retrieval
+        monkeypatch.setattr(lir.cli, "evaluate_retrieval", spy)
+        assert main(["eval-retrieval", "--queries", str(data / "queries"), "--candidates",
+                     str(data / "candidates"), "--qrels", str(data / "qrels.jsonl"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        (dataset,) = seen
+        held = {id(cid) for cid in dataset.candidates.ids}
+        assert all(id(cid) in held for rel in dataset.qrels.values() for cid in rel)
 
     def test_matches_library_report_bytes(self, pipeline):
         tmp_path, data, comp = pipeline
@@ -685,15 +714,14 @@ class TestDecodedMatrixOnly:
         assert (tmp_path / "cli.json").read_text() == lir.io.report_json(expected)
         n, d = dataset.candidates.rows.shape
         relevant = np.diff(dataset.relevant_ends)
-        # The qrels' dataset index, one gemm block, the norm and removal blocks,
-        # the einsum-scored relevant rows of a query, and 200 B per candidate
-        # for its row map entry, norm and id rank.
+        # The peak is in scoring: the qrels' dataset index, one gemm block, one
+        # _NORM_BLOCK of einsum-scored relevant rows, and 32 B per candidate
+        # for its norm, its gemm score and its norm scaled by the query's.
+        # The removal and norm blocks are freed before scoring starts.
         design = (
             8 * (lir.evaluation._BLOCK_SCORES + lir.evaluation._NORM_BLOCK)
-            + 8 * 3 * lir.removal._BLOCK
-            + 8 * d * relevant.max()
             + 8 * relevant.sum()
-            + 200 * n
+            + 32 * n
         )
         assert beyond <= design < 8 * n * d
 
@@ -706,9 +734,11 @@ class TestDecodedMatrixOnly:
         records = [r for f in sorted(corpus.glob("*.lire")) for r in read_embeddings(f)]
         lir.io.write_projection_csv(tmp_path / "direct.csv", lir.export_projection(records, 2))
         assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
-        # The scores, their floats, and the CSV text: a string per row, then
-        # the joined text and its UTF-8 bytes, about 300 B a row in all.
-        assert beyond <= 400 * len(records)
+        # The n x 2 scores, the d x d Gram matrix and its factors, and one CSV
+        # block: its Python floats, their text and its UTF-8 bytes, about
+        # 150 B a score.
+        d = records[0].dim
+        assert beyond <= 8 * 2 * len(records) + 4 * 8 * d * d + 160 * lir.io._CSV_BLOCK
 
     @pytest.mark.parametrize("order", ["id-ordered", "shuffled"])
     @pytest.mark.parametrize("mode", sorted(m.value for m in lir.RemovalMode))
@@ -749,11 +779,13 @@ class TestDecodedMatrixOnly:
         beyond = traced_beyond(monkeypatch, argv, "read_labels")
         assert (tmp_path / "cli.json").read_text() == lir.io.report_json(expected)
         n, d = tables["l00"].rows.shape
-        # Beyond the training table (8 B a value): one test table while it is
-        # decoded (its matrix, the file's bytes and its gathered 32-bit values),
-        # the removal blocks, and 200 B a row for ids, labels and predictions.
-        # Two more held test tables, or a copy of the features, exceed it.
-        design = 8 * n * d + 16 * n * d + 8 * 3 * lir.removal._BLOCK + 200 * n
+        # The training table and one test table (8 B a value each), the read
+        # buffer with one buffer of gathered values while a file is decoded,
+        # or later the removal blocks, and 200 B a row for ids, labels and
+        # predictions. Two more held test tables, or a copy of the features,
+        # exceed it.
+        blocks = max(2 * lir.io._READ_BUFFER, 8 * 3 * lir.removal._BLOCK)
+        design = 2 * 8 * n * d + blocks + 200 * n
         assert beyond <= design < 8 * n * d + 24 * n * d
 
 

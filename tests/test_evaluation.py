@@ -525,6 +525,21 @@ class TestCertifiedRanks:
         positions = _certified_positions(cmat @ q, cmat, cnorms, q, relevant)
         assert positions == expected == sorted(set(expected))
 
+    @pytest.mark.parametrize("block", [1, 32, 48, 1 << 16])
+    def test_relevant_rows_scored_in_chunks(self, monkeypatch, block):
+        # _NORM_BLOCK values of relevant rows at a time: one, two and three of
+        # the 101 rows of 16, and all of them at once.
+        rng = np.random.default_rng(52)
+        cmat = rng.standard_normal((600, 16))
+        cnorms = np.linalg.norm(cmat, axis=1)
+        q = rng.standard_normal(16)
+        relevant = rng.permutation(600)[:101]
+        expected = _relevant_positions(_cosine_scores(cmat, cnorms, q), relevant, np.arange(len(cmat)))
+        monkeypatch.setattr(lir.evaluation, "_NORM_BLOCK", block)
+        assert _certified_positions(cmat @ q, cmat, cnorms, q, relevant) == expected
+        ds = near_tie_dataset(8)
+        assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval_oracle(ds))
+
     def test_zero_norm_rows_score_exactly_zero(self):
         # sims is overwritten with the sorted scores; a row of 1e-170s has a
         # zero norm (its squares underflow) but a nonzero dot product.

@@ -37,7 +37,7 @@ from lir.io import (
     write_report,
 )
 from lir.cli import _read_collection
-from oracles import read_collection_oracle, read_embeddings_oracle
+from oracles import read_collection_oracle, read_embeddings_oracle, read_table_oracle
 
 
 def rec(rid, lang, vec):
@@ -452,6 +452,153 @@ class TestCollectionRead:
             assert outcome(_read_collection, str(root)) == expected, cut
 
 
+# Read buffers of 2 bytes (one id length), shorter than most records, about
+# one record, and several records.
+BUFFERS = [2, 5, 23, 64, 150]
+# Ids of 1 to 30 bytes with two- and three-byte UTF-8 characters, dimension 3.
+STREAM_IDS = ["x" * 30, "a", "bé", "日本語", "ü" * 10, "q", "zz"]
+# ASCII ids of one length, the shape of every synth id.
+EVEN_IDS = [f"r{i:02d}" for i in range(7)]
+STREAM_HEADER = {"count": len(STREAM_IDS), "dim": 3, "dtype": "f32", "lang": "en"}
+
+
+def stream_payload(rows=None, ids=STREAM_IDS):
+    rows = np.arange(1.0, 1.0 + 3 * len(ids)).reshape(-1, 3) if rows is None else rows
+    return lire_payload(ids, rows)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+class TestStreamedDecode:
+    """Each file streams through one read buffer of _READ_BUFFER bytes: at any
+    size, and wherever a fault falls against the buffer's edges, the outcome is
+    the whole-file reader's (oracles.read_table_oracle): the same ids and rows,
+    or the same error class and text."""
+
+    @staticmethod
+    def same(path, *more):
+        expected = outcome(lambda p: read_table_oracle(p, *more), path)
+        assert outcome(lambda p: _read_table(p, *more), path) == expected
+        return expected
+
+    @pytest.mark.parametrize("ids", [STREAM_IDS, EVEN_IDS], ids=["mixed", "even"])
+    @pytest.mark.parametrize("buffer", BUFFERS)
+    def test_every_cut_and_every_corrupt_byte(self, tmp_path, monkeypatch, buffer, ids):
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+        payload = stream_payload(ids=ids)
+        path = tmp_path / "s.lire"
+        messages = set()
+        variants = [payload[:cut] for cut in range(len(payload))]
+        variants += [payload[:at] + bytes([byte]) + payload[at + 1 :]
+                     for at in range(len(payload)) for byte in (0xFF, 0x7F)]
+        variants += [payload, payload + b"\x00", payload + b"tail", payload.replace(b"r03", "é3".encode())]
+        for data in variants:
+            path.write_bytes(framed(b"LIRE", STREAM_HEADER, data))
+            got = self.same(path)
+            messages.add(got[1] if isinstance(got[0], type) else "rows")
+        # Cuts in an id length, an id and values; invalid ids; non-finite values;
+        # trailing data (also after a corrupt id length); valid files.
+        wanted = [" id length", " id", " values", " id is not valid UTF-8",
+                  "vector has non-finite coordinates", "after the declared record count", "rows"]
+        assert all(any(m.endswith(w) for m in messages) for w in wanted), messages
+        assert len(messages) >= 25
+
+    def test_invalid_utf8_straddling_the_buffer_edge(self, tmp_path, monkeypatch):
+        # Record 3's id is 日本語 with a bad continuation byte in 本; at every
+        # buffer size from 2 to 40 bytes an edge falls somewhere else in it.
+        payload = stream_payload().replace("本".encode(), b"\xe6\x41\xac", 1)
+        path = tmp_path / "s.lire"
+        path.write_bytes(framed(b"LIRE", STREAM_HEADER, payload))
+        for buffer in range(2, 41):
+            monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+            assert self.same(path) == (FormatError, "record 3 id is not valid UTF-8"), buffer
+
+    @pytest.mark.parametrize("buffer", BUFFERS)
+    def test_non_finite_value_before_a_later_cut(self, tmp_path, monkeypatch, buffer):
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+        rows = np.arange(1.0, 22.0).reshape(-1, 3)
+        rows[1, 2] = np.inf
+        payload = stream_payload(rows)
+        start = len(lire_payload(STREAM_IDS[:5], rows[:5]))
+        path = tmp_path / "s.lire"
+        for cut in range(start, len(payload)):  # every cut in records 5 and 6
+            path.write_bytes(framed(b"LIRE", STREAM_HEADER, payload[:cut]))
+            assert self.same(path) == (InvalidVector, "record 'a': vector has non-finite coordinates")
+        path.write_bytes(framed(b"LIRE", STREAM_HEADER, payload + b"\x00"))
+        assert self.same(path) == (InvalidVector, "record 'a': vector has non-finite coordinates")
+
+    @pytest.mark.parametrize("ids", [STREAM_IDS, EVEN_IDS], ids=["mixed", "even"])
+    @pytest.mark.parametrize("buffer", BUFFERS)
+    def test_trailing_data(self, tmp_path, monkeypatch, buffer, ids):
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+        path = tmp_path / "s.lire"
+        extra = lire_payload(["r99"], [[1.0, 2.0, 3.0]])  # one more whole record
+        for tail in (b"\x00", b"\x01\x00", bytes(buffer), bytes(buffer + 1), extra, extra * 3):
+            path.write_bytes(framed(b"LIRE", STREAM_HEADER, stream_payload(ids=ids) + tail))
+            assert self.same(path) == (FormatError, "trailing data after the declared record count")
+        path.write_bytes(framed(b"LIRE", dict(STREAM_HEADER, count=0), b"\x00"))
+        assert self.same(path) == (FormatError, "trailing data after the declared record count")
+
+    @pytest.mark.parametrize("buffer", [2, 4096, 1 << 20])
+    def test_record_longer_than_the_buffer(self, tmp_path, monkeypatch, buffer):
+        # A 65,535-byte id at d = 768: a 68,609-byte record between two short ones.
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+        longest = "é" * 32767 + "x"
+        ids = ["a", longest, "b"]
+        rows = np.random.default_rng(24).standard_normal((3, 768)).astype(np.float32).astype(float)
+        header = {"count": 3, "dim": 768, "dtype": "f32", "lang": "en"}
+        payload = lire_payload(ids, rows)
+        path = tmp_path / "long.lire"
+        path.write_bytes(framed(b"LIRE", header, payload))
+        assert self.same(path) == (ids, ["en"] * 3, rows.tobytes())
+        first = len(lire_payload(ids[:1], rows[:1]))
+        # Cuts in the long record's id length, id, values, and in the next record.
+        for cut in (first + 1, first + 2, first + 40000, first + 65537, first + 66000, len(payload) - 1):
+            path.write_bytes(framed(b"LIRE", header, payload[:cut]))
+            assert isinstance(self.same(path)[0], type), cut
+
+    @pytest.mark.parametrize("buffer", BUFFERS)
+    @pytest.mark.parametrize("case", sorted(COLLECTIONS))
+    def test_directories(self, tmp_path, monkeypatch, buffer, case):
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", buffer)
+        root = collection_dir(tmp_path / "dir", **COLLECTIONS[case])
+        paths = sorted(root.glob("*.lire"))
+        expected = outcome(lambda _: read_table_oracle(*paths), root)
+        assert outcome(lambda _: _read_table(*paths), root) == expected
+        assert outcome(_read_collection, str(root)) == outcome(read_collection_oracle, root)
+
+    def test_earlier_repeated_id_wins_over_a_later_cut(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lir.io, "_READ_BUFFER", 5)
+        root = collection_dir(tmp_path / "dir", a=dict(ids=["x", "yé", "x"]), d=dict(cut=20))
+        with pytest.raises(DuplicateKey, match="^duplicate record id 'x'$"):
+            _read_collection(str(root))
+        with pytest.raises(TruncatedFile):
+            _read_table(root / "d.lire")
+
+    def test_read_holds_the_matrix_and_one_buffer(self, tmp_path):
+        # 8,000 x 128: a 4.2 MB file, read without holding its bytes.
+        n, d = 8000, 128
+        table = lir.EmbeddingTable(
+            ids=[f"rec-{i:06d}" for i in range(n)], langs=["en"] * n,
+            rows=np.random.default_rng(25).standard_normal((n, d)),
+        )
+        path = tmp_path / "en.lire"
+        write_embeddings(path, table)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            read = _read_table(path)
+            beyond = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert read.rows.tobytes() == table.rows.astype("<f4").astype(float).tobytes()
+        # The matrix, its one-byte-a-value finiteness check and 100 B an id;
+        # the buffer and one buffer of gathered values. Reading the whole
+        # file held its bytes and all its gathered values, 4 n d each.
+        design = 9 * n * d + 100 * n + 2 * lir.io._READ_BUFFER
+        assert beyond <= design < 8 * n * d + 2 * 4 * n * d
+
+
 class TestComponentFiles:
     def test_roundtrip_identity_subset_exact(self, tmp_path):
         basis = ComponentBasis(
@@ -705,6 +852,16 @@ class TestJsonlReaders:
         ds = lir.RetrievalDataset(queries=queries, candidates=records, qrels=converted)
         assert ds.qrels["q2"] == frozenset({"c1", "c2"}) and type(ds.qrels["q3"]) is frozenset
 
+    def test_qrels_ids_can_be_given_strings(self, tmp_path):
+        path = tmp_path / "qrels.jsonl"
+        path.write_text('{"query_id": "q1", "relevant": ["c1", "c2"]}\n'
+                        '{"query_id": "q2", "relevant": ["c2", "ghost"]}\n')
+        strings = ["".join(["c", str(i)]) for i in range(4)]  # built here, not interned
+        qrels = read_qrels(path, _strings=strings)
+        assert qrels == read_qrels(path)
+        held = {id(s) for s in strings}
+        assert {cid for rel in qrels.values() for cid in rel if id(cid) in held} == {"c1", "c2"}
+
     def test_qrels_bad_relevant(self, tmp_path):
         path = tmp_path / "qrels.jsonl"
         path.write_text('{"query_id": "q", "relevant": "c1"}\n')
@@ -824,6 +981,26 @@ class TestReportsAndCsv:
             writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
         path = tmp_path / "proj.csv"
         write_projection_csv(path, iter(rows))
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 1 << 12])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_projection_csv_blocks_change_no_byte(self, tmp_path, monkeypatch, block, k):
+        # _CSV_BLOCK scores at a time: one row per block, a short last block,
+        # and every row in one block; also rows without scores.
+        rng = np.random.default_rng(26)
+        rows = [(f"r,{i}", "en", tuple(rng.standard_normal(k))) for i in range(7)]
+        text = StringIO(newline="")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["id", "lang"] + [f"score_{i + 1}" for i in range(k)])
+        for rec_id, lang, scores in rows:
+            writer.writerow([rec_id, lang] + [repr(float(s)) for s in scores])
+        monkeypatch.setattr(lir.io, "_CSV_BLOCK", block)
+        path = tmp_path / "proj.csv"
+        write_projection_csv(path, rows)
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
+        ids, langs, scores = zip(*rows)
+        lir.io._write_projection(path, ids, langs, np.array(scores).reshape(7, k))
         assert path.read_bytes() == text.getvalue().encode("utf-8")
 
     def test_projection_csv_rejects_empty_and_ragged(self, tmp_path):

@@ -55,6 +55,21 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             base_config(**overrides)
 
+    @pytest.mark.parametrize("languages", [1, 2, 3, 5])
+    def test_topics_and_languages_must_fit_in_dim(self, languages):
+        # Offsets orthogonal to min(topics, dim) random topic directions need
+        # topics + languages <= dim; beyond that the config fails before drawing.
+        langs = tuple(f"l{i}" for i in range(languages))
+        dim = 12
+        ok = base_config(languages=langs, topics=dim - languages, dim=dim)
+        assert len(generate(ok).table) == languages * ok.topics * 4
+        for topics in (dim - languages + 1, dim, 40):
+            with pytest.raises(ConfigError, match=(
+                "^cannot orthogonalize language offsets against the topic span; "
+                "increase dim or reduce topics$"
+            )):
+                base_config(languages=langs, topics=topics, dim=dim)
+
 
 class TestGenerate:
     def test_shapes_and_ids(self):
