@@ -20,7 +20,6 @@ import numpy as np
 
 from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, _lent_rows, corpus_fingerprint
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
-from .evaluation import LogisticConfig, evaluate_retrieval, evaluate_transfer
 from .io import (
     _check_f32,
     _lire_head,
@@ -38,7 +37,9 @@ from .io import (
 )
 from .linalg import _pca_scores
 from .removal import RemovalMode, _remove_rows, fit_decomposition
-from .synth import TOPIC_PARITY, SynthConfig, _take, generate
+
+# evaluation and synth are imported by the handlers that run them, so the
+# other commands never load them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -105,6 +106,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_eval_retrieval(args) -> int:
+    from .evaluation import evaluate_retrieval
+
     queries = _read_collection(args.queries)
     candidates = _read_collection(args.candidates)
     # Relevant ids are the candidate table's own strings, not a copy of each.
@@ -159,6 +162,8 @@ def _check_tests(files, train_path, train, labels) -> None:
 
 
 def _cmd_eval_transfer(args) -> int:
+    from .evaluation import LogisticConfig, evaluate_transfer
+
     labels = read_labels(args.labels)
     train = _read_table(args.train)
     train_labels = _labeled(train, labels)
@@ -207,6 +212,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import TOPIC_PARITY, SynthConfig, _take, generate
+
     if args.per < 2:
         raise ConfigError("--per must be >= 2, so that every query has a relevant candidate")
     config = SynthConfig(

@@ -12,7 +12,6 @@ read-only float64 arrays regardless of the input dtype; files may store
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import struct
 from contextlib import contextmanager
@@ -176,6 +175,8 @@ def _lent_rows(table: EmbeddingTable) -> Iterator[np.ndarray]:
 
 def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> str:
     """Deterministic checksum identifying a record collection or table (ids, langs, values)."""
+    import hashlib  # here, not at the top: commands that take no fingerprint never load it
+
     table = EmbeddingTable.from_records(records)
     h = hashlib.sha256()
     for rid, lang, row in zip(table.ids, table.langs, table.rows):
@@ -225,6 +226,8 @@ class LanguageMatrix:
         return self.rows.shape[1]
 
     def fingerprint(self) -> str:
+        import hashlib
+
         h = hashlib.sha256()
         h.update(self.lang.encode("utf-8"))
         h.update(struct.pack("<QQ", self.n, self.d))

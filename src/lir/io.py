@@ -30,7 +30,6 @@ depends on the block sizes.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -634,6 +633,8 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
 def _write_projection(path, ids, langs, scores: np.ndarray) -> None:
     """write_projection_csv of the rows' ids and languages and their n x K
     scores, converted to floats and encoded _CSV_BLOCK scores at a time."""
+    import csv  # here, not at the top: only project writes CSV
+
     k = scores.shape[1]
     step = max(1, _CSV_BLOCK // max(1, k))
 

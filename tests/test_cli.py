@@ -326,8 +326,9 @@ class TestEvalRetrievalCommand:
             seen.append(dataset)
             return evaluate(dataset, *args, **kwargs)
 
-        evaluate = lir.cli.evaluate_retrieval
-        monkeypatch.setattr(lir.cli, "evaluate_retrieval", spy)
+        # The handler imports evaluate_retrieval when it runs, so the spy goes on evaluation.
+        evaluate = lir.evaluation.evaluate_retrieval
+        monkeypatch.setattr(lir.evaluation, "evaluate_retrieval", spy)
         assert main(["eval-retrieval", "--queries", str(data / "queries"), "--candidates",
                      str(data / "candidates"), "--qrels", str(data / "qrels.jsonl"),
                      "--report", str(tmp_path / "r.json")]) == 0
