@@ -234,15 +234,16 @@ def _cmd_synth(args) -> int:
     subsets = ("corpus", "queries", "candidates")
     for sub in subsets:
         (out / sub).mkdir(parents=True, exist_ok=True)
-    # A language's rows are one block; its queries are every per-th row, the rest candidates.
+    # A language's rows are one block, a view of the table; its queries are every per-th
+    # row, the rest candidates, each gathered only while its file is written.
     block = np.arange(config.topics * args.per)
-    queries, candidates = block[:: args.per], block[block % args.per > 0]
+    picks = (slice(None), block[:: args.per], block[block % args.per > 0])
     fingerprints = {}
     for lang, start in zip(config.languages, range(0, len(result.table), block.size)):
-        corpus = _take(result.table, start + block)
+        corpus = _take(result.table, slice(start, start + block.size))
         fingerprints[lang] = corpus_fingerprint(corpus)
-        for sub, table in zip(subsets, (corpus, _take(corpus, queries), _take(corpus, candidates))):
-            write_embeddings(out / sub / f"{lang}.lire", table)
+        for sub, pick in zip(subsets, picks):
+            write_embeddings(out / sub / f"{lang}.lire", _take(corpus, pick))
     write_qrels(out / "qrels.jsonl", dict(result.qrels))
     if result.labels is not None:
         write_labels(out / "labels.jsonl", dict(result.labels))

@@ -153,6 +153,20 @@ class EmbeddingTable:
         rows.flags.writeable = False
         return cls(ids=[r.id for r in records], langs=[r.lang for r in records], rows=rows)
 
+    @classmethod
+    def _of_checked(
+        cls, ids: tuple[str, ...], langs: tuple[str, ...], rows: np.ndarray
+    ) -> EmbeddingTable:
+        """The table of rows taken from a checked table, which checks nothing
+        again: a subset of a checked table is checked. ids and langs are that
+        table's tuple entries and rows a read-only, C-ordered float64 matrix,
+        which may be a view of its matrix; such a table is never lent."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "ids", ids)
+        object.__setattr__(table, "langs", langs)
+        object.__setattr__(table, "rows", rows)
+        return table
+
     def __len__(self) -> int:
         return self.rows.shape[0]
 

@@ -575,9 +575,15 @@ def _write_jsonl(path, lines) -> None:
 
 
 def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
+    encoded: dict[frozenset[str], str] = {}  # each distinct relevant set is sorted and encoded once
+
+    def relevant(rel: frozenset[str]) -> str:
+        if rel not in encoded:
+            encoded[rel] = ",".join(map(_json_str, sorted(rel)))
+        return encoded[rel]
+
     _write_jsonl(path, (
-        f'{{"query_id":{_json_str(q)},"relevant":[{",".join(map(_json_str, sorted(qrels[q])))}]}}'
-        for q in sorted(qrels)
+        f'{{"query_id":{_json_str(q)},"relevant":[{relevant(qrels[q])}]}}' for q in sorted(qrels)
     ))
 
 

@@ -22,6 +22,7 @@ rescale already-drawn vectors, so changing them never shifts the stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -74,6 +75,9 @@ class SynthConfig:
                 "cannot orthogonalize language offsets against the topic span; "
                 "increase dim or reduce topics"
             )
+        for name in ("semantic_scale", "bias_scale", "noise_scale", "skew"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not self.semantic_scale > 0.0:
             raise ConfigError("semantic_scale must be positive")
         if self.bias_scale < 0.0:
@@ -82,7 +86,7 @@ class SynthConfig:
             raise ConfigError("noise_scale must be non-negative")
         if self.skew < 0.0:
             raise ConfigError("skew must be non-negative")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
         if self.label_rule not in (None, TOPIC_PARITY):
             raise ConfigError(f"unknown label_rule {self.label_rule!r}")
@@ -138,11 +142,16 @@ class SynthResult:
         )
 
 
-def _take(table: EmbeddingTable, index: np.ndarray) -> EmbeddingTable:
-    """The table of the given rows of table, in index order."""
+def _take(table: EmbeddingTable, index: slice | np.ndarray) -> EmbeddingTable:
+    """The table of the given rows of table (none twice), in index order, not
+    checked again. A slice (of step 1) gives a read-only view of table's
+    matrix, an index array a read-only copy of its rows."""
+    if isinstance(index, slice):
+        return EmbeddingTable._of_checked(table.ids[index], table.langs[index], table.rows[index])
     rows, pick = table.rows[index], index.tolist()
     rows.flags.writeable = False
-    return EmbeddingTable([table.ids[i] for i in pick], [table.langs[i] for i in pick], rows)
+    ids, langs = (tuple(map(column.__getitem__, pick)) for column in (table.ids, table.langs))
+    return EmbeddingTable._of_checked(ids, langs, rows)
 
 
 # Kept out of linalg._gram_schmidt, like generate's offset loop: it would change a seed's bytes.

@@ -410,6 +410,64 @@ def generate_oracle(config):
     )
 
 
+def qrels_bytes_oracle(qrels):
+    """The qrels.jsonl bytes of a query -> relevant-ids mapping, each query's
+    relevant ids sorted and encoded on their own, by json.dumps."""
+    import json
+
+    lines = [
+        json.dumps({"query_id": q, "relevant": sorted(qrels[q])}, sort_keys=True, separators=(",", ":"))
+        for q in sorted(qrels)
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def synth_files_oracle(config, out):
+    """Write the files `lir synth` writes for config into out, the way it did
+    before its sub-tables were views: each language's corpus, queries and
+    candidates built as full EmbeddingTables, each checked again on
+    construction, and qrels sorted per query."""
+    import dataclasses
+    import json
+    from pathlib import Path
+
+    import numpy as np
+
+    from lir.core import EmbeddingTable, corpus_fingerprint
+    from lir.io import write_embeddings, write_labels
+    from lir.synth import generate
+
+    def take(table, index):
+        pick = index.tolist()
+        return EmbeddingTable([table.ids[i] for i in pick], [table.langs[i] for i in pick],
+                              table.rows[index])
+
+    result = generate(config)
+    out, per = Path(out), config.per_topic_per_lang
+    block = np.arange(config.topics * per)
+    fingerprints = {}
+    for lang, start in zip(config.languages, range(0, len(result.table), block.size)):
+        corpus = take(result.table, start + block)
+        fingerprints[lang] = corpus_fingerprint(corpus)
+        parts = (corpus, take(corpus, block[::per]), take(corpus, block[block % per > 0]))
+        for sub, table in zip(("corpus", "queries", "candidates"), parts):
+            (out / sub).mkdir(parents=True, exist_ok=True)
+            write_embeddings(out / sub / f"{lang}.lire", table)
+    (out / "qrels.jsonl").write_bytes(qrels_bytes_oracle(result.qrels))
+    if result.labels is not None:
+        write_labels(out / "labels.jsonl", dict(result.labels))
+    manifest = {
+        "config": dataclasses.asdict(config),
+        "counts": {
+            "candidates": len(result.table) - len(result.query_ids),
+            "queries": len(result.query_ids),
+            "records": len(result.table),
+        },
+        "fingerprints": fingerprints,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
     """The per-query retrieval loop: every query scored against every
     candidate with the einsum kernel that defines the ranks, a full stable

@@ -25,6 +25,8 @@ from lir.io import (
     write_labels,
 )
 
+from oracles import synth_files_oracle
+
 
 def run_synth(out, languages=3, topics=6, per=5, dim=16, bias=5.0, seed=9, labels=False, extra=()):
     argv = [
@@ -109,6 +111,78 @@ class TestSynthCommand:
         assert run_synth(out, bias=1e300, labels=True) == 2
         assert "beyond the 32-bit float range" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--skew", "nan"), ("--skew", "inf"), ("--noise", "inf"), ("--noise", "nan"),
+        ("--bias", "nan"), ("--bias", "inf"), ("--semantic", "inf"),
+    ])
+    def test_non_finite_scale_exit_2_writes_nothing(self, tmp_path, capsys, flag, value):
+        # Rejected before anything is drawn: no numpy warning, no record error.
+        out = tmp_path / "x"
+        assert run_synth(out, languages=2, topics=3, per=2, dim=8, bias=1.0, seed=1,
+                         extra=(flag, value)) == 2
+        field = {"--skew": "skew", "--noise": "noise_scale", "--bias": "bias_scale",
+                 "--semantic": "semantic_scale"}[flag]
+        assert capsys.readouterr().err == f"error: {field} must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        {"labels": True},
+        {},
+        {"per": 2, "labels": True},
+        {"languages": 1, "labels": True},
+        {"skew": 0.3, "labels": True},
+        {"dim": 256, "topics": 20, "per": 3},
+    ])
+    def test_files_match_the_full_table_oracle(self, tmp_path, params):
+        args = {"languages": 3, "topics": 6, "per": 5, "dim": 16, "bias": 5.0, "seed": 9,
+                "labels": False, "skew": 0.0, **params}
+        skew = args.pop("skew")
+        assert run_synth(tmp_path / "cli", **args, extra=("--skew", str(skew))) == 0
+        config = lir.SynthConfig(
+            languages=tuple(f"l{i:02d}" for i in range(args["languages"])),
+            topics=args["topics"], per_topic_per_lang=args["per"], dim=args["dim"],
+            bias_scale=args["bias"], seed=args["seed"], skew=skew,
+            label_rule="topic-parity" if args["labels"] else None,
+        )
+        synth_files_oracle(config, tmp_path / "oracle")
+        assert tree_hashes(tmp_path / "cli") == tree_hashes(tmp_path / "oracle")
+
+    def test_checks_rows_once_and_writes_each_corpus_from_a_view(self, tmp_path, monkeypatch):
+        import lir.core
+        import lir.synth
+
+        checked, results, written = [], [], {}
+        check_rows, generate, write = lir.core._check_rows, lir.synth.generate, lir.cli.write_embeddings
+
+        def spy_check_rows(ids, langs, rows):
+            checked.append(len(ids))
+            return check_rows(ids, langs, rows)
+
+        def spy_generate(config):
+            results.append(generate(config))
+            return results[-1]
+
+        def spy_write(path, table):
+            written[Path(path).relative_to(tmp_path / "d").as_posix()] = table
+            return write(path, table)
+
+        monkeypatch.setattr(lir.core, "_check_rows", spy_check_rows)
+        monkeypatch.setattr(lir.synth, "generate", spy_generate)
+        monkeypatch.setattr(lir.cli, "write_embeddings", spy_write)
+        assert run_synth(tmp_path / "d", labels=True) == 0
+        (result,) = results
+        assert checked == [len(result.table)]  # the generated table's, and no sub-table's
+        assert len(written) == 9
+        for lang in ("l00", "l01", "l02"):
+            corpus = written[f"corpus/{lang}.lire"]
+            assert np.shares_memory(corpus.rows, result.table.rows)
+            assert corpus.ids == tuple(rid for rid in result.table.ids if rid.startswith(lang))
+            for sub in ("queries", "candidates"):
+                table = written[f"{sub}/{lang}.lire"]
+                assert not np.shares_memory(table.rows, result.table.rows)
+            for table in (written[f"{sub}/{lang}.lire"] for sub in ("corpus", "queries", "candidates")):
+                assert not table.rows.flags.writeable
 
     def test_manifest_counts_match_files(self, tmp_path):
         run_synth(tmp_path / "d", languages=2, topics=3, per=4)

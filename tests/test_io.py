@@ -37,7 +37,12 @@ from lir.io import (
     write_report,
 )
 from lir.cli import _read_collection
-from oracles import read_collection_oracle, read_embeddings_oracle, read_table_oracle
+from oracles import (
+    qrels_bytes_oracle,
+    read_collection_oracle,
+    read_embeddings_oracle,
+    read_table_oracle,
+)
 
 
 def rec(rid, lang, vec):
@@ -906,6 +911,20 @@ class TestJsonlReaders:
         )
         write_qrels(tmp_path / "empty.jsonl", {})
         assert (tmp_path / "empty.jsonl").read_bytes() == b"\n"
+
+    def test_write_qrels_shared_sets_keep_per_query_bytes(self, tmp_path):
+        # One set object shared by several queries, an equal but distinct set,
+        # singletons and non-ASCII ids: each line as if sorted on its own.
+        shared = frozenset({"c2", "c1", "é-3", "日本-1"})
+        qrels = {
+            "q3": shared, "q1": shared, "q4": shared,
+            "q2": frozenset(["c1", "c2", "é-3", "日本-1"]),
+            "日本-0": frozenset({"z"}), "q0": frozenset({"c1"}),
+            "\U0001f600": frozenset({"\udcff", "a"}), "é-0": frozenset({"c1"}),
+        }
+        write_qrels(tmp_path / "q.jsonl", qrels)
+        assert (tmp_path / "q.jsonl").read_bytes() == qrels_bytes_oracle(qrels)
+        assert read_qrels(tmp_path / "q.jsonl") == qrels
 
     @pytest.mark.parametrize("label", [True, False, 2, -1, 1.0, np.int64(1), "1", None])
     def test_write_labels_rejects_non_binary_ints(self, tmp_path, label):

@@ -3,7 +3,8 @@ import pytest
 
 import lir
 from lir import ConfigError, SynthConfig, generate
-from lir.synth import TOPIC_PARITY
+from lir.core import EmbeddingTable, _lent_rows
+from lir.synth import TOPIC_PARITY, _take
 
 from oracles import generate_oracle
 
@@ -49,6 +50,15 @@ class TestSynthConfig:
             {"dim": 8.0},
             {"per_topic_per_lang": True},
             {"dim": "16"},
+            {"seed": True},
+            {"skew": float("nan")},
+            {"skew": float("inf")},
+            {"noise_scale": float("inf")},
+            {"noise_scale": float("nan")},
+            {"bias_scale": float("nan")},
+            {"bias_scale": float("inf")},
+            {"semantic_scale": float("inf")},
+            {"semantic_scale": float("nan")},
         ],
     )
     def test_invalid(self, overrides):
@@ -256,3 +266,25 @@ def test_record_views_build_only_the_rows_they_return(monkeypatch):
     built.clear()
     ids = [r.id for r in res.records_for("l01")]
     assert built == ids and len(ids) == 24
+
+
+@pytest.mark.parametrize("index", [
+    slice(24, 48), slice(0, 72), slice(5, 5), np.array([5, 0, 71, 3]), np.arange(0), np.arange(24, 48),
+])
+def test_take_equals_the_checked_table_of_the_same_fields(index):
+    table = generate(base_config()).table
+    sub = _take(table, index)
+    pick = np.arange(len(table))[index].tolist()
+    ref = EmbeddingTable([table.ids[i] for i in pick], [table.langs[i] for i in pick], table.rows[index])
+    assert sub.ids == ref.ids and sub.langs == ref.langs
+    assert type(sub.ids) is tuple and type(sub.langs) is tuple
+    assert sub.rows.dtype == ref.rows.dtype and sub.rows.shape == ref.rows.shape
+    assert sub.rows.tobytes() == ref.rows.tobytes()
+    assert sub.rows.flags.c_contiguous and not sub.rows.flags.writeable
+    # A slice is a view of the table's matrix, which is never lent; an index array is a copy.
+    assert np.shares_memory(sub.rows, table.rows) == (isinstance(index, slice) and len(sub) > 0)
+    if isinstance(index, slice) and len(sub):
+        with pytest.raises(ValueError):
+            with _lent_rows(sub):
+                pass
+        assert not table.rows.flags.writeable
