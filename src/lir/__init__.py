@@ -55,7 +55,6 @@ _EXPORTS = {
         "export_projection",
         "logistic_loss",
         "predict_logistic",
-        "rank_candidates",
         "train_logistic",
     ),
     "linalg": ("jacobi_eigh", "pca_project", "project_out", "project_out_scaled", "svd"),
@@ -64,7 +63,6 @@ _EXPORTS = {
         "RemovalMode",
         "fit_components",
         "fit_decomposition",
-        "remove",
         "remove_batch",
     ),
     "synth": ("SynthConfig", "SynthResult", "generate"),

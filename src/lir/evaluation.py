@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -77,9 +79,7 @@ def _features(
     return rows
 
 
-def _candidate_stack(
-    table: EmbeddingTable, bases=None, mode: RemovalMode = DEFAULT_MODE, in_place: bool = False
-):
+def _candidate_stack(table: EmbeddingTable, bases, mode: RemovalMode, in_place: bool):
     """The rows of a non-empty candidate table in table order, removed as in
     _features, and their norms, taken _NORM_BLOCK squares at a time."""
     cmat = _features(table, bases, mode, in_place)
@@ -218,26 +218,6 @@ def _ap_from_positions(positions: Sequence[int]) -> float:
     return sum(k * (d // p) for k, p in enumerate(positions, start=1)) / (d * r)
 
 
-def rank_candidates(
-    query: EmbeddingRecord, candidates: Sequence[EmbeddingRecord]
-) -> RankedList:
-    """Rank all candidates against a query by cosine similarity.
-
-    A zero-length vector on either side scores 0. The ranking is a total
-    deterministic order: equal scores fall back to ascending candidate id.
-    """
-    table = EmbeddingTable.from_records(candidates)
-    if not len(table):
-        return RankedList(query_id=query.id, candidate_ids=())
-    if table.dim != query.dim:
-        raise DimensionError(
-            f"query dimension {query.dim} != candidate dimension {table.dim}"
-        )
-    cmat, cnorms = _candidate_stack(table)
-    ranked = np.lexsort((_id_ranks(table.ids), -_cosine_scores(cmat, cnorms, query.vec)))
-    return RankedList(query_id=query.id, candidate_ids=tuple(map(table.ids.__getitem__, ranked)))
-
-
 def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
     """AP = mean over relevant items of precision at that item's rank.
 
@@ -349,11 +329,17 @@ class LogisticConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number")
+        if not 0.0 < self.learning_rate <= sys.float_info.max:  # also NaN and 10**400
             raise ConfigError("learning_rate must be positive and finite")
+        if type(self.epochs) is not int:  # not bool, float or a numpy scalar
+            raise ConfigError("epochs must be an integer")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
-        if not 0.0 <= self.l2 < math.inf:
+        if not 0.0 <= self.l2 <= sys.float_info.max:
             raise ConfigError("l2 must be non-negative and finite")
 
 

@@ -48,14 +48,12 @@ from .core import (
     TransferReport,
     _check_collection,
     _check_rows,
-    check_collection,
 )
 from .errors import (
     CorruptBasis,
     DimensionError,
     DuplicateKey,
     FormatError,
-    InvalidVector,
     LanguageMismatch,
     LirError,
     ParseError,
@@ -498,33 +496,6 @@ def _jsonl_str(obj: dict, key: str, line_no: int) -> str:
     if not isinstance(value, str) or not value:
         raise ParseError(line_no, f"field {key!r} must be a non-empty string")
     return value
-
-
-def read_jsonl_embeddings(path) -> list[EmbeddingRecord]:
-    """Read records from JSONL lines of the form {"id","lang","vec"}."""
-    records: list[EmbeddingRecord] = []
-    dim = 0
-    for line_no, obj in _iter_jsonl(path):
-        rec_id = _jsonl_str(obj, "id", line_no)
-        lang = _jsonl_str(obj, "lang", line_no)
-        vec = obj.get("vec")
-        if not isinstance(vec, list) or not vec or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
-        ):
-            raise ParseError(line_no, "field 'vec' must be a non-empty number list")
-        try:
-            rec = EmbeddingRecord(id=rec_id, lang=lang, vec=np.asarray(vec, dtype=np.float64))
-        except (InvalidVector, OverflowError) as exc:
-            raise ParseError(line_no, str(exc)) from exc
-        if dim == 0:
-            dim = rec.dim
-        elif rec.dim != dim:
-            raise DimensionError(
-                f"line {line_no}: vector length {rec.dim} != {dim} seen earlier"
-            )
-        records.append(rec)
-    check_collection(records)
-    return records
 
 
 def read_qrels(path, _strings: Iterable[str] = ()) -> dict[str, frozenset[str]]:

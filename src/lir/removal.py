@@ -95,28 +95,7 @@ def fit_components(
     return basis
 
 
-def remove(
-    record: EmbeddingRecord,
-    basis: ComponentBasis,
-    mode: RemovalMode = DEFAULT_MODE,
-    *,
-    allow_language_mismatch: bool = False,
-) -> EmbeddingRecord:
-    """Remove a language's identity components from one embedding.
-
-    The record's id and language tag are preserved. Applying a basis fitted
-    on a different language is refused unless `allow_language_mismatch` is
-    set (evaluation may intentionally cross languages).
-    """
-    vecs = [record.vec]
-    _remove_rows(
-        [record.id], [record.lang], vecs, {record.lang: basis}, mode,
-        allow_mismatch=allow_language_mismatch,
-    )
-    return EmbeddingRecord(id=record.id, lang=record.lang, vec=vecs[0])
-
-
-def _remove_rows(ids, langs, rows, bases, mode, *, strict=True, allow_mismatch=False):
+def _remove_rows(ids, langs, rows, bases, mode, *, strict=True):
     """Check the rows, raising what a row-by-row check raises at the first bad
     row in input order, then remove each language's rows in place, at most
     _BLOCK values at a time (a slice where a block's rows are contiguous).
@@ -145,7 +124,7 @@ def _remove_rows(ids, langs, rows, bases, mode, *, strict=True, allow_mismatch=F
             raise DimensionError(
                 f"record {ids[i]!r} has dimension {dims[i]}, basis expects {basis.dim}"
             )
-        if lang != basis.lang and not allow_mismatch:
+        if lang != basis.lang:
             raise LanguageMismatch(
                 f"record {ids[i]!r} is {lang!r} but basis is for {basis.lang!r}"
             )
@@ -197,7 +176,7 @@ def remove_batch(
     Output order matches input order. In strict mode a record whose language
     has no basis raises MissingBasis; otherwise such records pass through
     unchanged and are counted in the result's `passed_through` map. Every
-    output row is bit-identical to `remove` on that record alone.
+    output row is bit-identical to removing that record in a batch of its own.
     """
     out = list(records)
     vecs = [r.vec for r in out]

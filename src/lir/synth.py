@@ -22,7 +22,8 @@ rescale already-drawn vectors, so changing them never shifts the stream.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -51,7 +52,8 @@ class SynthConfig:
     skew: float = 0.0
 
     def __post_init__(self):
-        langs = tuple(str(code).strip() for code in self.languages)
+        codes = () if isinstance(self.languages, (str, bytes)) else self.languages  # not "ab" as a, b
+        langs = tuple(str(code).strip() for code in codes)
         if not langs or any(not code for code in langs):
             raise ConfigError("languages must be a non-empty list of non-blank codes")
         if len(set(langs)) != len(langs):
@@ -76,7 +78,10 @@ class SynthConfig:
                 "increase dim or reduce topics"
             )
         for name in ("semantic_scale", "bias_scale", "noise_scale", "skew"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number")
+            if not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN and 10**400
                 raise ConfigError(f"{name} must be finite")
         if not self.semantic_scale > 0.0:
             raise ConfigError("semantic_scale must be positive")

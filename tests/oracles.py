@@ -92,9 +92,10 @@ def cosine_oracle(u, v):
     return dot / (nu * nv)
 
 
-def rank_oracle(query_vec, candidates):
-    """O(n^2) comparison sort of (id, vec) pairs by descending exact cosine."""
-    scored = [(cid, cosine_oracle(query_vec, vec)) for cid, vec in candidates]
+def rank_oracle(query_vec, candidates, score=cosine_oracle):
+    """O(n^2) comparison sort of (id, vec) pairs by descending score(query_vec,
+    vec), by default the fsum cosine."""
+    scored = [(cid, score(query_vec, vec)) for cid, vec in candidates]
     out = list(scored)
     # selection sort, greatest score first, ascending id on ties
     for i in range(len(out)):

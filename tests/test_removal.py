@@ -16,7 +16,6 @@ from lir import (
     ZeroVectorError,
     fit_components,
     fit_decomposition,
-    remove,
     remove_batch,
     svd,
 )
@@ -24,6 +23,11 @@ from lir import (
 
 def rec(rid, lang, vec):
     return EmbeddingRecord(id=rid, lang=lang, vec=np.asarray(vec, dtype=float))
+
+
+def remove_one(record, basis, mode=RemovalMode.ORTHOGONAL):
+    """One record removed with one basis, in a batch of its own."""
+    return remove_batch([record], {record.lang: basis}, mode).records[0]
 
 
 def axis_basis(lang, d, axis):
@@ -48,7 +52,7 @@ class TestFitComponents:
         basis = fit_components(m, 0)
         assert basis.rank == 0
         r = rec("a", "en", [1.5, -2.5])
-        out = remove(r, basis)
+        out = remove_one(r, basis)
         assert out.vec.tobytes() == r.vec.tobytes()
 
     def test_matches_svd_columns_bitwise(self):
@@ -112,32 +116,29 @@ class TestRemove:
     def test_hand_example_both_modes(self):
         basis = axis_basis("en", 2, 0)
         r = rec("a", "en", [3.0, 4.0])
-        assert np.allclose(remove(r, basis, RemovalMode.ORTHOGONAL).vec, [0.0, 4.0])
-        assert np.allclose(remove(r, basis, RemovalMode.PAPER_EQ1).vec, [2.4, 4.0])
+        assert np.allclose(remove_one(r, basis, RemovalMode.ORTHOGONAL).vec, [0.0, 4.0])
+        assert np.allclose(remove_one(r, basis, RemovalMode.PAPER_EQ1).vec, [2.4, 4.0])
 
     def test_preserves_id_and_lang(self):
         basis = axis_basis("en", 2, 0)
-        out = remove(rec("a", "en", [3.0, 4.0]), basis)
+        out = remove_one(rec("a", "en", [3.0, 4.0]), basis)
         assert (out.id, out.lang) == ("a", "en")
 
     def test_orthogonal_input_unchanged(self):
         basis = axis_basis("en", 3, 0)
         r = rec("a", "en", [0.0, 1.0, 2.0])
         for mode in RemovalMode:
-            assert remove(r, basis, mode).vec.tolist() == [0.0, 1.0, 2.0]
+            assert remove_one(r, basis, mode).vec.tolist() == [0.0, 1.0, 2.0]
 
     def test_language_mismatch(self):
         basis = axis_basis("zh", 2, 0)
         r = rec("a", "en", [3.0, 4.0])
-        with pytest.raises(LanguageMismatch):
-            remove(r, basis)
-        out = remove(r, basis, allow_language_mismatch=True)
-        assert np.allclose(out.vec, [0.0, 4.0])
-        assert out.lang == "en"
+        with pytest.raises(LanguageMismatch, match=r"^record 'a' is 'en' but basis is for 'zh'$"):
+            remove_one(r, basis)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            remove(rec("a", "en", [1.0, 2.0, 3.0]), axis_basis("en", 2, 0))
+            remove_one(rec("a", "en", [1.0, 2.0, 3.0]), axis_basis("en", 2, 0))
         bases = {"en": axis_basis("en", 2, 0)}
         wide = rec("w", "en", [1.0, 2.0, 3.0])
         orphan = rec("z", "zh", [1.0, 2.0])
@@ -150,7 +151,7 @@ class TestRemove:
 
     def test_zero_vector_scaled_mode(self):
         with pytest.raises(ZeroVectorError):
-            remove(rec("a", "en", [0.0, 0.0]), axis_basis("en", 2, 0), RemovalMode.PAPER_EQ1)
+            remove_one(rec("a", "en", [0.0, 0.0]), axis_basis("en", 2, 0), RemovalMode.PAPER_EQ1)
 
     def test_orthogonal_idempotent_and_contractive(self):
         rng = np.random.default_rng(3)
@@ -158,8 +159,8 @@ class TestRemove:
         basis = fit_components(LanguageMatrix(lang="en", rows=rows), 2)
         for i in range(20):
             r = rec(f"r{i}", "en", rng.standard_normal(8) * 10.0)
-            once = remove(r, basis)
-            twice = remove(once, basis)
+            once = remove_one(r, basis)
+            twice = remove_one(once, basis)
             assert twice.vec.tobytes() == once.vec.tobytes()
             assert np.linalg.norm(once.vec) <= np.linalg.norm(r.vec) + 1e-12
 
@@ -212,7 +213,7 @@ class TestRemoveBatch:
             for r in records:
                 if r.lang not in bases:
                     raise MissingBasis(r.lang)
-                remove(r, bases[r.lang], mode)
+                remove_one(r, bases[r.lang], mode)
 
         for first in bad:
             for second in bad:
@@ -405,7 +406,7 @@ class TestMatrixRemoval:
                     for rid, (lang, vec) in zip(ids, batch):
                         if lang not in bases:
                             raise MissingBasis(lang)
-                        remove(rec(rid, lang, vec), bases[lang], mode)
+                        remove_one(rec(rid, lang, vec), bases[lang], mode)
                 except lir.LirError as exc:
                     expected = exc
                 out = rows.copy()

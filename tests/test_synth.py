@@ -24,6 +24,20 @@ def base_config(**overrides):
     return SynthConfig(**params)
 
 
+# Wrong types and values beyond float range: each raises a ConfigError naming its field.
+WRONG_TYPES = [
+    ("bias_scale", "1"),
+    ("bias_scale", None),
+    ("bias_scale", 10**400),
+    ("bias_scale", True),
+    ("noise_scale", -(10**400)),
+    ("semantic_scale", "1.0"),
+    ("skew", None),
+    ("languages", "ab"),
+    ("languages", b"ab"),
+]
+
+
 class TestSynthConfig:
     def test_valid(self):
         cfg = base_config()
@@ -59,11 +73,19 @@ class TestSynthConfig:
             {"bias_scale": float("inf")},
             {"semantic_scale": float("inf")},
             {"semantic_scale": float("nan")},
+            *({field: value} for field, value in WRONG_TYPES),
         ],
     )
     def test_invalid(self, overrides):
         with pytest.raises(ConfigError):
             base_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, value", WRONG_TYPES, ids=[f"{f}-{type(v).__name__}" for f, v in WRONG_TYPES]
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            base_config(**{field: value})
 
     @pytest.mark.parametrize("languages", [1, 2, 3, 5])
     def test_topics_and_languages_must_fit_in_dim(self, languages):
