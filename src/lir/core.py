@@ -31,6 +31,7 @@ from .errors import (
     LanguageMismatch,
     NoRelevantError,
     RankError,
+    _check_int,
 )
 
 
@@ -309,20 +310,16 @@ class ComponentBasis:
         if not np.all(np.isfinite(basis)):
             raise InvalidMatrix("component basis has non-finite entries")
         d, r = basis.shape
-        if self.rank != r:
-            raise RankError(f"declared rank {self.rank} != basis columns {r}")
-        if self.sample_count < 0:
-            raise RankError("sample_count must be non-negative")
-        if r > min(self.sample_count, d):
-            raise RankError(
-                f"rank {r} exceeds min(sample_count={self.sample_count}, d={d})"
-            )
+        message = "declared rank {value} != basis columns {high}"
+        object.__setattr__(self, "rank", _check_int("rank", self.rank, r, r, message, RankError))
+        count = _check_int("sample_count", self.sample_count, error=RankError)
+        object.__setattr__(self, "sample_count", count)
+        if r > min(count, d):
+            raise RankError(f"rank {r} exceeds min(sample_count={count}, d={d})")
         if r:
             dev = np.max(np.abs(basis.T @ basis - np.eye(r)))
             if dev > _BASIS_ORTHO_TOL:
-                raise CorruptBasis(
-                    f"basis columns deviate from orthonormal by {dev:.3g}"
-                )
+                raise CorruptBasis(f"basis columns deviate from orthonormal by {dev:.3g}")
         object.__setattr__(self, "basis", _frozen_array(basis))
 
     @property

@@ -2,7 +2,16 @@
 
 Every failure mode raises a subclass of LirError so callers (and the CLI)
 can distinguish data problems from numerical ones without string matching.
+Every numeric argument passes _check_int or _check_real, which return a plain
+int or float and raise a ConfigError (RankError for ranks and k) naming it.
 """
+
+import numbers
+import sys
+
+_MAX = sys.float_info.max
+_POSITIVE = 5e-324  # the least positive float: as a low bound, "> 0"
+_AT_LEAST = "{name} must be >= {low}"
 
 
 class LirError(Exception):
@@ -91,3 +100,25 @@ class DuplicateKey(LirError):
     def __init__(self, key: str, message: str | None = None):
         super().__init__(message or f"duplicate key {key!r}")
         self.key = key
+
+
+def _check_int(name, value, low=0, high=_MAX, message=_AT_LEAST, error=ConfigError) -> int:
+    """value as an int in [low, high], else error "<name> must be an integer" (a bool or
+    another type), "<name> must be finite" (beyond +/-_MAX) or message, its fields filled in."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer")
+    if not low <= int(value) <= high:
+        message = message if -_MAX <= value <= _MAX else "{name} must be finite"
+        raise error(message.format(name=name, value=value, low=low, high=high))
+    return int(value)
+
+
+def _check_real(name, value, low=-_MAX, what="finite") -> float:
+    """value as a float in [low, _MAX], else a ConfigError "<name> must be a real number"
+    (a bool or another type) or "<name> must be <what>" (NaN, +/-inf and 10**400 too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number")
+    number = value if isinstance(value, numbers.Rational) else float(value)  # exact for ints
+    if not low <= number <= _MAX:
+        raise ConfigError(f"{name} must be {what}")
+    return float(number)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,6 +34,7 @@ from .core import (
     corpus_fingerprint,
 )
 from .errors import (
+    _POSITIVE,
     ConfigError,
     DatasetError,
     DegenerateLabels,
@@ -43,6 +42,8 @@ from .errors import (
     NoRelevantError,
     NumericalFailure,
     RankError,
+    _check_int,
+    _check_real,
 )
 from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
 
@@ -238,20 +239,14 @@ def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
     return _ap_from_positions(positions[: len(rel)])
 
 
-def _effective_rank(
-    bases: Optional[Mapping[str, ComponentBasis]], rank: Optional[int]
-) -> int:
+def _effective_rank(bases: Optional[Mapping[str, ComponentBasis]], rank: Optional[int]) -> int:
     if rank is not None:
-        if rank < 0:
-            raise RankError(f"rank {rank} must be non-negative")
-        return rank
+        return _check_int("rank", rank, error=RankError)
     if not bases:
         return 0
     ranks = {b.rank for b in bases.values()}
     if len(ranks) != 1:
-        raise ConfigError(
-            f"bases carry mixed ranks {sorted(ranks)}; pass rank= explicitly"
-        )
+        raise ConfigError(f"bases carry mixed ranks {sorted(ranks)}; pass rank= explicitly")
     return ranks.pop()
 
 
@@ -329,18 +324,11 @@ class LogisticConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "l2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number")
-        if not 0.0 < self.learning_rate <= sys.float_info.max:  # also NaN and 10**400
-            raise ConfigError("learning_rate must be positive and finite")
-        if type(self.epochs) is not int:  # not bool, float or a numpy scalar
-            raise ConfigError("epochs must be an integer")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if not 0.0 <= self.l2 <= sys.float_info.max:
-            raise ConfigError("l2 must be non-negative and finite")
+        rate = _check_real("learning_rate", self.learning_rate, _POSITIVE, "positive and finite")
+        epochs = _check_int("epochs", self.epochs, message="epochs must be non-negative")
+        l2 = _check_real("l2", self.l2, 0.0, "non-negative and finite")
+        for name, value in (("learning_rate", rate), ("epochs", epochs), ("l2", l2)):
+            object.__setattr__(self, name, value)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -408,6 +396,7 @@ def predict_logistic(features, weights: np.ndarray) -> np.ndarray:
 
 def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> float:
     """Mean log-loss plus (l2/2)||w||^2 over the weights (bias unpenalized)."""
+    l2 = _check_real("l2", l2, 0.0, "non-negative and finite")
     x = linalg.as_matrix(features)
     y = _as_labels(labels, x.shape[0])
     w = np.asarray(weights, dtype=np.float64)

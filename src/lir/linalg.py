@@ -36,6 +36,7 @@ from .errors import (
     NumericalFailure,
     RankError,
     ZeroVectorError,
+    _check_int,
 )
 
 # Sweep budget for the Jacobi eigensolver. Exceeding it is a reported error,
@@ -92,6 +93,7 @@ def jacobi_eigh(a, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray
     NumericalFailure (carrying the sweep count) if the off-diagonal mass has
     not fallen below 1e-14 of the Frobenius norm within `max_sweeps` sweeps.
     """
+    max_sweeps = _check_int("max_sweeps", max_sweeps)
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape[1] != n:
@@ -149,10 +151,8 @@ def jacobi_eigh(a, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray
                 v[:, q] = s * vp + c * vq
     else:
         if off_norm(a) > threshold:
-            raise NumericalFailure(
-                f"Jacobi eigensolver did not converge within {max_sweeps} sweeps",
-                iterations=max_sweeps,
-            )
+            message = f"Jacobi eigensolver did not converge within {max_sweeps} sweeps"
+            raise NumericalFailure(message, iterations=max_sweeps)
     return np.diag(a).copy(), v
 
 
@@ -340,8 +340,7 @@ def _pca_scores(rows: np.ndarray, k: int) -> np.ndarray:
     n, d = rows.shape
     if n < 2:
         raise RankError("PCA projection needs at least two rows")
-    if not 1 <= k <= min(n, d):
-        raise RankError(f"k={k} outside valid range [1, {min(n, d)}]")
+    k = _check_int("k", k, 1, min(n, d), "k={value} outside valid range [{low}, {high}]", RankError)
     rows -= rows.mean(axis=0)
     _, v = _right_factor(rows)
     with _one_blas_thread():

@@ -25,6 +25,7 @@ from .errors import (
     MissingBasis,
     RankError,
     ZeroVectorError,
+    _check_int,
 )
 
 
@@ -61,9 +62,8 @@ def fit_decomposition(
     factorized, so the leading direction can be the language centroid
     itself). rank 0 yields an empty basis and removal becomes the identity.
     """
-    limit = min(matrix.n, matrix.d)
-    if not 0 <= rank <= limit:
-        raise RankError(f"rank {rank} outside valid range [0, {limit}]")
+    limit, message = min(matrix.n, matrix.d), "rank {value} outside valid range [0, {high}]"
+    rank = _check_int("rank", rank, 0, limit, message, RankError)
     data = matrix.rows
     if normalize:
         norms = np.linalg.norm(data, axis=1)

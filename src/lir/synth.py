@@ -22,16 +22,14 @@ rescale already-drawn vectors, so changing them never shifts the stream.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
-from .errors import ConfigError
+from .errors import _POSITIVE, ConfigError, _check_int, _check_real
 
 TOPIC_PARITY = "topic-parity"
 
@@ -52,49 +50,35 @@ class SynthConfig:
     skew: float = 0.0
 
     def __post_init__(self):
-        codes = () if isinstance(self.languages, (str, bytes)) else self.languages  # not "ab" as a, b
-        langs = tuple(str(code).strip() for code in codes)
+        codes = self.languages if isinstance(self.languages, Iterable) else ()
+        langs = () if isinstance(codes, (str, bytes)) else tuple(str(c).strip() for c in codes)
         if not langs or any(not code for code in langs):
             raise ConfigError("languages must be a non-empty list of non-blank codes")
         if len(set(langs)) != len(langs):
             raise ConfigError("language codes must be unique")
-        object.__setattr__(self, "languages", langs)
-        for name in ("topics", "per_topic_per_lang", "dim"):
-            if type(getattr(self, name)) is not int:  # not bool, float or a numpy scalar
-                raise ConfigError(f"{name} must be an integer")
-        if self.topics < 2:
-            raise ConfigError("need at least 2 topics")
-        if self.per_topic_per_lang < 1:
-            raise ConfigError("per_topic_per_lang must be >= 1")
-        if self.dim < len(langs) + 2:
-            raise ConfigError(
-                f"dim must be >= languages + 2 = {len(langs) + 2} to leave room "
-                "for orthogonal offsets plus semantic directions"
-            )
+        checked = {
+            "languages": langs,
+            "topics": _check_int("topics", self.topics, 2, message="need at least 2 topics"),
+            "per_topic_per_lang": _check_int("per_topic_per_lang", self.per_topic_per_lang, 1),
+            "dim": _check_int("dim", self.dim, len(langs) + 2, message=(
+                "dim must be >= languages + 2 = {low} to leave room "
+                "for orthogonal offsets plus semantic directions")),
+        }
         # The topics span min(topics, dim) directions, leaving too few for the offsets.
-        if self.topics + len(langs) > self.dim:
-            raise ConfigError(
-                "cannot orthogonalize language offsets against the topic span; "
-                "increase dim or reduce topics"
-            )
-        for name in ("semantic_scale", "bias_scale", "noise_scale", "skew"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number")
-            if not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN and 10**400
-                raise ConfigError(f"{name} must be finite")
-        if not self.semantic_scale > 0.0:
-            raise ConfigError("semantic_scale must be positive")
-        if self.bias_scale < 0.0:
-            raise ConfigError("bias_scale must be non-negative")
-        if self.noise_scale < 0.0:
-            raise ConfigError("noise_scale must be non-negative")
-        if self.skew < 0.0:
-            raise ConfigError("skew must be non-negative")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an integer in [0, 2^64)")
+        if checked["topics"] + len(langs) > checked["dim"]:
+            raise ConfigError("cannot orthogonalize language offsets against the topic span; "
+                              "increase dim or reduce topics")
+        lows = {"semantic_scale": _POSITIVE, "bias_scale": 0.0, "noise_scale": 0.0, "skew": 0.0}
+        scales = {name: _check_real(name, getattr(self, name)) for name in lows}  # signs after
+        for name, low in lows.items():
+            sign = "positive" if low else "non-negative"
+            checked[name] = _check_real(name, scales[name], low, sign)
+        seed = "seed must be an integer in [0, 2^64)"
+        checked["seed"] = _check_int("seed", self.seed, 0, 2**64 - 1, seed)
         if self.label_rule not in (None, TOPIC_PARITY):
             raise ConfigError(f"unknown label_rule {self.label_rule!r}")
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

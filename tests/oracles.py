@@ -83,10 +83,20 @@ def ap_fixed_point_oracle(positions, bits=128):
     return sum((k << bits) // p for k, p in enumerate(positions, start=1))
 
 
+def _power_of_two_scaled(vec):
+    """vec as floats divided by a power of two (exact, short of underflow) that
+    brings its largest magnitude into [0.5, 1), so no square or product overflows."""
+    vec = [float(a) for a in vec]
+    exponent = math.frexp(max(map(abs, vec), default=0.0))[1]
+    return [math.ldexp(a, -exponent) for a in vec]
+
+
 def cosine_oracle(u, v):
-    dot = math.fsum(float(a) * float(b) for a, b in zip(u, v))
-    nu = math.sqrt(math.fsum(float(a) * float(a) for a in u))
-    nv = math.sqrt(math.fsum(float(b) * float(b) for b in v))
+    """fsum cosine of u and v, taken of their power-of-two prescaled copies."""
+    u, v = _power_of_two_scaled(u), _power_of_two_scaled(v)
+    dot = math.fsum(a * b for a, b in zip(u, v))
+    nu = math.sqrt(math.fsum(a * a for a in u))
+    nv = math.sqrt(math.fsum(b * b for b in v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return dot / (nu * nv)

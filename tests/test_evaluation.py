@@ -383,11 +383,15 @@ class TestEvaluateRetrieval:
         def einsum_score(qvec, vec):
             return _cosine_scores(vec[None], np.linalg.norm(vec[None], axis=1), qvec)[0]
 
+        huge = [(c.id, c.vec) for c in cands if np.abs(c.vec).max() > 1e300]
         with np.errstate(over="ignore", invalid="ignore"):
             report = evaluate_retrieval(RetrievalDataset(queries, cands, qrels))
             for q in queries:
                 ranked = rank_oracle(q.vec, [(c.id, c.vec) for c in cands], einsum_score)
                 assert report.per_language_map[q.lang] == float(average_precision_oracle(ranked, qrels[q.id]))
+                # The rescaled einsum scores of the overflowing rows order them as the
+                # independent fsum cosine does.
+                assert rank_oracle(q.vec, huge) == rank_oracle(q.vec, huge, einsum_score)
 
     def test_rerun_serialization_identical(self):
         ds = two_lang_dataset()

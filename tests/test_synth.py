@@ -35,6 +35,8 @@ WRONG_TYPES = [
     ("skew", None),
     ("languages", "ab"),
     ("languages", b"ab"),
+    ("languages", None),
+    ("languages", 5),
 ]
 
 
