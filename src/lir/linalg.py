@@ -3,9 +3,10 @@
 Every factorization takes one route: form the d x d Gram matrix a^T a and
 diagonalize it with LAPACK's symmetric eigensolver (`np.linalg.eigh`), the
 product and the eigensolve together with numpy's bundled OpenBLAS pinned to
-one thread; `svd` recovers U by Gram-Schmidt on a @ V in a second pinned
-block. A multi-threaded product or eigensolve changes the last bits of its
-result with the thread count, a single-threaded one does not. Identical
+one thread; `svd` forms a @ V in a second pinned block and recovers U from it
+by the one Gram-Schmidt helper, which runs on einsum and calls no BLAS. A
+multi-threaded product or eigensolve changes the last bits of its result
+with the thread count, a single-threaded one does not. Identical
 inputs therefore produce bit-identical outputs whatever the BLAS thread-pool
 setting (the tests check 1, 2, 4 and 8 threads). The embedding use case is
 n >> d with d <= ~1024, so the d x d eigenproblem is cheap; for n << d it
@@ -162,16 +163,19 @@ def _gram_schmidt(w: np.ndarray, floor: float, degenerate, done=None) -> np.ndar
     The columns are also made orthogonal to the orthonormal columns of
     `done`. One whose residual norm is not above `floor` is replaced by
     `degenerate(prior)`, prior being the columns before it; the callback
-    returns the replacement column or raises. The result keeps w's memory
-    layout, which fixes the BLAS kernels and so the bits of the result.
+    returns the replacement column or raises. Both projection products and
+    the norm are einsum sums, never BLAS, so the bits of the result depend
+    neither on the BLAS thread count nor on its CPU kernel.
     """
     start = 0 if done is None else done.shape[1]
-    out = np.zeros_like(w) if done is None else np.hstack([done, np.zeros_like(w)])
+    out = np.zeros((w.shape[0], start + w.shape[1]), order="F")  # contiguous columns: fast sums
+    if done is not None:
+        out[:, :start] = done
     for i in range(start, out.shape[1]):
         col = w[:, i - start].copy()
         for _ in range(2):
-            col -= out[:, :i] @ (out[:, :i].T @ col)
-        nrm = float(np.linalg.norm(col))
+            col -= np.einsum("ij,j->i", out[:, :i], np.einsum("ij,i->j", out[:, :i], col))
+        nrm = math.sqrt(np.einsum("i,i->", col, col))
         out[:, i] = col / nrm if nrm > floor else degenerate(out[:, :i])
     return out[:, start:]
 
@@ -257,11 +261,16 @@ def _right_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalFailure(f"eigensolver failed: {exc}", iterations=0) from exc
     sigma = np.sqrt(np.maximum(w[::-1][:k], 0.0))
     v = np.ascontiguousarray(vecs[:, ::-1][:, :k])
-    for i in range(k):
-        j = int(np.argmax(np.abs(v[:, i])))
-        if v[j, i] < 0.0:
-            v[:, i] = -v[:, i]
+    _orient(v)
     return sigma, v
+
+
+def _orient(v: np.ndarray) -> None:
+    """Negate, in place, each column of v whose first largest-magnitude entry
+    is negative. Multiplying by -1.0 or 1.0 is exact, so this has the bits of
+    negating those columns one at a time."""
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v *= np.where(top < 0.0, -1.0, 1.0)
 
 
 def svd(m) -> SvdResult:
@@ -269,19 +278,20 @@ def svd(m) -> SvdResult:
 
     For an n x d input this eigendecomposes a^T a with thread-pinned LAPACK
     `eigh` (raising NumericalFailure if it fails), keeps V and sigma for the
-    top min(n, d) eigenpairs, and recovers U by Gram-Schmidt on m V, also on
-    one BLAS thread; columns of near-zero singular values are completed
-    deterministically. This is cheap and stable in the n >> d regime this
-    package targets; for n << d it still costs one d x d eigensolve. The
-    contract is the usual one either way: sigma non-negative and
-    non-increasing, orthonormal factors, and reconstruction to 1e-6 relative
-    Frobenius error.
+    top min(n, d) eigenpairs, forms m V on one BLAS thread and recovers U from
+    it by Gram-Schmidt on einsum; columns of near-zero singular values are
+    completed deterministically. This is cheap and stable in the n >> d
+    regime this package targets; for n << d it still costs one d x d
+    eigensolve. The contract is the usual one either way: sigma non-negative
+    and non-increasing, orthonormal factors, and reconstruction to 1e-6
+    relative Frobenius error.
     """
     a = as_matrix(m)
     sigma, v = _right_factor(a)
     top = float(sigma[0])
     with _one_blas_thread():
-        u = _gram_schmidt(a @ v, 1e-8 * (top if top > 0.0 else 1.0), _first_free_axis)
+        av = a @ v
+    u = _gram_schmidt(av, 1e-8 * (top if top > 0.0 else 1.0), _first_free_axis)
     return SvdResult(u=u, sigma=sigma, v=v)
 
 

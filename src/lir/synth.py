@@ -14,24 +14,29 @@ contiguous block. Rows with index 0 in their (language, topic) group are
 designated queries; the qrels of a query mark all other same-topic rows,
 across all languages, as relevant.
 
-Randomness comes from numpy's PCG64 bit generator seeded explicitly, so a
-seed reproduces the same dataset on every platform; OS entropy is never used.
+Randomness comes from numpy's PCG64 bit generator seeded explicitly, and the
+orthogonalization runs on einsum, never on BLAS, so a seed reproduces the same
+dataset whatever the BLAS thread count or CPU kernel; OS entropy is never used.
 The draw order is topics, then raw offsets, then noise, and bias/skew only
 rescale already-drawn vectors, so changing them never shifts the stream.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
 from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
 from .errors import _POSITIVE, ConfigError, _check_int, _check_real
+from .linalg import _gram_schmidt
 
 TOPIC_PARITY = "topic-parity"
+_NO_ROOM = "cannot orthogonalize language offsets against the topic span; increase dim or reduce topics"
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,8 @@ class SynthConfig:
 
     def __post_init__(self):
         codes = self.languages if isinstance(self.languages, Iterable) else ()
-        langs = () if isinstance(codes, (str, bytes)) else tuple(str(c).strip() for c in codes)
+        # A set's order follows the string hash seed, so it would not fix the corpus.
+        langs = () if isinstance(codes, (str, bytes, Set)) else tuple(str(c).strip() for c in codes)
         if not langs or any(not code for code in langs):
             raise ConfigError("languages must be a non-empty list of non-blank codes")
         if len(set(langs)) != len(langs):
@@ -66,8 +72,7 @@ class SynthConfig:
         }
         # The topics span min(topics, dim) directions, leaving too few for the offsets.
         if checked["topics"] + len(langs) > checked["dim"]:
-            raise ConfigError("cannot orthogonalize language offsets against the topic span; "
-                              "increase dim or reduce topics")
+            raise ConfigError(_NO_ROOM)
         lows = {"semantic_scale": _POSITIVE, "bias_scale": 0.0, "noise_scale": 0.0, "skew": 0.0}
         scales = {name: _check_real(name, getattr(self, name)) for name in lows}  # signs after
         for name, low in lows.items():
@@ -143,22 +148,8 @@ def _take(table: EmbeddingTable, index: slice | np.ndarray) -> EmbeddingTable:
     return EmbeddingTable._of_checked(ids, langs, rows)
 
 
-# Kept out of linalg._gram_schmidt, like generate's offset loop: it would change a seed's bytes.
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row span via two-pass Gram-Schmidt."""
-    scale = float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 0.0
-    kept: list[np.ndarray] = []
-    for row in rows:
-        vec = row.copy()
-        for _ in range(2):
-            for q in kept:
-                vec -= (q @ vec) * q
-        nrm = float(np.linalg.norm(vec))
-        if nrm > 1e-10 * max(scale, 1.0):
-            kept.append(vec / nrm)
-    if not kept:
-        return np.zeros((0, rows.shape[1]))
-    return np.stack(kept)
+def _no_room(prior: np.ndarray) -> NoReturn:
+    raise ConfigError(_NO_ROOM)
 
 
 def generate(config: SynthConfig) -> SynthResult:
@@ -171,41 +162,29 @@ def generate(config: SynthConfig) -> SynthResult:
     topic_norms = np.linalg.norm(raw_topics, axis=1)
     if np.any(topic_norms < 1e-12):
         raise ConfigError("degenerate topic draw; use a different seed")
-    topics = config.semantic_scale * raw_topics / topic_norms[:, None]
+    units = raw_topics / topic_norms[:, None]
+    topics = config.semantic_scale * units
 
     raw_offsets = rng.standard_normal((n_lang, dim))
     noise = config.noise_scale * rng.standard_normal((n_lang * n_topic * per, dim))
 
-    topic_basis = _orthonormal_rows(topics)
-    directions: list[np.ndarray] = []
-    for i in range(n_lang):
-        vec = raw_offsets[i].copy()
-        for _ in range(2):
-            vec -= topic_basis.T @ (topic_basis @ vec)
-            for prev in directions:
-                vec -= (prev @ vec) * prev
-        nrm = float(np.linalg.norm(vec))
-        if nrm < 1e-8:
-            raise ConfigError(
-                "cannot orthogonalize language offsets against the topic span; "
-                "increase dim or reduce topics"
-            )
-        directions.append(vec / nrm)
-
+    # An orthonormal basis of the topic span, from the unit directions so that no
+    # semantic_scale drops a topic (one inside the span of the earlier ones gives a
+    # zero column); then each language's unit direction, orthogonal to that span and
+    # to the earlier languages'. Both run on einsum, so no step here calls BLAS.
+    topic_basis = _gram_schmidt(units.T, 1e-10, lambda _: 0.0)
+    directions = _gram_schmidt(raw_offsets.T, 1e-8, _no_room, topic_basis).T
     if config.skew > 0.0:
         # Robustness knob: tilt each offset back toward the topic span so the
         # exact-orthogonality premise no longer holds.
-        tilted = []
-        for i, direction in enumerate(directions):
-            in_span = topic_basis.T @ (topic_basis @ raw_offsets[i])
-            nrm = float(np.linalg.norm(in_span))
+        for direction, raw in zip(directions, raw_offsets):
+            in_span = np.einsum("ij,j->i", topic_basis, np.einsum("ij,i->j", topic_basis, raw))
+            nrm = math.sqrt(np.einsum("i,i->", in_span, in_span))
             if nrm > 0.0:
-                direction = direction + config.skew * in_span / nrm
-                direction = direction / float(np.linalg.norm(direction))
-            tilted.append(direction)
-        directions = tilted
+                direction += config.skew * in_span / nrm
+                direction /= math.sqrt(np.einsum("i,i->", direction, direction))
 
-    offsets = {lang: config.bias_scale * directions[i] for i, lang in enumerate(langs)}
+    offsets = {lang: config.bias_scale * direction for lang, direction in zip(langs, directions)}
 
     # The noise buffer becomes the corpus. Rows run language, then topic, then index (the
     # draw order); each is (offset + topic) + noise, rounded as a row summed alone would be.

@@ -313,9 +313,12 @@ def sigmoid_oracle(z):
 def generate_oracle(config):
     """The record-at-a-time synthetic generator: one EmbeddingRecord per row,
     each summed as offset + topic + noise on its own, plus its own copy of the
-    two-pass Gram-Schmidt. It shares lir's config and record types only, so
-    the matrix-form `generate` can be checked against it bit for bit.
+    two-pass classical Gram-Schmidt, one vector at a time against a list of the
+    unit vectors kept so far, with einsum products and norms. It shares lir's
+    config and record types only, so the matrix-form `generate` can be checked
+    against it bit for bit.
     """
+    import math
     from types import SimpleNamespace
 
     import numpy as np
@@ -324,20 +327,23 @@ def generate_oracle(config):
     from lir.errors import ConfigError
     from lir.synth import TOPIC_PARITY
 
-    def _orthonormal_rows(rows):
-        scale = float(np.max(np.linalg.norm(rows, axis=1))) if rows.size else 0.0
-        kept = []
-        for row in rows:
-            vec = row.copy()
+    def extend(kept, vectors, floor, on_degenerate):
+        # Each vector loses its projection on the kept ones twice, then is kept
+        # normalized, or as on_degenerate() if too little of it is left.
+        for vec in vectors:
+            vec = vec.copy()
             for _ in range(2):
-                for q in kept:
-                    vec -= (q @ vec) * q
-            nrm = float(np.linalg.norm(vec))
-            if nrm > 1e-10 * max(scale, 1.0):
-                kept.append(vec / nrm)
-        if not kept:
-            return np.zeros((0, rows.shape[1]))
-        return np.stack(kept)
+                prior = np.array(kept).reshape(len(kept), vec.size).T
+                vec -= np.einsum("ij,j->i", prior, np.einsum("ij,i->j", prior, vec))
+            nrm = math.sqrt(np.einsum("i,i->", vec, vec))
+            kept.append(vec / nrm if nrm > floor else on_degenerate())
+        return kept
+
+    def no_room():
+        raise ConfigError(
+            "cannot orthogonalize language offsets against the topic span; "
+            "increase dim or reduce topics"
+        )
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     langs = config.languages
@@ -352,35 +358,24 @@ def generate_oracle(config):
     topic_norms = np.linalg.norm(raw_topics, axis=1)
     if np.any(topic_norms < 1e-12):
         raise ConfigError("degenerate topic draw; use a different seed")
-    topics = config.semantic_scale * raw_topics / topic_norms[:, None]
+    units = raw_topics / topic_norms[:, None]
+    topics = config.semantic_scale * units
 
     raw_offsets = rng.standard_normal((n_lang, dim))
     noise = config.noise_scale * rng.standard_normal((n_lang * n_topic * per, dim))
 
-    topic_basis = _orthonormal_rows(topics)
-    directions = []
-    for i in range(n_lang):
-        vec = raw_offsets[i].copy()
-        for _ in range(2):
-            vec -= topic_basis.T @ (topic_basis @ vec)
-            for prev in directions:
-                vec -= (prev @ vec) * prev
-        nrm = float(np.linalg.norm(vec))
-        if nrm < 1e-8:
-            raise ConfigError(
-                "cannot orthogonalize language offsets against the topic span; "
-                "increase dim or reduce topics"
-            )
-        directions.append(vec / nrm)
+    topic_basis = extend([], units, 1e-10, lambda: np.zeros(dim))
+    directions = extend(list(topic_basis), raw_offsets, 1e-8, no_room)[n_topic:]
 
     if config.skew > 0.0:
+        basis = np.array(topic_basis).T
         tilted = []
         for i, direction in enumerate(directions):
-            in_span = topic_basis.T @ (topic_basis @ raw_offsets[i])
-            nrm = float(np.linalg.norm(in_span))
+            in_span = np.einsum("ij,j->i", basis, np.einsum("ij,i->j", basis, raw_offsets[i]))
+            nrm = math.sqrt(np.einsum("i,i->", in_span, in_span))
             if nrm > 0.0:
                 direction = direction + config.skew * in_span / nrm
-                direction = direction / float(np.linalg.norm(direction))
+                direction = direction / math.sqrt(np.einsum("i,i->", direction, direction))
             tilted.append(direction)
         directions = tilted
 

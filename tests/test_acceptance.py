@@ -258,7 +258,8 @@ def test_criterion_7_pca_separation():
     assert pre >= 5.0 * post, f"pre {pre:.3f}, post {post:.3f}, ratio {pre / post:.2f}"
 
 
-def run_cli(args, cwd, env=None):
+def run_cli(args, cwd, env=None, module=True):
+    """Run `python -m lir args` (or `python args` if not module) in cwd."""
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
@@ -269,7 +270,7 @@ def run_cli(args, cwd, env=None):
         filter(None, (package_root, full_env.get("PYTHONPATH")))
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "lir", *args],
+        [sys.executable, *(["-m", "lir"] if module else []), *args],
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -479,6 +480,65 @@ def test_criterion_8d_removal_row_independence(openblas_threads):
         return json.dumps(report, sort_keys=True)
 
     assert order_free_json(records[::-1]) == order_free_json(records)
+
+
+def _avx512_targets():
+    """numpy's AVX-512 dispatch targets in this build (empty off x86-64)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return [name for name in __cpu_dispatch__ if name == "X86_V4" or name.startswith("AVX512")]
+
+
+# `lir synth`, then the sha256 of every read_components basis in argv[1].
+SYNTH_AND_READ = """
+import hashlib, sys
+from pathlib import Path
+from lir.cli import main
+from lir.io import read_components
+assert main(sys.argv[2:]) == 0
+digest = hashlib.sha256()
+for path in sorted(Path(sys.argv[1]).glob("*.lirc")):
+    digest.update(read_components(path).basis.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@criterion("8e", "synth corpora and read bases do not depend on BLAS threads or CPU kernels", 60.0)
+def test_criterion_8e_same_bytes_on_every_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks another OpenBLAS kernel and NPY_DISABLE_CPU_FEATURES
+    # turns numpy's AVX-512 loops off, so this one machine acts as several CPUs.
+    # A BLAS product in synth's or read_components' Gram-Schmidt rounds apart
+    # under Haswell and Prescott.
+    synth = ["synth", "--languages", "4", "--topics", "20", "--per", "50", "--dim", "128",
+             "--bias", "5.0", "--labels", "--seed", "7", "--out"]
+    assert cli_main([*synth, str(tmp_path / "ref")]) == 0
+    comp = tmp_path / "comp"
+    assert cli_main(["fit", "--input", str(tmp_path / "ref" / "corpus"), "--rank", "4",
+                     "--output", str(comp)]) == 0
+    settings = {
+        "default": {},
+        "1 thread": {"OPENBLAS_NUM_THREADS": "1"},
+        "8 threads": {"OPENBLAS_NUM_THREADS": "8"},
+        "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    }
+    avx512 = _avx512_targets()
+    if avx512:
+        settings["no AVX-512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+    files, bases = {}, {}
+    for name, env in settings.items():  # one child at a time
+        out = tmp_path / name.replace(" ", "-")
+        child = [*synth, str(out)]
+        proc = run_cli(["-c", SYNTH_AND_READ, str(comp), *child], tmp_path, env, module=False)
+        files[name] = tree_hashes(out)
+        bases[name] = proc.stdout.splitlines()[-1]
+    assert len(files["default"]) == 15  # 4 languages x 3 + qrels, labels, manifest
+    assert files["default"] == tree_hashes(tmp_path / "ref")
+    for name in settings:
+        assert files[name] == files["default"], f"synth files differ under {name}"
+        assert bases[name] == bases["default"], f"read_components bases differ under {name}"
 
 
 def _valid_lire_bytes():

@@ -17,6 +17,7 @@ from lir import (
     project_out_scaled,
     svd,
 )
+from lir.linalg import _orient
 from oracles import gram_eigvals_oracle
 
 RECON_TOL = 1e-6
@@ -104,6 +105,23 @@ class TestSvd:
         for i in range(res.v.shape[1]):
             j = int(np.argmax(np.abs(res.v[:, i])))
             assert res.v[j, i] >= 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_orientation_equals_the_column_loop_with_tied_magnitudes(self, seed):
+        # A few magnitudes with both signs and -0.0, so a column's largest magnitude
+        # is often tied and the first of the tied entries must decide its sign.
+        rng = np.random.default_rng(seed)
+        d, k = (int(n) for n in rng.integers(1, 9, size=2))
+        scale = rng.choice([1e-300, 1.0, 1e300])
+        v = scale * rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(d, k))
+        v[:, 0] = -0.0
+        expected = v.copy()
+        for i in range(k):
+            j = int(np.argmax(np.abs(expected[:, i])))
+            if expected[j, i] < 0.0:
+                expected[:, i] = -expected[:, i]
+        _orient(v)
+        assert v.tobytes() == expected.tobytes()
 
     def test_eigensolver_failure_is_numerical_failure(self, monkeypatch):
         def failing_eigh(*args, **kwargs):

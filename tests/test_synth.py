@@ -37,6 +37,8 @@ WRONG_TYPES = [
     ("languages", b"ab"),
     ("languages", None),
     ("languages", 5),
+    ("languages", {"l00", "l01", "l02"}),  # a set's order follows the string hash seed
+    ("languages", frozenset({"l00", "l01", "l02"})),
 ]
 
 
@@ -171,6 +173,18 @@ class TestGenerate:
             unit = biased.ground_truth[lang] / np.linalg.norm(biased.ground_truth[lang])
             cosines = np.abs(topics @ unit) / np.linalg.norm(topics, axis=1)
             assert np.max(cosines) <= 1e-9
+
+    @pytest.mark.parametrize("semantic_scale", [1e-12, 1e-9, 1.0, 1e3])
+    def test_offsets_orthogonal_to_topic_directions_at_any_semantic_scale(self, semantic_scale):
+        # The topic directions come from the noise-free, bias-free twin; no scale,
+        # however small, may leave a topic out of the span the offsets avoid.
+        clean = generate(base_config(bias_scale=0.0, noise_scale=0.0, semantic_scale=semantic_scale))
+        per = clean.config.per_topic_per_lang
+        rows = clean.table.rows[: clean.config.topics * per : per]  # the first language's
+        units = rows / np.linalg.norm(rows, axis=1)[:, None]
+        biased = generate(base_config(noise_scale=0.0, semantic_scale=semantic_scale))
+        for lang, offset in biased.ground_truth.items():
+            assert np.max(np.abs(units @ offset)) <= 1e-12 * np.linalg.norm(offset), lang
 
     def test_bias_zero_centroids_concentrate(self):
         for seed in (1, 2, 3):
