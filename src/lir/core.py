@@ -32,17 +32,39 @@ from .errors import (
     NoRelevantError,
     RankError,
     _check_int,
+    _check_real,
 )
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+def _frozen_array(array: np.ndarray) -> np.ndarray:
     # An owned, read-only, C-ordered array has no writable alias: kept as is.
-    if isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None:
-        if not values.flags.writeable and values.flags.c_contiguous:
-            return values
-    out = np.array(values, dtype=dtype, order="C", copy=True)
+    if array.base is None and not array.flags.writeable and array.flags.c_contiguous:
+        return array
+    out = np.array(array, order="C")
     out.flags.writeable = False
     return out
+
+
+def _real_array(name, value, ndim, error, nonempty=(), finite=True) -> np.ndarray:
+    """value as a float64 array (a float64 array is not copied), else error
+    "<name> must be an array of real numbers" (str, object, complex, ragged),
+    "<name> must be <ndim>-D" (ndim: a count or a tuple), "<name> is empty"
+    (an axis in nonempty) or, with finite, "<name> has non-finite entries"."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers")
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if array.ndim not in ndims:
+        raise error(f"{name} must be {' or '.join(f'{n}-D' for n in ndims)}, got ndim={array.ndim}")
+    if any(array.shape[axis] == 0 for axis in nonempty):
+        raise error(f"{name} is empty: shape {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise error(f"{name} has non-finite entries")
+    return array
 
 
 @dataclass(frozen=True)
@@ -64,12 +86,8 @@ class EmbeddingRecord:
         if not lang:
             raise InvalidVector(f"record {self.id!r}: language tag is empty")
         object.__setattr__(self, "lang", lang)
-        vec = np.asarray(self.vec, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise InvalidVector(
-                f"record {self.id!r}: vector must be 1-D with at least one coordinate"
-            )
-        if not np.all(np.isfinite(vec)):
+        vec = _real_array(f"record {self.id!r}: vec", self.vec, 1, InvalidVector, (0,), finite=False)
+        if not np.isfinite(vec).all():  # the message a table, and so the CLI, prints for a bad row
             raise InvalidVector(f"record {self.id!r}: vector has non-finite coordinates")
         object.__setattr__(self, "vec", _frozen_array(vec))
 
@@ -130,8 +148,8 @@ class EmbeddingTable:
     def __post_init__(self):
         ids = tuple(self.ids)
         langs = tuple(map(str.strip, map(str, self.langs)))
-        rows = _frozen_array(self.rows)
-        if rows.ndim != 2 or not len(ids) == len(langs) == rows.shape[0]:
+        rows = _frozen_array(_real_array("rows", self.rows, 2, DimensionError, finite=False))
+        if not len(ids) == len(langs) == rows.shape[0]:
             raise DimensionError("a table needs an n x d matrix and n ids and languages")
         _check_rows(ids, langs, rows)
         _check_collection(ids, np.full(len(ids), rows.shape[1]))
@@ -213,11 +231,7 @@ class LanguageMatrix:
         if not lang:
             raise InvalidMatrix("language tag is empty")
         object.__setattr__(self, "lang", lang)
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise InvalidMatrix("language matrix must be 2-D with n >= 1 and d >= 1")
-        if not np.all(np.isfinite(rows)):
-            raise InvalidMatrix("language matrix has non-finite entries")
+        rows = _real_array("rows", self.rows, 2, InvalidMatrix, (0, 1))
         object.__setattr__(self, "rows", _frozen_array(rows))
 
     @classmethod
@@ -264,21 +278,15 @@ class SvdResult:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if u.ndim != 2 or v.ndim != 2 or sigma.ndim != 1:
-            raise InvalidMatrix("SVD factors have wrong ranks")
+        u, sigma, v = (_real_array(name, getattr(self, name), ndim, InvalidMatrix)
+                       for name, ndim in (("u", 2), ("sigma", 1), ("v", 2)))
         k = sigma.size
         if u.shape[1] != k or v.shape[1] != k:
             raise DimensionError("SVD factor shapes do not agree")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(sigma)) and np.all(np.isfinite(v))):
-            raise InvalidMatrix("SVD factors contain non-finite entries")
         if k and (np.any(sigma < 0.0) or np.any(np.diff(sigma) > 0.0)):
             raise InvalidMatrix("singular values must be non-negative and non-increasing")
-        object.__setattr__(self, "u", _frozen_array(u))
-        object.__setattr__(self, "sigma", _frozen_array(sigma))
-        object.__setattr__(self, "v", _frozen_array(v))
+        for name, factor in (("u", u), ("sigma", sigma), ("v", v)):
+            object.__setattr__(self, name, _frozen_array(factor))
 
 
 _BASIS_ORTHO_TOL = 1e-6
@@ -304,11 +312,7 @@ class ComponentBasis:
         if not lang:
             raise InvalidMatrix("language tag is empty")
         object.__setattr__(self, "lang", lang)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] < 1:
-            raise InvalidMatrix("component basis must be a 2-D d x r matrix with d >= 1")
-        if not np.all(np.isfinite(basis)):
-            raise InvalidMatrix("component basis has non-finite entries")
+        basis = _real_array("basis", self.basis, 2, InvalidMatrix, (0,))
         d, r = basis.shape
         message = "declared rank {value} != basis columns {high}"
         object.__setattr__(self, "rank", _check_int("rank", self.rank, r, r, message, RankError))
@@ -410,6 +414,10 @@ def _raise_qrels_error(qrels, query_ids, row_of) -> NoReturn:
     raise NoRelevantError(f"query {qid!r} has no qrels entry")
 
 
+def _fraction(name, value) -> float:
+    return _check_real(name, value, 0.0, "in [0, 1]", 1.0)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Retrieval evaluation result.
@@ -425,9 +433,11 @@ class EvalReport:
     config: Mapping[str, object]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "per_language_map", MappingProxyType(dict(self.per_language_map))
-        )
+        maps = {lang: _fraction(f"per_language_map[{lang!r}]", value)
+                for lang, value in dict(self.per_language_map).items()}
+        object.__setattr__(self, "overall_map", _fraction("overall_map", self.overall_map))
+        object.__setattr__(self, "per_language_map", MappingProxyType(maps))
+        object.__setattr__(self, "query_count", _check_int("query_count", self.query_count, 1))
         object.__setattr__(self, "config", MappingProxyType(dict(self.config)))
 
 
@@ -445,9 +455,8 @@ class TransferReport:
     config: Mapping[str, object]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "per_language_accuracy",
-            MappingProxyType(dict(self.per_language_accuracy)),
-        )
+        accuracy = {lang: _fraction(f"per_language_accuracy[{lang!r}]", value)
+                    for lang, value in dict(self.per_language_accuracy).items()}
+        object.__setattr__(self, "per_language_accuracy", MappingProxyType(accuracy))
+        object.__setattr__(self, "average", _fraction("average", self.average))
         object.__setattr__(self, "config", MappingProxyType(dict(self.config)))

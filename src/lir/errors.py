@@ -4,6 +4,9 @@ Every failure mode raises a subclass of LirError so callers (and the CLI)
 can distinguish data problems from numerical ones without string matching.
 Every numeric argument passes _check_int or _check_real, which return a plain
 int or float and raise a ConfigError (RankError for ranks and k) naming it.
+Every array argument passes core._real_array, which returns a float64 array
+and raises the argument's own class naming it for a str, object, complex or
+ragged value, the wrong axes, an empty axis it rejects or a non-finite entry.
 """
 
 import numbers
@@ -113,12 +116,12 @@ def _check_int(name, value, low=0, high=_MAX, message=_AT_LEAST, error=ConfigErr
     return int(value)
 
 
-def _check_real(name, value, low=-_MAX, what="finite") -> float:
-    """value as a float in [low, _MAX], else a ConfigError "<name> must be a real number"
+def _check_real(name, value, low=-_MAX, what="finite", high=_MAX) -> float:
+    """value as a float in [low, high], else a ConfigError "<name> must be a real number"
     (a bool or another type) or "<name> must be <what>" (NaN, +/-inf and 10**400 too)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number")
     number = value if isinstance(value, numbers.Rational) else float(value)  # exact for ints
-    if not low <= number <= _MAX:
+    if not low <= number <= high:
         raise ConfigError(f"{name} must be {what}")
     return float(number)

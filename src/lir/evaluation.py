@@ -31,6 +31,7 @@ from .core import (
     RetrievalDataset,
     TransferReport,
     _lent_rows,
+    _real_array,
     corpus_fingerprint,
 )
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
     DatasetError,
     DegenerateLabels,
     DimensionError,
+    InvalidMatrix,
     NoRelevantError,
     NumericalFailure,
     RankError,
@@ -246,7 +248,8 @@ def _effective_rank(bases: Optional[Mapping[str, ComponentBasis]], rank: Optiona
         return 0
     ranks = {b.rank for b in bases.values()}
     if len(ranks) != 1:
-        raise ConfigError(f"bases carry mixed ranks {sorted(ranks)}; pass rank= explicitly")
+        remedy = "refit every language at one rank, or pass rank= in the library"
+        raise ConfigError(f"bases carry mixed ranks {sorted(ranks)}; {remedy}")
     return ranks.pop()
 
 
@@ -338,12 +341,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _as_labels(labels, count: int) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1 or y.size != count:
+    y = _real_array("labels", labels, 1, ConfigError, finite=False)  # NaN is not 0 or 1
+    if y.size != count:
         raise DimensionError(f"expected {count} labels, got shape {y.shape}")
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ConfigError("labels must be 0 or 1")
     return y
+
+
+def _as_weights(weights, dim: int) -> np.ndarray:
+    w = _real_array("weights", weights, 1, DimensionError)
+    if w.size != dim + 1:
+        raise DimensionError(f"weights must have length {dim + 1}, got {w.size}")
+    return w
 
 
 def _logits(x: np.ndarray, w: np.ndarray, epoch: int = 0) -> np.ndarray:
@@ -367,7 +377,7 @@ def train_logistic(
     the bias last. Deterministic by construction. Weights or logits that
     overflow raise NumericalFailure.
     """
-    x = linalg.as_matrix(features)
+    x = _real_array("features", features, 2, InvalidMatrix, (0, 1))
     n, d = x.shape
     y = _as_labels(labels, n)
     if n < 2 or y.min() == y.max():
@@ -385,21 +395,16 @@ def train_logistic(
 
 def predict_logistic(features, weights: np.ndarray) -> np.ndarray:
     """Predicted 0/1 labels: class 1 iff the logit is non-negative."""
-    x = linalg.as_matrix(features)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size != x.shape[1] + 1:
-        raise DimensionError(
-            f"weights must have length {x.shape[1] + 1}, got {w.size}"
-        )
-    return (_logits(x, w) >= 0.0).astype(np.int64)
+    x = _real_array("features", features, 2, InvalidMatrix, (0, 1))
+    return (_logits(x, _as_weights(weights, x.shape[1])) >= 0.0).astype(np.int64)
 
 
 def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> float:
     """Mean log-loss plus (l2/2)||w||^2 over the weights (bias unpenalized)."""
     l2 = _check_real("l2", l2, 0.0, "non-negative and finite")
-    x = linalg.as_matrix(features)
+    x = _real_array("features", features, 2, InvalidMatrix, (0, 1))
     y = _as_labels(labels, x.shape[0])
-    w = np.asarray(weights, dtype=np.float64)
+    w = _as_weights(weights, x.shape[1])
     z = x @ w[:-1] + w[-1]
     per_example = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     return float(per_example.mean() + 0.5 * l2 * float(w[:-1] @ w[:-1]))

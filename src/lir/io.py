@@ -10,8 +10,9 @@ Binary layouts (all integers little-endian):
 
   components (.lirc):
     magic b"LIRC" | version byte 1 | u32 header length | UTF-8 JSON header
-    {"dim","rank","lang","sample_count","source_fingerprint"[,"mode_hint"]}
-    | dim*rank float32 values in column-major order.
+    {"dim","rank","lang","sample_count","source_fingerprint"} | dim*rank
+    float32 values in column-major order. A reader ignores other header
+    keys, such as the "mode_hint" that older writers could add.
 
 One reader decodes one or many .lire files into a single EmbeddingTable and
 one encoder writes a table; the record functions convert on the way. Files
@@ -210,7 +211,7 @@ def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) 
     # Only a non-ASCII or long id can fail to encode or to fit in 0xFFFF bytes.
     if not all(map(str.isascii, table.ids)) or max(map(len, table.ids)) > 0xFFFF:
         _check_f32(table)  # every row's values are checked before any id
-        lengths = [len(rid.encode()) for rid in table.ids]
+        lengths = [len(_utf8_bytes(rid, f"record {rid!r}: id")) for rid in table.ids]
         too_long = [rid for rid, n in zip(table.ids, lengths) if n > 0xFFFF]
         if too_long:
             raise FormatError(f"record id too long to store: {too_long[0][:32]!r}...")
@@ -240,6 +241,14 @@ def _lire_head(path) -> tuple[int, int, str] | None:
             return _lire_header(f)
     except (LirError, OSError):
         return None
+
+
+def _utf8_bytes(text: str, what: str) -> bytes:
+    """text as UTF-8, else (a lone surrogate) FormatError "<what> is not valid UTF-8"."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"{what} is not valid UTF-8") from None
 
 
 def _utf8(raw: bytes | bytearray) -> str | None:
@@ -383,17 +392,10 @@ def read_embeddings(path) -> list[EmbeddingRecord]:
     return list(map(EmbeddingRecord, table.ids, table.langs, table.rows))
 
 
-def write_components(path, basis: ComponentBasis, mode_hint: str | None = None) -> None:
+def write_components(path, basis: ComponentBasis) -> None:
     """Write a component basis to a .lirc file (32-bit, column-major)."""
-    header: dict = {
-        "dim": basis.dim,
-        "lang": basis.lang,
-        "rank": basis.rank,
-        "sample_count": basis.sample_count,
-        "source_fingerprint": basis.source_fingerprint,
-    }
-    if mode_hint is not None:
-        header["mode_hint"] = str(mode_hint)
+    header = {"dim": basis.dim, "lang": basis.lang, "rank": basis.rank,
+              "sample_count": basis.sample_count, "source_fingerprint": basis.source_fingerprint}
     _write_atomic(
         path, _header_bytes(COMPONENT_MAGIC, header), basis.basis.astype("<f4").tobytes(order="F")
     )
@@ -624,6 +626,12 @@ def _write_projection(path, ids, langs, scores: np.ndarray) -> None:
             rows = slice(start, start + step)
             # csv writes a Python float as its repr: full precision, round-trip exact.
             writer.writerows(zip(ids[rows], langs[rows], *scores[rows].T.tolist()))
-            yield text.getvalue().encode("utf-8")
+            try:
+                yield text.getvalue().encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate: name its record, and write nothing
+                for rid, lang in zip(ids[rows], langs[rows]):
+                    _utf8_bytes(rid, f"record {rid!r}: id")
+                    _utf8_bytes(lang, f"record {rid!r}: language tag")
+                raise
 
     _write_atomic(path, blocks())

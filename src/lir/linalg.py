@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SvdResult
+from .core import SvdResult, _real_array
 from .errors import (
     DimensionError,
     InvalidMatrix,
@@ -51,38 +51,12 @@ _CONVERGENCE_RTOL = 1e-14
 _RESIDUAL_RTOL = 1e-6
 
 
-def as_matrix(m) -> np.ndarray:
-    """Validate and convert input to a finite 2-D float64 array."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidMatrix(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidMatrix("matrix must have at least one row and one column")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    return a
-
-
-def _as_rows(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[-1] == 0:
-        raise InvalidVector("expected a non-empty 1-D vector or an n x d matrix of row vectors")
-    if not np.all(np.isfinite(a)):
-        raise InvalidVector("vector has non-finite entries")
-    return a
-
-
-def _as_basis(b, dim: int) -> np.ndarray:
-    a = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidMatrix("basis must be a 2-D d x r matrix")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("basis has non-finite entries")
-    if a.shape[0] != dim:
-        raise DimensionError(
-            f"vector dimension {dim} != basis dimension {a.shape[0]}"
-        )
-    return a
+def _operands(v, basis) -> tuple[np.ndarray, np.ndarray]:
+    x = _real_array("v", v, (1, 2), InvalidVector, (-1,))
+    b = _real_array("basis", basis, 2, InvalidMatrix)
+    if b.shape[0] != x.shape[-1]:
+        raise DimensionError(f"vector dimension {x.shape[-1]} != basis dimension {b.shape[0]}")
+    return x, b
 
 
 def jacobi_eigh(a, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +69,7 @@ def jacobi_eigh(a, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray
     not fallen below 1e-14 of the Frobenius norm within `max_sweeps` sweeps.
     """
     max_sweeps = _check_int("max_sweeps", max_sweeps)
-    a = as_matrix(a)
+    a = _real_array("a", a, 2, InvalidMatrix, (0, 1))
     n = a.shape[0]
     if a.shape[1] != n:
         raise InvalidMatrix("matrix is not square")
@@ -286,7 +260,7 @@ def svd(m) -> SvdResult:
     and non-increasing, orthonormal factors, and reconstruction to 1e-6
     relative Frobenius error.
     """
-    a = as_matrix(m)
+    a = _real_array("m", m, 2, InvalidMatrix, (0, 1))
     sigma, v = _right_factor(a)
     top = float(sigma[0])
     with _one_blas_thread():
@@ -305,8 +279,7 @@ def project_out(v, basis) -> np.ndarray:
     row's bits depend neither on its position, the row count nor the BLAS
     thread count.
     """
-    x = _as_rows(v)
-    b = _as_basis(basis, x.shape[-1])
+    x, b = _operands(v, basis)
     coef = np.einsum("...j,jk->...k", x, b)
     nrm = np.sqrt(np.einsum("...j,...j->...", x, x))
     fixed = np.max(np.abs(coef), axis=-1, initial=0.0) <= _RESIDUAL_RTOL * nrm
@@ -324,8 +297,7 @@ def project_out_scaled(v, basis) -> np.ndarray:
     projection on unit vectors and is not idempotent off the unit sphere (e.g.
     with a basis column c, the input 2c maps to c, not to zero).
     """
-    x = _as_rows(v)
-    b = _as_basis(basis, x.shape[-1])
+    x, b = _operands(v, basis)
     nrm = np.sqrt(np.einsum("...j,...j->...", x, x))
     if np.any(nrm == 0.0):
         raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
@@ -340,7 +312,7 @@ def pca_project(m, k: int) -> np.ndarray:
     vectors, which equals the first k columns of U diag(sigma) without
     building U. Deterministic via the SVD sign convention; the product, like
     the eigensolve, runs on one BLAS thread (and touches no second one's buffer)."""
-    return _pca_scores(as_matrix(m).copy(), k)
+    return _pca_scores(_real_array("m", m, 2, InvalidMatrix, (0, 1)).copy(), k)
 
 
 def _pca_scores(rows: np.ndarray, k: int) -> np.ndarray:

@@ -31,8 +31,8 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
-from .errors import _POSITIVE, ConfigError, _check_int, _check_real
+from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array, _real_array
+from .errors import _POSITIVE, ConfigError, InvalidVector, _check_int, _check_real
 from .linalg import _gram_schmidt
 
 TOPIC_PARITY = "topic-parity"
@@ -104,7 +104,9 @@ class SynthResult:
         object.__setattr__(self, "qrels", MappingProxyType(dict(self.qrels)))
         if self.labels is not None:
             object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
-        truth = {lang: _frozen_array(vec) for lang, vec in dict(self.ground_truth).items()}
+        truth = dict(self.ground_truth)
+        for lang, vec in truth.items():
+            truth[lang] = _frozen_array(_real_array(f"ground_truth[{lang!r}]", vec, 1, InvalidVector))
         object.__setattr__(self, "ground_truth", MappingProxyType(truth))
 
     def _records(self, keep) -> tuple[EmbeddingRecord, ...]:

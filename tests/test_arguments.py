@@ -1,7 +1,10 @@
 """Every numeric argument of the public API: a wrong type, a non-finite value,
 a value beyond the float range or one outside the argument's range raises a
 LirError naming the argument, before anything is drawn, factorized, trained
-or written; a numpy scalar is accepted and kept as a plain int or float."""
+or written; a numpy scalar is accepted and kept as a plain int or float.
+Every array argument: a string, complex, ragged or object array, the wrong
+number of axes, an empty axis where one is rejected, or a NaN or +/-inf
+entry raises a LirError naming the argument, with no warning first."""
 
 import json
 import math
@@ -14,13 +17,20 @@ import lir
 from lir import (
     ComponentBasis,
     ConfigError,
+    DimensionError,
     EmbeddingRecord,
     EmbeddingTable,
+    EvalReport,
+    InvalidMatrix,
+    InvalidVector,
     LanguageMatrix,
     LogisticConfig,
     RankError,
     RetrievalDataset,
+    SvdResult,
     SynthConfig,
+    SynthResult,
+    TransferReport,
     evaluate_retrieval,
     evaluate_transfer,
     export_projection,
@@ -30,8 +40,13 @@ from lir import (
     jacobi_eigh,
     logistic_loss,
     pca_project,
+    predict_logistic,
+    project_out,
+    project_out_scaled,
+    svd,
+    train_logistic,
 )
-from lir.io import read_components, report_json, write_components
+from lir.io import read_components, report_json, write_components, write_embeddings, write_report
 
 SYNTH = dict(languages=("l00", "l01", "l02"), topics=6, per_topic_per_lang=4, dim=16, bias_scale=3.0)
 BASIS = dict(lang="en", basis=np.eye(3)[:, :1], rank=1, source_fingerprint="fp", sample_count=3)
@@ -80,6 +95,7 @@ INTEGERS = [
     ("k", RankError, lambda v: pca_project(ROWS, v), [0, 4]),
     ("k", RankError, lambda v: export_projection(TABLE, v), [0, 4]),
     ("max_sweeps", ConfigError, lambda v: jacobi_eigh(np.eye(3), v), [-1]),
+    ("query_count", ConfigError, lambda v: write_report("never.json", EvalReport(0.5, {}, v, {})), [0]),
 ]
 REALS = [
     ("bias_scale", lambda v: generate(SynthConfig(**{**SYNTH, "bias_scale": v})), [-1.0]),
@@ -89,6 +105,12 @@ REALS = [
     ("learning_rate", lambda v: transfer(logistic=LogisticConfig(learning_rate=v)), [0.0, -0.5]),
     ("l2", lambda v: transfer(logistic=LogisticConfig(l2=v)), [-1.0]),
     ("l2", lambda v: logistic_loss(ROWS, LABELS, np.zeros(4), v), [-1.0]),
+    ("overall_map", lambda v: write_report("never.json", EvalReport(v, {"en": 0.5}, 1, {})), [-0.1, 1.5]),
+    ("per_language_map", lambda v: write_report("never.json", EvalReport(0.5, {"en": v}, 1, {})),
+     [-0.1, 1.5]),
+    ("average", lambda v: write_report("never.json", TransferReport({"en": 0.5}, v, "en", {})), [-0.1, 1.5]),
+    ("per_language_accuracy",
+     lambda v: write_report("never.json", TransferReport({"en": v}, 0.5, "en", {})), [-0.1, 1.5]),
 ]
 NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
 BAD_INTEGERS = ["1", None, True, False, 1.5, 2.0, np.float64(1.0), *NOT_FINITE]
@@ -106,7 +128,7 @@ def cases(table, bad):
 
 @pytest.fixture
 def no_work(monkeypatch, tmp_path):
-    """Every stage a numeric argument controls raises AssertionError if it starts."""
+    """Every stage an argument controls raises AssertionError if it starts."""
     monkeypatch.chdir(tmp_path)
 
     def started(*args, **kwargs):
@@ -137,6 +159,99 @@ def test_bad_real_argument_raises_naming_it(no_work, name, call, value):
     with pytest.raises(ConfigError) as info:
         call(value)
     assert names(str(info.value), name), str(info.value)
+
+
+B = np.eye(3)[:, :1]
+W = np.zeros(4)
+EMPTY = [np.empty((0, 3)), np.empty((6, 0))]
+
+
+def record_vec(vec):
+    return write_embeddings("never.lire", [EmbeddingRecord("a", "en", vec)])
+
+
+def table_rows(rows):
+    return write_embeddings("never.lire", EmbeddingTable(ids=TABLE.ids, langs=TABLE.langs, rows=rows))
+
+
+# A record, and so a table, names the record of a non-finite row, as the CLI prints it.
+NAMES_THE_RECORD = {record_vec: "'a'", table_rows: "'r5'"}
+
+
+# (parameter, error class, call with the value, a valid value, the empty
+# shapes it rejects) for every array parameter of a public callable or type.
+ARRAYS = [
+    ("v", InvalidVector, lambda v: project_out(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
+    ("basis", InvalidMatrix, lambda b: project_out(ROWS, b), B, []),
+    ("v", InvalidVector, lambda v: project_out_scaled(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
+    ("basis", InvalidMatrix, lambda b: project_out_scaled(ROWS, b), B, []),
+    ("m", InvalidMatrix, svd, ROWS, EMPTY),
+    ("a", InvalidMatrix, jacobi_eigh, np.eye(3), [np.empty((0, 0))]),
+    ("m", InvalidMatrix, lambda m: pca_project(m, 1), ROWS, EMPTY),
+    ("features", InvalidMatrix, lambda x: train_logistic(x, LABELS), ROWS, EMPTY),
+    ("labels", ConfigError, lambda y: train_logistic(ROWS, y), np.array(LABELS, float), []),
+    ("features", InvalidMatrix, lambda x: predict_logistic(x, W), ROWS, EMPTY),
+    ("weights", DimensionError, lambda w: predict_logistic(ROWS, w), W, []),
+    ("features", InvalidMatrix, lambda x: logistic_loss(x, LABELS, W), ROWS, EMPTY),
+    ("labels", ConfigError, lambda y: logistic_loss(ROWS, y, W), np.array(LABELS, float), []),
+    ("weights", DimensionError, lambda w: logistic_loss(ROWS, LABELS, w), W, []),
+    ("vec", InvalidVector, record_vec, ROWS[0], [np.empty(0)]),
+    ("rows", DimensionError, table_rows, ROWS, []),
+    ("rows", InvalidMatrix, lambda r: fit_components(LanguageMatrix("en", r), 1), ROWS, EMPTY),
+    ("basis", InvalidMatrix,
+     lambda b: write_components("never.lirc", ComponentBasis(**{**BASIS, "basis": b})), B, [np.empty((0, 1))]),
+    ("u", InvalidMatrix, lambda u: SvdResult(u, np.ones(1), np.eye(1)), B, []),
+    ("sigma", InvalidMatrix, lambda s: SvdResult(B, s, np.eye(1)), np.ones(1), []),
+    ("v", InvalidMatrix, lambda v: SvdResult(B, np.ones(1), v), np.eye(1), []),
+    ("ground_truth", InvalidVector,
+     lambda g: SynthResult(TABLE, (), {}, None, {"en": g}, SynthConfig(**SYNTH)), ROWS[0], []),
+]
+
+
+def bad_arrays(valid, empties):
+    """(label, value) for each kind of bad array, shaped as valid where it has a shape."""
+    rows = valid.tolist()
+    yield "str", "abc"
+    yield "numeric-str", "1.5"
+    yield "str-list", valid.astype(str).tolist()
+    yield "complex", valid + 1j
+    yield "complex-list", (valid + 1j).tolist()
+    yield "ragged", [*rows, rows[-1][:-1]] if valid.ndim == 2 else [rows, *rows]
+    yield "object", valid.astype(object)
+    yield "ndim", valid[None]
+    for empty in empties:
+        yield f"empty{empty.shape}", empty
+    for x in (math.nan, math.inf, -math.inf):
+        bad = valid.copy()
+        bad.flat[-1] = x
+        yield repr(x), bad
+
+
+def array_cases():
+    for i, (name, error, call, valid, empties) in enumerate(ARRAYS):
+        for label, value in bad_arrays(valid, empties):
+            record = call in NAMES_THE_RECORD and label in ("nan", "inf", "-inf")
+            named, raised = (NAMES_THE_RECORD[call], InvalidVector) if record else (name, error)
+            yield pytest.param(named, raised, call, value, id=f"{name}-{i}-{label}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, error, call, value", array_cases())
+def test_bad_array_argument_raises_naming_it(no_work, name, error, call, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert names(str(info.value), name), str(info.value)
+
+
+def test_valid_arrays_are_kept_or_converted_exactly():
+    frozen = ROWS.copy()
+    frozen.flags.writeable = False  # owned, read-only and C-ordered: stored without a copy
+    assert EmbeddingTable(ids=TABLE.ids, langs=TABLE.langs, rows=frozen).rows is frozen
+    assert LanguageMatrix("en", frozen).rows is frozen
+    ints = np.arange(18).reshape(6, 3) - 9
+    for value in (ints, ints.tolist(), ints.astype(np.int8), ints.astype(np.float32)):
+        assert project_out(value, B).tobytes() == project_out(ints.astype(float), B).tobytes()
+    assert project_out(ints > 0, B).tobytes() == project_out((ints > 0).astype(float), B).tobytes()
 
 
 @pytest.mark.parametrize("value, message", [

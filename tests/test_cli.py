@@ -597,6 +597,27 @@ class TestEvalTransferCommand:
         ]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval-retrieval", "eval-transfer"])
+def test_mixed_ranks_exit_2_with_a_remedy_the_cli_can_take(pipeline, capsys, command):
+    tmp_path, data, comp = pipeline
+    assert main(["fit", "--input", str(data / "corpus" / "l01.lire"), "--rank", "2",
+                 "--output", str(comp)]) == 0
+    inputs = {
+        "eval-retrieval": ["--queries", str(data / "queries"), "--candidates",
+                           str(data / "candidates"), "--qrels", str(data / "qrels.jsonl")],
+        "eval-transfer": ["--train", str(data / "corpus" / "l00.lire"), "--tests",
+                          str(data / "corpus"), "--labels", str(data / "labels.jsonl")],
+    }[command]
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    assert main([command, *inputs, "--components", str(comp), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bases carry mixed ranks [1, 2]; "
+        "refit every language at one rank, or pass rank= in the library\n"
+    )
+    assert not report.exists()
+
+
 class TestProjectCommand:
     def test_csv_row_count(self, pipeline, capsys):
         tmp_path, data, comp = pipeline

@@ -329,7 +329,7 @@ class TestColumnarCodec:
             write_embeddings(path, records)
         records[5] = rec("r6", "en", [1.0] * 5)
         records.insert(0, rec("é" * 0x8000, "en", [1.0] * 5))
-        with pytest.raises(UnicodeEncodeError):
+        with pytest.raises(FormatError, match=r"^record 'r0\\ud800': id is not valid UTF-8$"):
             write_embeddings(path, records)
         assert list(tmp_path.iterdir()) == []
 
@@ -610,13 +610,23 @@ class TestComponentFiles:
             lang="en", basis=np.eye(4)[:, :2], rank=2, source_fingerprint="fp", sample_count=9
         )
         path = tmp_path / "en.lirc"
-        write_components(path, basis, mode_hint="orthogonal")
+        write_components(path, basis)
         back = read_components(path)
         assert np.array_equal(back.basis, basis.basis)
         assert back.lang == "en"
         assert back.rank == 2
         assert back.sample_count == 9
         assert back.source_fingerprint == "fp"
+
+    def test_mode_hint_in_a_header_is_ignored(self, tmp_path):
+        # Older writers could add "mode_hint"; no reader uses it.
+        header = {"dim": 3, "lang": "en", "mode_hint": "orthogonal", "rank": 1, "sample_count": 4,
+                  "source_fingerprint": "fp"}
+        path = tmp_path / "en.lirc"
+        path.write_bytes(framed(b"LIRC", header, np.array([0.0, 1.0, 0.0], "<f4").tobytes()))
+        back = read_components(path)
+        assert back.basis.tolist() == [[0.0], [1.0], [0.0]]
+        assert (back.lang, back.rank, back.sample_count, back.source_fingerprint) == ("en", 1, 4, "fp")
 
     def test_f32_roundtrip_reorthonormalized(self, tmp_path):
         basis = fitted_basis()
@@ -1001,6 +1011,29 @@ class TestReportsAndCsv:
             write_projection_csv(
                 tmp_path / "x.csv", [("a", "en", (1.0,)), ("b", "en", (1.0, 2.0))]
             )
+
+
+class TestLoneSurrogates:
+    """UTF-8 cannot encode a lone surrogate: a writer raises FormatError
+    naming the record, and writes nothing."""
+
+    def test_embeddings_id(self, tmp_path):
+        table = lir.EmbeddingTable(ids=["a", "b\ud800"], langs=["en", "en"], rows=np.ones((2, 2)))
+        with pytest.raises(FormatError, match=re.escape("record 'b\\ud800': id is not valid UTF-8")):
+            write_embeddings(tmp_path / "en.lire", table)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("row, message", [
+        (("b\ud800", "en", (2.0,)), "record 'b\\ud800': id is not valid UTF-8"),
+        (("b", "e\udfffn", (2.0,)), "record 'b': language tag is not valid UTF-8"),
+    ])
+    def test_projection_csv(self, tmp_path, monkeypatch, row, message):
+        monkeypatch.setattr(lir.io, "_CSV_BLOCK", 1)  # the bad record is in the second block
+        path = tmp_path / "proj.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            write_projection_csv(path, [("a", "en", (1.0,)), row])
+        assert [p.name for p in tmp_path.iterdir()] == ["proj.csv"] and path.read_bytes() == b"old"
 
 
 class TestAtomicWrites:
