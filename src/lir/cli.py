@@ -45,7 +45,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_MODES = {mode.value: mode for mode in RemovalMode}
 _SAFE_LANG = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
@@ -93,7 +92,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     bases = read_components_dir(args.components)
-    table, mode = _read_table(args.input), _MODES[args.mode]
+    table, mode = _read_table(args.input), RemovalMode(args.mode)
     with _lent_rows(table) as rows:  # removed in place on the decoded rows
         passed = _remove_rows(table.ids, table.langs, rows, bases, mode, strict=args.strict)
     if passed:
@@ -114,7 +113,7 @@ def _cmd_eval_retrieval(args) -> int:
     dataset = RetrievalDataset(queries, candidates, read_qrels(args.qrels, _strings=candidates.ids))
     bases = read_components_dir(args.components) if args.components else None
     # The dataset is this command's own: removal overwrites its decoded matrices.
-    report = evaluate_retrieval(dataset, bases, mode=_MODES[args.mode], _in_place=True)
+    report = evaluate_retrieval(dataset, bases, mode=RemovalMode(args.mode), _in_place=True)
     write_report(args.report, report)
     print(f"overall_map={report.overall_map!r} queries={report.query_count}")
     return EXIT_OK
@@ -186,7 +185,7 @@ def _cmd_eval_transfer(args) -> int:
             train_labels,
             _TestTables(tests, train, labels),
             bases,
-            mode=_MODES[args.mode],
+            mode=RemovalMode(args.mode),
             placement=args.placement,
             logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
             _in_place=True,
@@ -274,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     mode = dict(
-        choices=sorted(_MODES),
+        choices=sorted(mode.value for mode in RemovalMode),
         default=RemovalMode.ORTHOGONAL.value,
         help="removal mode (default: orthogonal)",
     )

@@ -17,11 +17,12 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CorruptBasis,
     DatasetError,
     DimensionError,
@@ -32,6 +33,7 @@ from .errors import (
     NoRelevantError,
     RankError,
     _check_int,
+    _check_name,
     _check_real,
 )
 
@@ -67,6 +69,12 @@ def _real_array(name, value, ndim, error, nonempty=(), finite=True) -> np.ndarra
     return array
 
 
+def _mapping(name, value, error=ConfigError) -> Mapping:
+    if not isinstance(value, Mapping):  # a list of pairs too
+        raise error(f"{name} must be a mapping")
+    return value
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     """One d-dimensional embedding vector with an id and a language tag.
@@ -80,11 +88,8 @@ class EmbeddingRecord:
     vec: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InvalidVector("record id must be a non-empty string")
-        lang = str(self.lang).strip()
-        if not lang:
-            raise InvalidVector(f"record {self.id!r}: language tag is empty")
+        _check_name("record id", self.id, InvalidVector, "record id must be a non-empty string")
+        lang = _check_name(f"record {self.id!r}: language tag", self.lang, InvalidVector, strip=True)
         object.__setattr__(self, "lang", lang)
         vec = _real_array(f"record {self.id!r}: vec", self.vec, 1, InvalidVector, (0,), finite=False)
         if not np.isfinite(vec).all():  # the message a table, and so the CLI, prints for a bad row
@@ -123,7 +128,7 @@ def _check_collection(ids, dims) -> int:
 
 def _check_rows(ids, langs, rows: np.ndarray) -> None:
     """Raise what EmbeddingRecord raises for the first row it would reject
-    (langs are trimmed)."""
+    (langs are trimmed, and None where a tag is not a str)."""
     finite = np.isfinite(rows).all(axis=1) & (rows.shape[1] > 0)
     if finite.all() and set(map(type, ids)) <= {str} and all(ids) and all(langs):
         return
@@ -146,8 +151,13 @@ class EmbeddingTable:
     rows: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        langs = tuple(map(str.strip, map(str, self.langs)))
+        if any(isinstance(c, str) or not isinstance(c, Iterable) for c in (self.ids, self.langs)):
+            raise InvalidVector("ids and langs must be sequences of strings")
+        ids, langs = tuple(self.ids), tuple(self.langs)
+        try:
+            langs = tuple(map(str.strip, langs))  # its TypeError is the tags' type test
+        except TypeError:  # None stands for a tag that is not a str: _check_rows raises for its row
+            langs = tuple(lang.strip() if isinstance(lang, str) else None for lang in langs)
         rows = _frozen_array(_real_array("rows", self.rows, 2, DimensionError, finite=False))
         if not len(ids) == len(langs) == rows.shape[0]:
             raise DimensionError("a table needs an n x d matrix and n ids and languages")
@@ -227,9 +237,7 @@ class LanguageMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        lang = str(self.lang).strip()
-        if not lang:
-            raise InvalidMatrix("language tag is empty")
+        lang = _check_name("language tag", self.lang, InvalidMatrix, strip=True)
         object.__setattr__(self, "lang", lang)
         rows = _real_array("rows", self.rows, 2, InvalidMatrix, (0, 1))
         object.__setattr__(self, "rows", _frozen_array(rows))
@@ -241,9 +249,7 @@ class LanguageMatrix:
             raise InvalidMatrix("cannot build a language matrix from zero records")
         langs = set(table.langs)
         if len(langs) > 1:
-            raise LanguageMismatch(
-                f"records span multiple languages: {sorted(langs)}"
-            )
+            raise LanguageMismatch(f"records span multiple languages: {sorted(langs)}")
         return cls(lang=table.langs[0], rows=table.rows)
 
     @property
@@ -308,10 +314,9 @@ class ComponentBasis:
     sample_count: int
 
     def __post_init__(self):
-        lang = str(self.lang).strip()
-        if not lang:
-            raise InvalidMatrix("language tag is empty")
+        lang = _check_name("language tag", self.lang, InvalidMatrix, strip=True)
         object.__setattr__(self, "lang", lang)
+        _check_name("source_fingerprint", self.source_fingerprint, InvalidMatrix)
         basis = _real_array("basis", self.basis, 2, InvalidMatrix, (0,))
         d, r = basis.shape
         message = "declared rank {value} != basis columns {high}"
@@ -357,20 +362,19 @@ class RetrievalDataset:
         if not len(candidates):
             raise DatasetError("dataset has no candidates")
         if queries.dim != candidates.dim:
-            raise DimensionError(
-                f"query dimension {queries.dim} != candidate dimension {candidates.dim}"
-            )
-        kept: dict[int, frozenset[str]] = {}  # each frozenset object is checked once
+            message = f"query dimension {queries.dim} != candidate dimension {candidates.dim}"
+            raise DimensionError(message)
 
-        def as_set(v) -> frozenset[str]:
-            # A frozenset of exact str is kept: read_qrels' shared ids and sets stay shared.
-            if type(v) is not frozenset:
-                return frozenset(map(str, v))
-            if id(v) not in kept:
-                kept[id(v)] = v if set(map(type, v)) <= {str} else frozenset(map(str, v))
-            return kept[id(v)]
+        def as_set(qid, rel) -> frozenset[str]:
+            # Kept as is: read_qrels' sets stay shared, and _raise_qrels_error names a bad id.
+            if type(rel) is frozenset:
+                return rel
+            if isinstance(rel, (str, bytes)) or not isinstance(rel, Collection):
+                raise DatasetError(f"qrels[{qid!r}] must be a set of candidate ids")
+            return frozenset(_check_name(f"qrels[{qid!r}] id", cid, DatasetError) for cid in rel)
 
-        qrels = {str(k): as_set(v) for k, v in dict(self.qrels).items()}
+        qrels = {_check_name("qrels key", qid, DatasetError): as_set(qid, rel)
+                 for qid, rel in _mapping("qrels", self.qrels, DatasetError).items()}
         row_of = dict(zip(candidates.ids, range(len(candidates))))
         rels = [qrels.get(qid, frozenset()) for qid in queries.ids]
         mapped = {}  # each distinct relevant set is looked up once (-1: unknown id)
@@ -404,18 +408,23 @@ def _raise_qrels_error(qrels, query_ids, row_of) -> NoReturn:
             raise DatasetError(f"qrels references unknown query id {qid!r}")
         if not rel:
             raise NoRelevantError(f"query {qid!r} has no relevant candidates")
+        for cid in rel:
+            _check_name(f"qrels[{qid!r}] id", cid, DatasetError)
         unknown = rel.difference(row_of)
         if unknown:
-            raise DatasetError(
-                f"qrels for query {qid!r} references unknown candidate ids: "
-                f"{sorted(unknown)[:5]}"
-            )
+            unknown = sorted(unknown)[:5]
+            raise DatasetError(f"qrels for query {qid!r} references unknown candidate ids: {unknown}")
     qid = next(qid for qid in query_ids if qid not in qrels)
     raise NoRelevantError(f"query {qid!r} has no qrels entry")
 
 
 def _fraction(name, value) -> float:
     return _check_real(name, value, 0.0, "in [0, 1]", 1.0)
+
+
+def _fractions(name, values) -> Mapping[str, float]:
+    return MappingProxyType({_check_name(f"{name} key", key): _fraction(f"{name}[{key!r}]", value)
+                             for key, value in _mapping(name, values).items()})
 
 
 @dataclass(frozen=True)
@@ -433,12 +442,11 @@ class EvalReport:
     config: Mapping[str, object]
 
     def __post_init__(self):
-        maps = {lang: _fraction(f"per_language_map[{lang!r}]", value)
-                for lang, value in dict(self.per_language_map).items()}
+        maps = _fractions("per_language_map", self.per_language_map)
+        object.__setattr__(self, "per_language_map", maps)
         object.__setattr__(self, "overall_map", _fraction("overall_map", self.overall_map))
-        object.__setattr__(self, "per_language_map", MappingProxyType(maps))
         object.__setattr__(self, "query_count", _check_int("query_count", self.query_count, 1))
-        object.__setattr__(self, "config", MappingProxyType(dict(self.config)))
+        object.__setattr__(self, "config", MappingProxyType(dict(_mapping("config", self.config))))
 
 
 @dataclass(frozen=True)
@@ -455,8 +463,8 @@ class TransferReport:
     config: Mapping[str, object]
 
     def __post_init__(self):
-        accuracy = {lang: _fraction(f"per_language_accuracy[{lang!r}]", value)
-                    for lang, value in dict(self.per_language_accuracy).items()}
-        object.__setattr__(self, "per_language_accuracy", MappingProxyType(accuracy))
+        accuracy = _fractions("per_language_accuracy", self.per_language_accuracy)
+        object.__setattr__(self, "per_language_accuracy", accuracy)
         object.__setattr__(self, "average", _fraction("average", self.average))
-        object.__setattr__(self, "config", MappingProxyType(dict(self.config)))
+        _check_name("train_language", self.train_language)
+        object.__setattr__(self, "config", MappingProxyType(dict(_mapping("config", self.config))))

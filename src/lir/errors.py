@@ -7,6 +7,8 @@ int or float and raise a ConfigError (RankError for ranks and k) naming it.
 Every array argument passes core._real_array, which returns a float64 array
 and raises the argument's own class naming it for a str, object, complex or
 ragged value, the wrong axes, an empty axis it rejects or a non-finite entry.
+Every name (id, tag) passes _check_name and every choice (mode) _check_choice,
+which return it unconverted (or trimmed); every mapping passes a Mapping test.
 """
 
 import numbers
@@ -125,3 +127,21 @@ def _check_real(name, value, low=-_MAX, what="finite", high=_MAX) -> float:
     if not low <= number <= high:
         raise ConfigError(f"{name} must be {what}")
     return float(number)
+
+
+def _check_name(name, value, error=ConfigError, empty="{name} is empty", strip=False) -> str:
+    """value (a str, or a subclass such as np.str_), trimmed with strip, else error
+    "<name> must be a string" (another type) or empty (empty or, with strip, blank)."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string")
+    value = value.strip() if strip else value
+    if not value:
+        raise error(empty.format(name=name))
+    return value
+
+
+def _check_choice(name, value, choices, error=ConfigError):
+    """value if it equals a choice of its own type ("orthogonal" is no RemovalMode), else error."""
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise error(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,6 +32,7 @@ from .core import (
     RetrievalDataset,
     TransferReport,
     _lent_rows,
+    _mapping,
     _real_array,
     corpus_fingerprint,
 )
@@ -43,11 +45,12 @@ from .errors import (
     InvalidMatrix,
     NoRelevantError,
     NumericalFailure,
-    RankError,
+    _check_choice,
     _check_int,
+    _check_name,
     _check_real,
 )
-from .removal import DEFAULT_MODE, RemovalMode, _remove_rows
+from .removal import DEFAULT_MODE, RemovalMode, _check_removal, _remove_rows
 
 _BLOCK_SCORES = 1 << 19  # float64 scores per gemm block (4 MB); ranks do not depend on it
 _NORM_BLOCK = 1 << 16  # float64 squares per norm block (512 kB); norms do not depend on it
@@ -65,19 +68,13 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _features(
-    table: EmbeddingTable, bases, mode: RemovalMode, in_place: bool = False
-) -> np.ndarray:
+def _features(table: EmbeddingTable, bases, mode: RemovalMode, in_place: bool = False) -> np.ndarray:
     """The table's rows, each with its own language's components removed
     (strict: uncovered languages raise) on a copy, or with in_place on the
     table's own matrix, lent by _lent_rows."""
     if bases is None:
         return table.rows
-    if not in_place:
-        rows = table.rows.copy()
-        _remove_rows(table.ids, table.langs, rows, bases, mode)
-        return rows
-    with _lent_rows(table) as rows:
+    with _lent_rows(table) if in_place else nullcontext(table.rows.copy()) as rows:
         _remove_rows(table.ids, table.langs, rows, bases, mode)
     return rows
 
@@ -241,16 +238,11 @@ def average_precision(ranking: RankedList, relevant: Iterable[str]) -> float:
     return _ap_from_positions(positions[: len(rel)])
 
 
-def _effective_rank(bases: Optional[Mapping[str, ComponentBasis]], rank: Optional[int]) -> int:
-    if rank is not None:
-        return _check_int("rank", rank, error=RankError)
-    if not bases:
-        return 0
-    ranks = {b.rank for b in bases.values()}
-    if len(ranks) != 1:
-        remedy = "refit every language at one rank, or pass rank= in the library"
-        raise ConfigError(f"bases carry mixed ranks {sorted(ranks)}; {remedy}")
-    return ranks.pop()
+def _effective_rank(bases: Optional[Mapping[str, ComponentBasis]]) -> int:
+    ranks = sorted({b.rank for b in (bases or {}).values()})
+    if len(ranks) > 1:
+        raise ConfigError(f"bases carry mixed ranks {ranks}; refit every language at one rank")
+    return ranks[0] if ranks else 0
 
 
 def evaluate_retrieval(
@@ -258,7 +250,6 @@ def evaluate_retrieval(
     bases: Optional[Mapping[str, ComponentBasis]] = None,
     *,
     mode: RemovalMode = DEFAULT_MODE,
-    rank: Optional[int] = None,
     _in_place: bool = False,
 ) -> EvalReport:
     """Cosine-retrieval MAP over a dataset, optionally after removal.
@@ -266,9 +257,9 @@ def evaluate_retrieval(
     When bases are supplied, every query and candidate is transformed with
     its own language's basis (strict: uncovered languages raise). The report
     groups per-language MAP by the query's language; overall_map is the mean
-    of per-query AP values. The config block records mode, rank, similarity,
-    and fingerprints of the raw inputs, so a run is reproducible and a rank-0
-    run serializes identically to a no-removal run.
+    of per-query AP values. The config block records mode, the bases' one rank
+    (0 without bases), similarity, and fingerprints of the raw inputs, so a
+    run is reproducible and a rank-0 run serializes identically to a no-removal run.
 
     _in_place is not for library callers: the CLI, which decodes the
     dataset itself and uses it for nothing else, sets it so that components
@@ -278,13 +269,13 @@ def evaluate_retrieval(
     so perfbench's launcher keeps timing the command's evaluation here and
     counting its scores.
     """
-    queries = dataset.queries
-    candidates = dataset.candidates
+    _check_removal({} if bases is None else bases, mode)
+    queries, candidates = dataset.queries, dataset.candidates
     config = {
         "candidates_fingerprint": corpus_fingerprint(candidates),
         "mode": mode.value,
         "queries_fingerprint": corpus_fingerprint(queries),
-        "rank": _effective_rank(bases, rank),
+        "rank": _effective_rank(bases),
         "similarity": "cosine",
     }
     # One matrix behind both tables is removed once, on a copy for the queries.
@@ -310,9 +301,7 @@ def evaluate_retrieval(
             by_lang.setdefault(lang, []).append(ap)
     return EvalReport(
         overall_map=math.fsum(aps) / len(aps),
-        per_language_map={
-            lang: math.fsum(vals) / len(vals) for lang, vals in sorted(by_lang.items())
-        },
+        per_language_map={lang: math.fsum(v) / len(v) for lang, v in sorted(by_lang.items())},
         query_count=len(queries),
         config=config,
     )
@@ -421,7 +410,6 @@ def evaluate_transfer(
     *,
     mode: RemovalMode = DEFAULT_MODE,
     placement: str = "both",
-    rank: Optional[int] = None,
     logistic: LogisticConfig = LogisticConfig(),
     _in_place: bool = False,
 ) -> TransferReport:
@@ -431,7 +419,8 @@ def evaluate_transfer(
     and applied unchanged everywhere. With bases supplied, test features are
     always transformed with their own language's basis; train features are
     transformed too when placement="both" and left raw when placement="eval".
-    The report's average is the unweighted mean over evaluated languages.
+    The report's average is the unweighted mean over evaluated languages; its
+    config records the bases' one rank, as evaluate_retrieval's does.
 
     tests may load lazily: each language's value is looked up once, in sorted
     language order, and no longer referenced here once it is evaluated, so
@@ -443,8 +432,8 @@ def evaluate_transfer(
     of on copies. The tables stay read-only but then hold the removed rows;
     fingerprints are taken before removal.
     """
-    if placement not in ("both", "eval"):
-        raise ConfigError(f"placement must be 'both' or 'eval', got {placement!r}")
+    _check_removal({} if bases is None else bases, mode)
+    _check_choice("placement", placement, ("both", "eval"))
     train = EmbeddingTable.from_records(train_records)
     if not len(train):
         raise DatasetError("transfer needs a non-empty training set")
@@ -452,7 +441,8 @@ def evaluate_transfer(
     if len(langs) > 1:
         raise ConfigError(f"training set spans multiple languages: {sorted(langs)}")
     train_lang = train.langs[0]
-    if not tests:
+    test_langs = sorted(_check_name("tests key", lang) for lang in _mapping("tests", tests))
+    if not test_langs:
         raise ConfigError("transfer needs at least one test language")
     y_train = _as_labels(train_labels, len(train))
     if y_train.min() == y_train.max():
@@ -464,7 +454,7 @@ def evaluate_transfer(
         "learning_rate": logistic.learning_rate,
         "mode": mode.value,
         "placement": placement,
-        "rank": _effective_rank(bases, rank),
+        "rank": _effective_rank(bases),
         "train_count": len(train),
         "train_fingerprint": corpus_fingerprint(train),
     }
@@ -475,15 +465,13 @@ def evaluate_transfer(
 
     per_lang: dict[str, float] = {}
     test_fps: dict[str, str] = {}
-    for lang in sorted(tests):
+    for lang in test_langs:
         recs, labels = tests[lang]
         recs = EmbeddingTable.from_records(recs)
         if not len(recs):
             raise DatasetError(f"test set for {lang!r} is empty")
         if recs.dim != train.dim:
-            raise DimensionError(
-                f"test set {lang!r} has dimension {recs.dim}, train has {train.dim}"
-            )
+            raise DimensionError(f"test set {lang!r} has dimension {recs.dim}, train has {train.dim}")
         y = _as_labels(labels, len(recs))
         same = recs is train  # the training table tested too: reuse its fingerprint and features
         test_fps[lang] = config["train_fingerprint"] if same else corpus_fingerprint(recs)

@@ -49,6 +49,7 @@ from .core import (
     TransferReport,
     _check_collection,
     _check_rows,
+    _real_array,
 )
 from .errors import (
     CorruptBasis,
@@ -606,7 +607,7 @@ def write_projection_csv(path, rows: Sequence[tuple[str, str, tuple[float, ...]]
     ids, langs, scores = zip(*rows)
     if len(set(map(len, scores))) > 1:
         raise DimensionError("projection rows have mixed score counts")
-    _write_projection(path, ids, langs, np.array([list(map(float, row)) for row in scores]))
+    _write_projection(path, ids, langs, _real_array("scores", scores, 2, DimensionError))
 
 
 def _write_projection(path, ids, langs, scores: np.ndarray) -> None:

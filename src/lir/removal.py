@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import linalg
-from .core import ComponentBasis, EmbeddingRecord, LanguageMatrix
+from .core import ComponentBasis, EmbeddingRecord, LanguageMatrix, _mapping
 from .errors import (
     ConfigError,
     DimensionError,
@@ -25,6 +25,7 @@ from .errors import (
     MissingBasis,
     RankError,
     ZeroVectorError,
+    _check_choice,
     _check_int,
 )
 
@@ -95,6 +96,13 @@ def fit_components(
     return basis
 
 
+def _check_removal(bases, mode) -> None:
+    """ConfigError naming mode or bases, unless a RemovalMode and a mapping of ComponentBasis."""
+    _check_choice("mode", mode, tuple(RemovalMode))
+    if not all(isinstance(basis, ComponentBasis) for basis in _mapping("bases", bases).values()):
+        raise ConfigError("bases must map languages to ComponentBasis values")
+
+
 def _remove_rows(ids, langs, rows, bases, mode, *, strict=True):
     """Check the rows, raising what a row-by-row check raises at the first bad
     row in input order, then remove each language's rows in place, at most
@@ -121,15 +129,9 @@ def _remove_rows(ids, langs, rows, bases, mode, *, strict=True):
         if basis is None:
             raise MissingBasis(lang)
         if dims[i] != basis.dim:
-            raise DimensionError(
-                f"record {ids[i]!r} has dimension {dims[i]}, basis expects {basis.dim}"
-            )
+            raise DimensionError(f"record {ids[i]!r} has dimension {dims[i]}, basis expects {basis.dim}")
         if lang != basis.lang:
-            raise LanguageMismatch(
-                f"record {ids[i]!r} is {lang!r} but basis is for {basis.lang!r}"
-            )
-        if mode not in (RemovalMode.ORTHOGONAL, RemovalMode.PAPER_EQ1):
-            raise ConfigError(f"unknown removal mode: {mode!r}")
+            raise LanguageMismatch(f"record {ids[i]!r} is {lang!r} but basis is for {basis.lang!r}")
         if eq1 and zero[i]:
             raise ZeroVectorError("norm-scaled removal is undefined for a zero vector")
     kernel = linalg.project_out_scaled if eq1 else linalg.project_out
@@ -178,6 +180,7 @@ def remove_batch(
     unchanged and are counted in the result's `passed_through` map. Every
     output row is bit-identical to removing that record in a batch of its own.
     """
+    _check_removal(bases, mode)
     out = list(records)
     vecs = [r.vec for r in out]
     ids, langs = [r.id for r in out], [r.lang for r in out]

@@ -32,7 +32,8 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array, _real_array
-from .errors import _POSITIVE, ConfigError, InvalidVector, _check_int, _check_real
+from .errors import _POSITIVE, ConfigError, InvalidVector
+from .errors import _check_choice, _check_int, _check_name, _check_real
 from .linalg import _gram_schmidt
 
 TOPIC_PARITY = "topic-parity"
@@ -57,8 +58,9 @@ class SynthConfig:
     def __post_init__(self):
         codes = self.languages if isinstance(self.languages, Iterable) else ()
         # A set's order follows the string hash seed, so it would not fix the corpus.
-        langs = () if isinstance(codes, (str, bytes, Set)) else tuple(str(c).strip() for c in codes)
-        if not langs or any(not code for code in langs):
+        langs = () if isinstance(codes, (str, bytes, Set)) else tuple(
+            _check_name(f"languages[{i}]", code, strip=True) for i, code in enumerate(codes))
+        if not langs:
             raise ConfigError("languages must be a non-empty list of non-blank codes")
         if len(set(langs)) != len(langs):
             raise ConfigError("language codes must be unique")
@@ -80,8 +82,7 @@ class SynthConfig:
             checked[name] = _check_real(name, scales[name], low, sign)
         seed = "seed must be an integer in [0, 2^64)"
         checked["seed"] = _check_int("seed", self.seed, 0, 2**64 - 1, seed)
-        if self.label_rule not in (None, TOPIC_PARITY):
-            raise ConfigError(f"unknown label_rule {self.label_rule!r}")
+        _check_choice("label_rule", self.label_rule, (None, TOPIC_PARITY))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -474,20 +474,23 @@ def synth_files_oracle(config, out):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
+def evaluate_retrieval_oracle(dataset, bases=None, mode=None):
     """The per-query retrieval loop: every query scored against every
     candidate with the einsum kernel that defines the ranks, a full stable
     sort per query, and AP as one exact integer ratio over lcm(positions).
     It shares the library's removal, scoring kernel and report types, so
-    evaluate_retrieval's report can be checked against it byte for byte.
+    evaluate_retrieval's report can be checked against it byte for byte. The
+    recorded rank is the number of basis columns removed (0 without bases).
     """
     import numpy as np
 
     from lir.core import EvalReport, corpus_fingerprint
-    from lir.evaluation import _cosine_scores, _effective_rank, _features
+    from lir.evaluation import _cosine_scores, _features
     from lir.removal import DEFAULT_MODE
 
     mode = DEFAULT_MODE if mode is None else mode
+    removed = {basis.basis.shape[1] for basis in (bases or {}).values()}
+    assert len(removed) <= 1, "bases of mixed ranks make no report"
     queries, candidates = dataset.queries, dataset.candidates
     qmat = _features(queries, bases, mode)
     # Candidates stacked in id order, so the stable sort breaks ties by id.
@@ -513,7 +516,7 @@ def evaluate_retrieval_oracle(dataset, bases=None, mode=None, rank=None):
             "candidates_fingerprint": corpus_fingerprint(candidates),
             "mode": mode.value,
             "queries_fingerprint": corpus_fingerprint(queries),
-            "rank": _effective_rank(bases, rank),
+            "rank": removed.pop() if removed else 0,
             "similarity": "cosine",
         },
     )

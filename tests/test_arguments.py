@@ -4,11 +4,15 @@ LirError naming the argument, before anything is drawn, factorized, trained
 or written; a numpy scalar is accepted and kept as a plain int or float.
 Every array argument: a string, complex, ragged or object array, the wrong
 number of axes, an empty axis where one is rejected, or a NaN or +/-inf
-entry raises a LirError naming the argument, with no warning first."""
+entry raises a LirError naming the argument, with no warning first.
+Every name, choice and mapping argument: a value of another type, an empty
+(or, where it is trimmed, blank) name, or a mapping holding a value of the
+wrong type raises a LirError naming the argument; nothing is converted."""
 
 import json
 import math
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import lir
 from lir import (
     ComponentBasis,
     ConfigError,
+    DatasetError,
     DimensionError,
     EmbeddingRecord,
     EmbeddingTable,
@@ -24,8 +29,10 @@ from lir import (
     InvalidMatrix,
     InvalidVector,
     LanguageMatrix,
+    LirError,
     LogisticConfig,
     RankError,
+    RemovalMode,
     RetrievalDataset,
     SvdResult,
     SynthConfig,
@@ -43,10 +50,19 @@ from lir import (
     predict_logistic,
     project_out,
     project_out_scaled,
+    remove_batch,
     svd,
     train_logistic,
 )
-from lir.io import read_components, report_json, write_components, write_embeddings, write_report
+from lir.io import (
+    read_components,
+    read_qrels,
+    report_json,
+    write_components,
+    write_embeddings,
+    write_qrels,
+    write_report,
+)
 
 SYNTH = dict(languages=("l00", "l01", "l02"), topics=6, per_topic_per_lang=4, dim=16, bias_scale=3.0)
 BASIS = dict(lang="en", basis=np.eye(3)[:, :1], rank=1, source_fingerprint="fp", sample_count=3)
@@ -56,22 +72,17 @@ TABLE = EmbeddingTable(ids=[f"r{i}" for i in range(6)], langs=["en"] * 6, rows=R
 LABELS = [0, 1, 0, 1, 0, 1]
 
 
-def dataset():
-    q = [EmbeddingRecord("q1", "en", [1.0, 0.0, 0.0]), EmbeddingRecord("q2", "de", [0.0, 1.0, 0.0])]
-    c = [EmbeddingRecord("c1", "en", [1.0, 0.1, 0.0]), EmbeddingRecord("c2", "de", [0.1, 1.0, 0.0])]
-    return RetrievalDataset(q, c, {"q1": {"c2"}, "q2": {"c1"}})
+QUERIES = [EmbeddingRecord("q1", "en", [1.0, 0.0, 0.0]), EmbeddingRecord("q2", "de", [0.0, 1.0, 0.0])]
+CANDIDATES = [EmbeddingRecord("c1", "en", [1.0, 0.1, 0.0]), EmbeddingRecord("c2", "de", [0.1, 1.0, 0.0])]
+QRELS = {"q1": {"c2"}, "q2": {"c1"}}
+
+
+def dataset(qrels=QRELS):
+    return RetrievalDataset(QUERIES, CANDIDATES, qrels)
 
 
 def transfer(**kwargs):
     return evaluate_transfer(TABLE, LABELS, {"en": (TABLE, LABELS)}, **kwargs)
-
-
-def retrieval_rank(value):
-    return evaluate_retrieval(dataset(), rank=value)
-
-
-def transfer_rank(value):
-    return transfer(rank=value)
 
 
 # (parameter, error class, call with the value, out-of-range values) for every
@@ -90,8 +101,6 @@ INTEGERS = [
      lambda v: write_components("never.lirc", ComponentBasis(**{**BASIS, "sample_count": v})), [-1]),
     ("rank", RankError, lambda v: fit_decomposition(MATRIX, v), [-1, 4]),
     ("rank", RankError, lambda v: fit_components(MATRIX, v), [-1, 4]),
-    ("rank", RankError, retrieval_rank, [-1]),  # None takes the bases' rank
-    ("rank", RankError, transfer_rank, [-1]),
     ("k", RankError, lambda v: pca_project(ROWS, v), [0, 4]),
     ("k", RankError, lambda v: export_projection(TABLE, v), [0, 4]),
     ("max_sweeps", ConfigError, lambda v: jacobi_eigh(np.eye(3), v), [-1]),
@@ -121,8 +130,6 @@ def cases(table, bad):
     for i, (name, *rest) in enumerate(table):
         *head, out_of_range = rest
         for value in [*bad, *out_of_range]:
-            if value is None and head[-1] in (retrieval_rank, transfer_rank):
-                continue
             yield pytest.param(name, *head, value, id=f"{name}-{i}-{value!r:.12}")
 
 
@@ -138,6 +145,8 @@ def no_work(monkeypatch, tmp_path):
     monkeypatch.setattr(lir.linalg, "_right_factor", started)  # every factorization
     monkeypatch.setattr(lir.evaluation, "train_logistic", started)
     monkeypatch.setattr(lir.evaluation, "_features", started)  # removal before scoring
+    monkeypatch.setattr(lir.linalg, "project_out", started)  # remove_batch's removal kernels
+    monkeypatch.setattr(lir.linalg, "project_out_scaled", started)
     monkeypatch.setattr(lir.io, "_write_atomic", started)
     yield tmp_path
     assert list(tmp_path.iterdir()) == []
@@ -309,11 +318,12 @@ def test_numpy_scalars_are_kept_as_plain_numbers():
 
 
 def test_numpy_rank_serializes_as_an_int(tmp_path):
-    # Before, both reports held np.int64(1), which json cannot serialize.
-    for report in (evaluate_retrieval(dataset(), rank=np.int64(1)), transfer(rank=np.int64(1))):
+    # A report's rank is its bases' rank, kept as a plain int however it was given.
+    basis = ComponentBasis(**{**BASIS, "rank": np.int64(1), "sample_count": np.int32(3)})
+    bases = {"en": basis, "de": ComponentBasis(**{**BASIS, "lang": "de", "rank": np.int64(1)})}
+    for report in (evaluate_retrieval(dataset(), bases), transfer(bases={"en": basis})):
         assert json.loads(report_json(report))["config"]["rank"] == 1
         assert type(report.config["rank"]) is int
-    basis = ComponentBasis(**{**BASIS, "rank": np.int64(1), "sample_count": np.int32(3)})
     write_components(tmp_path / "en.lirc", basis)
     back = read_components(tmp_path / "en.lirc")
     assert (back.rank, back.sample_count) == (1, 3)
@@ -326,3 +336,145 @@ def test_float_basis_count_raises_at_construction(tmp_path, field, value):
     with pytest.raises(RankError, match=f"^{field} must be an integer$"):
         write_components(tmp_path / "en.lirc", ComponentBasis(**{**BASIS, field: value}))
     assert not (tmp_path / "en.lirc").exists()
+
+
+RECORD = EmbeddingRecord("a", "en", [1.0, 0.0, 0.0])
+EN = ComponentBasis(**BASIS)
+
+
+def record_with(**fields):
+    record = EmbeddingRecord(**{"id": "a", "lang": "en", "vec": ROWS[0], **fields})
+    return write_embeddings("never.lire", [record])
+
+
+def table_with(ids=TABLE.ids, langs=TABLE.langs, rows=ROWS):
+    return write_embeddings("never.lire", EmbeddingTable(ids=ids, langs=langs, rows=rows))
+
+
+def basis_with(**fields):
+    return write_components("never.lirc", ComponentBasis(**{**BASIS, **fields}))
+
+
+def eval_report(per_language_map=MappingProxyType({"en": 0.5}), config=MappingProxyType({})):
+    return write_report("never.json", EvalReport(0.5, per_language_map, 1, config))
+
+
+def transfer_report(per_language_accuracy=MappingProxyType({"en": 0.5}), train_language="en",
+                    config=MappingProxyType({})):
+    return write_report("never.json", TransferReport(per_language_accuracy, 0.5, train_language, config))
+
+
+# (name in the message, error class, call with the value, trimmed, hashed) for
+# every name argument. A hashed name (a key or a set member) cannot be a list.
+NAMES = [
+    ("record id", InvalidVector, lambda v: record_with(id=v), False, False),
+    ("language tag", InvalidVector, lambda v: record_with(lang=v), True, False),
+    ("record id", InvalidVector, lambda v: table_with(ids=[*TABLE.ids[:5], v]), False, False),
+    ("language tag", InvalidVector, lambda v: table_with(langs=["en"] * 5 + [v]), True, False),
+    ("language tag", InvalidMatrix, lambda v: fit_components(LanguageMatrix(v, ROWS), 1), True, False),
+    ("language tag", InvalidMatrix, lambda v: basis_with(lang=v), True, False),
+    ("source_fingerprint", InvalidMatrix, lambda v: basis_with(source_fingerprint=v), False, False),
+    ("languages", ConfigError,
+     lambda v: generate(SynthConfig(**{**SYNTH, "languages": ("l00", "l01", v)})), True, False),
+    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": {"c2"}, "q2": {"c1"}, v: {"c1"}})),
+     False, True),
+    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": ["c2", v], "q2": {"c1"}})),
+     False, False),
+    ("qrels", DatasetError,  # a frozenset is kept unchecked unless an id is not found
+     lambda v: evaluate_retrieval(dataset({"q1": frozenset({"c2", v}), "q2": {"c1"}})), False, True),
+    ("per_language_map", ConfigError, lambda v: eval_report({v: 0.5}), False, True),
+    ("per_language_accuracy", ConfigError, lambda v: transfer_report({v: 0.5}), False, True),
+    ("train_language", ConfigError, lambda v: transfer_report(train_language=v), False, False),
+    ("tests", ConfigError, lambda v: evaluate_transfer(TABLE, LABELS, {v: (TABLE, LABELS)}), False, True),
+]
+# (name, error class, call with the value) for every sequence of names.
+COLUMNS = [
+    ("ids", InvalidVector, lambda v: table_with(ids=v, langs=["en"] * 2, rows=ROWS[:2])),
+    ("langs", InvalidVector, lambda v: table_with(ids=["a", "b"], langs=v, rows=ROWS[:2])),
+]
+
+
+def name_cases():
+    for i, (name, error, call, strip, hashed) in enumerate(NAMES):
+        for value in [None, 1, b"en", *([] if hashed else [["en"]]), "", *(["  "] if strip else [])]:
+            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r}")
+    for i, (name, error, call) in enumerate(COLUMNS):
+        for value in [None, 1, "ab"]:  # bytes are a sequence of ints: each a bad name
+            yield pytest.param(name, error, call, value, id=f"{name}-column-{value!r}")
+
+
+# (name, error class, call with the value, None allowed, the value's other form) for every choice.
+CHOICES = [
+    ("mode", ConfigError, lambda v: evaluate_retrieval(dataset(), mode=v), False, "orthogonal"),
+    ("mode", ConfigError, lambda v: transfer(mode=v), False, "orthogonal"),
+    ("mode", ConfigError, lambda v: remove_batch([RECORD], {"en": EN}, v), False, "orthogonal"),
+    ("mode", ConfigError, lambda v: remove_batch([], {}, v), False, "bogus"),  # checked before any row
+    ("placement", ConfigError, lambda v: transfer(placement=v), False, b"both"),
+    ("label_rule", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "label_rule": v})), True,
+     b"topic-parity"),
+]
+
+
+def choice_cases():
+    for i, (name, error, call, none, other) in enumerate(CHOICES):
+        for value in [*([] if none else [None]), 1, True, other]:
+            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r}")
+
+
+# (name, error class, call with the value, None allowed, a mapping with a value of
+# the wrong type) for every mapping. A report's config values are not checked, and
+# a test set is looked up only after training, so tests' bad entry is its key.
+MAPPINGS = [
+    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset(v)), False, {"q1": "c1", "q2": {"c1"}}),
+    ("bases", ConfigError, lambda v: evaluate_retrieval(dataset(), v), True, {"en": 1}),
+    ("bases", ConfigError, lambda v: transfer(bases=v), True, {"en": 1}),
+    ("bases", ConfigError, lambda v: remove_batch([RECORD], v), False, {"en": 1}),
+    ("tests", ConfigError, lambda v: evaluate_transfer(TABLE, LABELS, v), False, {1: (TABLE, LABELS)}),
+    ("per_language_map", ConfigError, lambda v: eval_report(per_language_map=v), False, {"en": "0.5"}),
+    ("config", ConfigError, lambda v: eval_report(config=v), False, None),
+    ("per_language_accuracy", ConfigError, lambda v: transfer_report(per_language_accuracy=v), False,
+     {"en": "0.5"}),
+    ("config", ConfigError, lambda v: transfer_report(config=v), False, None),
+]
+
+
+def mapping_cases():
+    for i, (name, error, call, none, wrong) in enumerate(MAPPINGS):
+        values = {"pairs": [("en", 1)], "str": "en"}
+        if not none:
+            values["None"] = None
+        if wrong is not None:
+            values["wrong-value"] = wrong
+        for label, value in values.items():
+            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{label}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, error, call, value", [*name_cases(), *choice_cases(), *mapping_cases()])
+def test_bad_name_choice_or_mapping_raises_naming_it(no_work, name, error, call, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert issubclass(error, LirError)
+    assert names(str(info.value), name), str(info.value)
+
+
+def test_valid_names_and_choices_are_kept_unconverted():
+    record = EmbeddingRecord(np.str_("a"), np.str_(" en "), [1.0])
+    assert type(record.id) is np.str_ and record.lang == "en"
+    table = EmbeddingTable(ids=[np.str_("a"), "b"], langs=[np.str_("en"), " en"], rows=np.ones((2, 1)))
+    assert table.ids == ("a", "b") and type(table.ids[0]) is np.str_ and table.langs == ("en", "en")
+    ds = dataset({np.str_("q1"): [np.str_("c2")], "q2": frozenset({"c1"})})
+    assert ds.qrels == {"q1": frozenset({"c2"}), "q2": frozenset({"c1"})}
+    assert evaluate_retrieval(ds, mode=RemovalMode.PAPER_EQ1).config["mode"] == "paper-eq1"
+    assert transfer(placement="eval").config["placement"] == "eval"
+    en = np.str_("en")
+    assert json.loads(report_json(TransferReport({en: 0.5}, 0.5, en, {})))["train_language"] == "en"
+
+
+def test_read_qrels_sets_stay_shared(tmp_path):
+    write_qrels(tmp_path / "qrels.jsonl", {"q1": frozenset({"c1", "c2"}), "q2": frozenset({"c2", "c1"})})
+    qrels = read_qrels(tmp_path / "qrels.jsonl")
+    assert qrels["q1"] is qrels["q2"]
+    ds = dataset(qrels)
+    assert ds.qrels["q1"] is ds.qrels["q2"] is qrels["q1"]
+

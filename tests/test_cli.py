@@ -612,8 +612,7 @@ def test_mixed_ranks_exit_2_with_a_remedy_the_cli_can_take(pipeline, capsys, com
     report = tmp_path / "report.json"
     assert main([command, *inputs, "--components", str(comp), "--report", str(report)]) == 2
     assert capsys.readouterr().err == (
-        "error: bases carry mixed ranks [1, 2]; "
-        "refit every language at one rank, or pass rank= in the library\n"
+        "error: bases carry mixed ranks [1, 2]; refit every language at one rank\n"
     )
     assert not report.exists()
 

@@ -217,7 +217,7 @@ class TestRetrievalDataset:
             ({"qX": {"c1"}, "q1": {"nope"}}, DatasetError, "unknown query id 'qX'"),
             ({"q2": {"c1"}, "q1": set(), "qX": {"c1"}}, NoRelevantError, "'q1' has no relevant"),
             ({"q2": {"c2"}}, NoRelevantError, "'q1' has no qrels entry"),
-            ({"q2": {"c2"}, "q1": {"c1", 5}}, DatasetError, "unknown candidate ids: ['5']"),
+            ({"q2": {"c2"}, "q1": {"c1", 5}}, DatasetError, "qrels['q1'] id must be a string"),
         ]
         for qrels, error, message in cases:
             with pytest.raises(error, match=re.escape(message)):

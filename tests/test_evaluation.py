@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -397,20 +398,20 @@ class TestEvaluateRetrieval:
         ds = two_lang_dataset()
         assert report_json(evaluate_retrieval(ds)) == report_json(evaluate_retrieval(ds))
 
-    def test_rank_recorded_and_mixed_ranks_need_explicit_value(self):
+    def test_rank_recorded_and_mixed_ranks_raise(self):
         ds = two_lang_dataset()
-        assert evaluate_retrieval(ds, rank=3).config["rank"] == 3
+        assert evaluate_retrieval(ds).config["rank"] == 0
         rng = np.random.default_rng(17)
 
         def fitted(lang, r):
             rows = rng.standard_normal((10, 3))
             return fit_components(LanguageMatrix(lang=lang, rows=rows), r)
 
+        assert evaluate_retrieval(ds, {"en": fitted("en", 2), "zh": fitted("zh", 2)}).config["rank"] == 2
         mixed = {"en": fitted("en", 1), "zh": fitted("zh", 2)}
-        with pytest.raises(ConfigError):
+        message = "bases carry mixed ranks [1, 2]; refit every language at one rank"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate_retrieval(ds, mixed)
-        report = evaluate_retrieval(ds, mixed, rank=2)
-        assert report.config["rank"] == 2
 
     def test_map_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(5)

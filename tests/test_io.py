@@ -1012,6 +1012,16 @@ class TestReportsAndCsv:
                 tmp_path / "x.csv", [("a", "en", (1.0,)), ("b", "en", (1.0, 2.0))]
             )
 
+    @pytest.mark.parametrize("score", [1 + 2j, "1.5", float("nan")])
+    def test_projection_csv_rejects_scores_that_are_not_finite_reals(self, tmp_path, score):
+        # Before, a complex score raised a bare TypeError, "1.5" was written as 1.5 and NaN as nan.
+        path = tmp_path / "x.csv"
+        with pytest.raises(DimensionError, match="^scores "):
+            write_projection_csv(path, [("a", "en", (1.0, 2.0)), ("b", "en", (3.0, score))])
+        assert not path.exists()
+        with pytest.raises(DimensionError, match="^projection rows have mixed score counts$"):
+            write_projection_csv(path, [("a", "en", (1.0,)), ("b", "en", (3.0, score))])
+
 
 class TestLoneSurrogates:
     """UTF-8 cannot encode a lone surrogate: a writer raises FormatError

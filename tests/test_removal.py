@@ -381,7 +381,7 @@ class TestMatrixRemoval:
         with pytest.raises(MissingBasis):
             lir.removal._remove_rows(ids, langs, rows.copy(), bases, mode)
 
-    @pytest.mark.parametrize("mode", [*RemovalMode, "unknown"])
+    @pytest.mark.parametrize("mode", list(RemovalMode))
     def test_first_bad_row_in_input_order_raises(self, mode):
         # A matrix raises what a record-by-record loop raises, and changes nothing.
         bases = {
