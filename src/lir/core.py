@@ -13,11 +13,13 @@ read-only float64 arrays regardless of the input dtype; files may store
 from __future__ import annotations
 
 import itertools
+import json
 import struct
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .errors import (
     _check_int,
     _check_name,
     _check_real,
+    _check_type,
+    _mapping,
+    _real_array,
 )
 
 
@@ -45,34 +50,6 @@ def _frozen_array(array: np.ndarray) -> np.ndarray:
     out = np.array(array, order="C")
     out.flags.writeable = False
     return out
-
-
-def _real_array(name, value, ndim, error, nonempty=(), finite=True) -> np.ndarray:
-    """value as a float64 array (a float64 array is not copied), else error
-    "<name> must be an array of real numbers" (str, object, complex, ragged),
-    "<name> must be <ndim>-D" (ndim: a count or a tuple), "<name> is empty"
-    (an axis in nonempty) or, with finite, "<name> has non-finite entries"."""
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged
-        array = None
-    if array is None or array.dtype.kind not in "biuf":
-        raise error(f"{name} must be an array of real numbers")
-    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
-    if array.ndim not in ndims:
-        raise error(f"{name} must be {' or '.join(f'{n}-D' for n in ndims)}, got ndim={array.ndim}")
-    if any(array.shape[axis] == 0 for axis in nonempty):
-        raise error(f"{name} is empty: shape {array.shape}")
-    array = array.astype(np.float64, copy=False)
-    if finite and not np.isfinite(array).all():
-        raise error(f"{name} has non-finite entries")
-    return array
-
-
-def _mapping(name, value, error=ConfigError) -> Mapping:
-    if not isinstance(value, Mapping):  # a list of pairs too
-        raise error(f"{name} must be a mapping")
-    return value
 
 
 @dataclass(frozen=True)
@@ -171,16 +148,7 @@ class EmbeddingTable:
     def from_records(cls, records: Iterable[EmbeddingRecord] | EmbeddingTable) -> EmbeddingTable:
         """The table of a record collection, raising what check_collection
         raises; a table is returned as is."""
-        if isinstance(records, cls):
-            return records
-        records = tuple(records)
-        try:
-            rows = np.array([r.vec for r in records]) if records else np.empty((0, 0))
-        except ValueError:  # mixed dimensions
-            check_collection(records)
-            raise
-        rows.flags.writeable = False
-        return cls(ids=[r.id for r in records], langs=[r.lang for r in records], rows=rows)
+        return _table_of("records", records)
 
     @classmethod
     def _of_checked(
@@ -202,6 +170,20 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+
+def _table_of(name, records) -> EmbeddingTable:
+    """EmbeddingTable.from_records, naming the argument `name` in its type errors."""
+    if isinstance(records, EmbeddingTable):
+        return records
+    records = _check_type(name, records, EmbeddingRecord, InvalidVector, each=True)
+    try:
+        rows = np.array([r.vec for r in records]) if records else np.empty((0, 0))
+    except ValueError:  # mixed dimensions
+        check_collection(records)
+        raise
+    rows.flags.writeable = False
+    return EmbeddingTable(ids=[r.id for r in records], langs=[r.lang for r in records], rows=rows)
 
 
 @contextmanager
@@ -326,7 +308,7 @@ class ComponentBasis:
         if r > min(count, d):
             raise RankError(f"rank {r} exceeds min(sample_count={count}, d={d})")
         if r:
-            dev = np.max(np.abs(basis.T @ basis - np.eye(r)))
+            dev = np.max(np.abs(np.einsum("ij,ik->jk", basis, basis) - np.eye(r)))
             if dev > _BASIS_ORTHO_TOL:
                 raise CorruptBasis(f"basis columns deviate from orthonormal by {dev:.3g}")
         object.__setattr__(self, "basis", _frozen_array(basis))
@@ -355,8 +337,8 @@ class RetrievalDataset:
     relevant_ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        queries = EmbeddingTable.from_records(self.queries)
-        candidates = EmbeddingTable.from_records(self.candidates)
+        queries = _table_of("queries", self.queries)
+        candidates = _table_of("candidates", self.candidates)
         if not len(queries):
             raise DatasetError("dataset has no queries")
         if not len(candidates):
@@ -418,6 +400,20 @@ def _raise_qrels_error(qrels, query_ids, row_of) -> NoReturn:
     raise NoRelevantError(f"query {qid!r} has no qrels entry")
 
 
+def _config(config) -> Mapping[str, object]:
+    """A report's config: str keys, each value one that a JSON round trip gives back unchanged."""
+    config = dict(_mapping("config", config))
+    for key, value in config.items():
+        _check_type(f"config key {key!r}", key, str)
+        try:
+            if json.loads(json.dumps(value, allow_nan=False, sort_keys=True)) == value:
+                continue
+        except (TypeError, ValueError, RecursionError):
+            pass
+        raise ConfigError(f"config[{key!r}] must be a value JSON keeps unchanged, got {value!r}")
+    return MappingProxyType(config)
+
+
 def _fraction(name, value) -> float:
     return _check_real(name, value, 0.0, "in [0, 1]", 1.0)
 
@@ -446,7 +442,7 @@ class EvalReport:
         object.__setattr__(self, "per_language_map", maps)
         object.__setattr__(self, "overall_map", _fraction("overall_map", self.overall_map))
         object.__setattr__(self, "query_count", _check_int("query_count", self.query_count, 1))
-        object.__setattr__(self, "config", MappingProxyType(dict(_mapping("config", self.config))))
+        object.__setattr__(self, "config", _config(self.config))
 
 
 @dataclass(frozen=True)
@@ -467,4 +463,4 @@ class TransferReport:
         object.__setattr__(self, "per_language_accuracy", accuracy)
         object.__setattr__(self, "average", _fraction("average", self.average))
         _check_name("train_language", self.train_language)
-        object.__setattr__(self, "config", MappingProxyType(dict(_mapping("config", self.config))))
+        object.__setattr__(self, "config", _config(self.config))

@@ -1,18 +1,12 @@
-"""Exception hierarchy for the lir package.
-
-Every failure mode raises a subclass of LirError so callers (and the CLI)
-can distinguish data problems from numerical ones without string matching.
-Every numeric argument passes _check_int or _check_real, which return a plain
-int or float and raise a ConfigError (RankError for ranks and k) naming it.
-Every array argument passes core._real_array, which returns a float64 array
-and raises the argument's own class naming it for a str, object, complex or
-ragged value, the wrong axes, an empty axis it rejects or a non-finite entry.
-Every name (id, tag) passes _check_name and every choice (mode) _check_choice,
-which return it unconverted (or trimmed); every mapping passes a Mapping test.
+"""Exception hierarchy for the lir package, and its argument policy: one checker
+per kind of argument (_check_int, _check_real, _real_array, _check_name,
+_check_choice, _mapping, _check_type), each raising a LirError subclass that
+names the argument before any work starts, as the README's argument table lists.
 """
 
 import numbers
 import sys
+from collections.abc import Iterable, Mapping
 
 _MAX = sys.float_info.max
 _POSITIVE = 5e-324  # the least positive float: as a low bound, "> 0"
@@ -145,3 +139,45 @@ def _check_choice(name, value, choices, error=ConfigError):
     if not any(type(value) is type(choice) and value == choice for choice in choices):
         raise error(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
     return value
+
+
+def _real_array(name, value, ndim, error, nonempty=(), finite=True):
+    """value as a float64 array (a float64 array is not copied), else error
+    "<name> must be an array of real numbers" (str, object, complex, ragged),
+    "<name> must be <ndim>-D" (ndim: a count or a tuple), "<name> is empty"
+    (an axis in nonempty) or, with finite, "<name> has non-finite entries"."""
+    import numpy as np  # here, not at the top: importing the errors alone loads no numpy
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise error(f"{name} must be an array of real numbers")
+    ndims = ndim if isinstance(ndim, tuple) else (ndim,)
+    if array.ndim not in ndims:
+        raise error(f"{name} must be {' or '.join(f'{n}-D' for n in ndims)}, got ndim={array.ndim}")
+    if any(array.shape[axis] == 0 for axis in nonempty):
+        raise error(f"{name} is empty: shape {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise error(f"{name} has non-finite entries")
+    return array
+
+
+def _mapping(name, value, error=ConfigError) -> Mapping:
+    """value if a Mapping (a list of pairs is not), else error "<name> must be a mapping"."""
+    if not isinstance(value, Mapping):
+        raise error(f"{name} must be a mapping")
+    return value
+
+
+def _check_type(name, value, kind, error=ConfigError, each=False):
+    """value if an instance of kind (a flag's is bool, which np.True_ is not), else error
+    "<name> must be of type <kind>, got <type>". With each, value is an iterable of such
+    instances, returned as a tuple; the error then names "<name>[i]", the first other item."""
+    items = tuple(_check_type(name, value, Iterable, error)) if each else (value,)
+    for i, item in enumerate(items):
+        if not isinstance(item, kind):
+            label = f"{name}[{i}]" if each else name
+            raise error(f"{label} must be of type {kind.__name__}, got {type(item).__name__}")
+    return items if each else value

@@ -32,8 +32,7 @@ from .core import (
     RetrievalDataset,
     TransferReport,
     _lent_rows,
-    _mapping,
-    _real_array,
+    _table_of,
     corpus_fingerprint,
 )
 from .errors import (
@@ -49,6 +48,9 @@ from .errors import (
     _check_int,
     _check_name,
     _check_real,
+    _check_type,
+    _mapping,
+    _real_array,
 )
 from .removal import DEFAULT_MODE, RemovalMode, _check_removal, _remove_rows
 
@@ -269,6 +271,7 @@ def evaluate_retrieval(
     so perfbench's launcher keeps timing the command's evaluation here and
     counting its scores.
     """
+    _check_type("dataset", dataset, RetrievalDataset)
     _check_removal({} if bases is None else bases, mode)
     queries, candidates = dataset.queries, dataset.candidates
     config = {
@@ -366,6 +369,7 @@ def train_logistic(
     the bias last. Deterministic by construction. Weights or logits that
     overflow raise NumericalFailure.
     """
+    _check_type("config", config, LogisticConfig)
     x = _real_array("features", features, 2, InvalidMatrix, (0, 1))
     n, d = x.shape
     y = _as_labels(labels, n)
@@ -425,6 +429,8 @@ def evaluate_transfer(
     tests may load lazily: each language's value is looked up once, in sorted
     language order, and no longer referenced here once it is evaluated, so
     a mapping that decodes a test set on lookup is held one set at a time.
+    So a value is checked to be a (records, labels) pair only on its lookup,
+    after training; every other argument is checked before any work starts.
 
     _in_place is not for library callers: the CLI, which decodes the tables
     itself and uses them for nothing else, sets it so that components are
@@ -434,7 +440,8 @@ def evaluate_transfer(
     """
     _check_removal({} if bases is None else bases, mode)
     _check_choice("placement", placement, ("both", "eval"))
-    train = EmbeddingTable.from_records(train_records)
+    _check_type("logistic", logistic, LogisticConfig)
+    train = _table_of("train_records", train_records)
     if not len(train):
         raise DatasetError("transfer needs a non-empty training set")
     langs = set(train.langs)
@@ -466,8 +473,12 @@ def evaluate_transfer(
     per_lang: dict[str, float] = {}
     test_fps: dict[str, str] = {}
     for lang in test_langs:
-        recs, labels = tests[lang]
-        recs = EmbeddingTable.from_records(recs)
+        pair = tests[lang]
+        try:
+            recs, labels = pair
+        except (TypeError, ValueError):
+            raise ConfigError(f"tests[{lang!r}] must be a (records, labels) pair") from None
+        recs = _table_of(f"tests[{lang!r}][0]", recs)
         if not len(recs):
             raise DatasetError(f"test set for {lang!r} is empty")
         if recs.dim != train.dim:
@@ -479,7 +490,7 @@ def evaluate_transfer(
         x = train_x if reuse else _features(recs, bases, mode, _in_place)
         preds = predict_logistic(x, weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
-        del recs, labels, y, x, preds  # a lazily loaded test set is freed before the next one
+        del pair, recs, labels, y, x, preds  # a lazily loaded test set is freed before the next one
     config["test_fingerprints"] = test_fps
 
     return TransferReport(

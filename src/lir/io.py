@@ -37,7 +37,8 @@ import os
 import struct
 from io import StringIO
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, NoReturn, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .core import (
     TransferReport,
     _check_collection,
     _check_rows,
-    _real_array,
 )
 from .errors import (
     CorruptBasis,
@@ -60,6 +60,9 @@ from .errors import (
     LirError,
     ParseError,
     TruncatedFile,
+    _check_type,
+    _mapping,
+    _real_array,
 )
 from .linalg import _gram_schmidt
 
@@ -395,6 +398,7 @@ def read_embeddings(path) -> list[EmbeddingRecord]:
 
 def write_components(path, basis: ComponentBasis) -> None:
     """Write a component basis to a .lirc file (32-bit, column-major)."""
+    _check_type("basis", basis, ComponentBasis)
     header = {"dim": basis.dim, "lang": basis.lang, "rank": basis.rank,
               "sample_count": basis.sample_count, "source_fingerprint": basis.source_fingerprint}
     _write_atomic(
@@ -427,7 +431,7 @@ def read_components(path) -> ComponentBasis:
     if rank:
         if not np.all(np.isfinite(basis)):
             raise CorruptBasis("stored basis has non-finite values")
-        dev = float(np.max(np.abs(basis.T @ basis - np.eye(rank))))
+        dev = float(np.max(np.abs(np.einsum("ij,ik->jk", basis, basis) - np.eye(rank))))
         if dev > _CORRUPT_BASIS_TOL:
             raise CorruptBasis(
                 f"stored basis deviates from orthonormal by {dev:.3g}"
@@ -544,21 +548,34 @@ def read_labels(path) -> dict[str, int]:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _write_jsonl(path, lines) -> None:
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+def _write_jsonl(path, name, mapping, line, sets=False) -> None:
+    """Write line(key) for each key of mapping in sorted order, all formed before anything
+    is written. Where they fail to form (a TypeError), raise FormatError naming the first
+    key that is not a str or, with sets, the first value that is not a hashable set of str."""
+    try:
+        text = "\n".join(map(line, sorted(mapping))) + "\n"
+    except TypeError:
+        for key in _mapping(name, mapping, FormatError):
+            _check_type(f"{name} key {key!r}", key, str, FormatError)
+        for key, ids in mapping.items() if sets else ():
+            _check_type(f"{name}[{key!r}]", ids, Hashable, FormatError)
+            _check_type(f"{name}[{key!r}]", ids, str, FormatError, each=True)
+        raise
+    _write_atomic(path, text.encode("utf-8"))
 
 
 def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
-    encoded: dict[frozenset[str], str] = {}  # each distinct relevant set is sorted and encoded once
+    encoded: dict[frozenset[str], str] = {}  # each distinct relevant set is checked and encoded once
 
-    def relevant(rel: frozenset[str]) -> str:
+    def line(q: str) -> str:
+        rel = qrels[q]
         if rel not in encoded:
+            if isinstance(rel, str):  # a str sorts into one-letter ids
+                raise FormatError(f"qrels[{q!r}] must be a set of ids, got str")
             encoded[rel] = ",".join(map(_json_str, sorted(rel)))
-        return encoded[rel]
+        return f'{{"query_id":{_json_str(q)},"relevant":[{encoded[rel]}]}}'
 
-    _write_jsonl(path, (
-        f'{{"query_id":{_json_str(q)},"relevant":[{relevant(qrels[q])}]}}' for q in sorted(qrels)
-    ))
+    _write_jsonl(path, "qrels", qrels, line, sets=True)
 
 
 def write_labels(path, labels: Mapping[str, int]) -> None:
@@ -568,25 +585,14 @@ def write_labels(path, labels: Mapping[str, int]) -> None:
             raise FormatError(f"label of {rec_id!r} must be the integer 0 or 1, got {label!r}")
         return f'{{"id":{_json_str(rec_id)},"label":{label}}}'
 
-    _write_jsonl(path, map(line, sorted(labels)))
+    _write_jsonl(path, "labels", labels, line)
 
 
 def report_to_dict(report: EvalReport | TransferReport) -> dict:
-    if isinstance(report, EvalReport):
-        return {
-            "config": dict(report.config),
-            "overall_map": report.overall_map,
-            "per_language_map": dict(report.per_language_map),
-            "query_count": report.query_count,
-        }
-    if isinstance(report, TransferReport):
-        return {
-            "average": report.average,
-            "config": dict(report.config),
-            "per_language_accuracy": dict(report.per_language_accuracy),
-            "train_language": report.train_language,
-        }
-    raise FormatError(f"cannot serialize object of type {type(report).__name__}")
+    if not isinstance(report, (EvalReport, TransferReport)):
+        raise FormatError(f"cannot serialize object of type {type(report).__name__}")
+    fields = vars(report).items()  # a mapping field as a dict
+    return {name: dict(value) if isinstance(value, Mapping) else value for name, value in fields}
 
 
 def report_json(report: EvalReport | TransferReport) -> str:

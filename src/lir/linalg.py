@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SvdResult, _real_array
+from .core import SvdResult
 from .errors import (
     DimensionError,
     InvalidMatrix,
@@ -38,6 +38,7 @@ from .errors import (
     RankError,
     ZeroVectorError,
     _check_int,
+    _real_array,
 )
 
 # Sweep budget for the Jacobi eigensolver. Exceeding it is a reported error,

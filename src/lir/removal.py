@@ -17,16 +17,18 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import linalg
-from .core import ComponentBasis, EmbeddingRecord, LanguageMatrix, _mapping
+from .core import ComponentBasis, EmbeddingRecord, LanguageMatrix
 from .errors import (
-    ConfigError,
     DimensionError,
+    InvalidVector,
     LanguageMismatch,
     MissingBasis,
     RankError,
     ZeroVectorError,
     _check_choice,
     _check_int,
+    _check_type,
+    _mapping,
 )
 
 
@@ -63,6 +65,9 @@ def fit_decomposition(
     factorized, so the leading direction can be the language centroid
     itself). rank 0 yields an empty basis and removal becomes the identity.
     """
+    _check_type("matrix", matrix, LanguageMatrix)
+    _check_type("center", center, bool)
+    _check_type("normalize", normalize, bool)
     limit, message = min(matrix.n, matrix.d), "rank {value} outside valid range [0, {high}]"
     rank = _check_int("rank", rank, 0, limit, message, RankError)
     data = matrix.rows
@@ -97,10 +102,10 @@ def fit_components(
 
 
 def _check_removal(bases, mode) -> None:
-    """ConfigError naming mode or bases, unless a RemovalMode and a mapping of ComponentBasis."""
+    """ConfigError naming mode, bases or a value, unless a RemovalMode and a mapping of ComponentBasis."""
     _check_choice("mode", mode, tuple(RemovalMode))
-    if not all(isinstance(basis, ComponentBasis) for basis in _mapping("bases", bases).values()):
-        raise ConfigError("bases must map languages to ComponentBasis values")
+    for lang, basis in _mapping("bases", bases).items():
+        _check_type(f"bases[{lang!r}]", basis, ComponentBasis)
 
 
 def _remove_rows(ids, langs, rows, bases, mode, *, strict=True):
@@ -181,7 +186,8 @@ def remove_batch(
     output row is bit-identical to removing that record in a batch of its own.
     """
     _check_removal(bases, mode)
-    out = list(records)
+    _check_type("strict", strict, bool)
+    out = list(_check_type("records", records, EmbeddingRecord, InvalidVector, each=True))
     vecs = [r.vec for r in out]
     ids, langs = [r.id for r in out], [r.lang for r in out]
     passed = _remove_rows(ids, langs, vecs, bases, mode, strict=strict)

@@ -31,9 +31,9 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array, _real_array
+from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
 from .errors import _POSITIVE, ConfigError, InvalidVector
-from .errors import _check_choice, _check_int, _check_name, _check_real
+from .errors import _check_choice, _check_int, _check_name, _check_real, _check_type, _real_array
 from .linalg import _gram_schmidt
 
 TOPIC_PARITY = "topic-parity"
@@ -157,6 +157,7 @@ def _no_room(prior: np.ndarray) -> NoReturn:
 
 def generate(config: SynthConfig) -> SynthResult:
     """Generate a deterministic synthetic multilingual embedding corpus."""
+    _check_type("config", config, SynthConfig)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     langs = config.languages
     n_lang, n_topic, per, dim = len(langs), config.topics, config.per_topic_per_lang, config.dim

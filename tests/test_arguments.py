@@ -7,11 +7,19 @@ number of axes, an empty axis where one is rejected, or a NaN or +/-inf
 entry raises a LirError naming the argument, with no warning first.
 Every name, choice and mapping argument: a value of another type, an empty
 (or, where it is trimmed, blank) name, or a mapping holding a value of the
-wrong type raises a LirError naming the argument; nothing is converted."""
+wrong type raises a LirError naming the argument; nothing is converted.
+Every flag and lir object: a value of another type (a flag's is bool) raises
+a LirError naming the argument, and so does a report config value that a JSON
+round trip does not keep, a writer's key or set that it cannot encode, and a
+transfer test value that is not a (records, labels) pair. The README's
+argument table names every checker of lir.errors."""
 
+import inspect
+import itertools
 import json
 import math
 import re
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -28,6 +36,7 @@ from lir import (
     EvalReport,
     InvalidMatrix,
     InvalidVector,
+    FormatError,
     LanguageMatrix,
     LirError,
     LogisticConfig,
@@ -60,6 +69,7 @@ from lir.io import (
     report_json,
     write_components,
     write_embeddings,
+    write_labels,
     write_qrels,
     write_report,
 )
@@ -421,9 +431,9 @@ def choice_cases():
             yield pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r}")
 
 
-# (name, error class, call with the value, None allowed, a mapping with a value of
-# the wrong type) for every mapping. A report's config values are not checked, and
-# a test set is looked up only after training, so tests' bad entry is its key.
+# (name, error class, call with the value, None allowed, a mapping with a key or
+# value of the wrong type) for every mapping. A test set is looked up only after
+# training, so tests' bad entry is its key (test_bad_test_pair_raises_naming_it).
 MAPPINGS = [
     ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset(v)), False, {"q1": "c1", "q2": {"c1"}}),
     ("bases", ConfigError, lambda v: evaluate_retrieval(dataset(), v), True, {"en": 1}),
@@ -431,10 +441,10 @@ MAPPINGS = [
     ("bases", ConfigError, lambda v: remove_batch([RECORD], v), False, {"en": 1}),
     ("tests", ConfigError, lambda v: evaluate_transfer(TABLE, LABELS, v), False, {1: (TABLE, LABELS)}),
     ("per_language_map", ConfigError, lambda v: eval_report(per_language_map=v), False, {"en": "0.5"}),
-    ("config", ConfigError, lambda v: eval_report(config=v), False, None),
+    ("config", ConfigError, lambda v: eval_report(config=v), False, {1: "a", "b": 2}),
     ("per_language_accuracy", ConfigError, lambda v: transfer_report(per_language_accuracy=v), False,
      {"en": "0.5"}),
-    ("config", ConfigError, lambda v: transfer_report(config=v), False, None),
+    ("config", ConfigError, lambda v: transfer_report(config=v), False, {"b": 2, 1: "a"}),
 ]
 
 
@@ -449,8 +459,38 @@ def mapping_cases():
             yield pytest.param(name, error, call, value, id=f"{name}-{i}-{label}")
 
 
+# Report config values that a JSON round trip does not give back unchanged.
+BAD_CONFIG_VALUES = [object(), math.nan, math.inf, (1,), {1: "a"}]
+
+
+def config_cases():
+    for i, call in enumerate((lambda v: eval_report(config=v), lambda v: transfer_report(config=v))):
+        for value in BAD_CONFIG_VALUES:
+            config = {"fine": 1, "x": value}
+            yield pytest.param(r"config\['x'\]", ConfigError, call, config, id=f"config-value-{i}-{value!r:.12}")
+
+
+# (name, call with the value, the value) for the keys and sets of the JSONL writers.
+WRITERS = [
+    ("qrels", lambda v: write_qrels("never.jsonl", v), {1: frozenset({"a"})}),
+    ("qrels", lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a"}), 1: frozenset({"a"})}),
+    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": "ab"}),
+    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": {"a"}}),
+    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a", 1})}),
+    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": 5}),
+    ("labels", lambda v: write_labels("never.jsonl", v), {1: 0}),
+    ("labels", lambda v: write_labels("never.jsonl", v), {"a": 0, 1: 1}),
+]
+
+
+def writer_cases():
+    for i, (name, call, value) in enumerate(WRITERS):
+        yield pytest.param(name, FormatError, call, value, id=f"writer-{i}")  # a set's repr varies
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name, error, call, value", [*name_cases(), *choice_cases(), *mapping_cases()])
+@pytest.mark.parametrize("name, error, call, value", [
+    *name_cases(), *choice_cases(), *mapping_cases(), *config_cases(), *writer_cases()])
 def test_bad_name_choice_or_mapping_raises_naming_it(no_work, name, error, call, value):
     with pytest.raises(error) as info:
         call(value)
@@ -478,3 +518,107 @@ def test_read_qrels_sets_stay_shared(tmp_path):
     ds = dataset(qrels)
     assert ds.qrels["q1"] is ds.qrels["q2"] is qrels["q1"]
 
+
+
+ZZ = EmbeddingRecord("z", "zz", [1.0, 0.0, 0.0])
+
+# (name, call with the value) for every flag. Each call reaches the work the flag
+# controls: remove_batch's strict decides whether the uncovered record raises.
+FLAGS = [
+    ("center", lambda v: fit_decomposition(MATRIX, 1, center=v)),
+    ("normalize", lambda v: fit_decomposition(MATRIX, 1, normalize=v)),
+    ("center", lambda v: fit_components(MATRIX, 1, center=v)),
+    ("normalize", lambda v: fit_components(MATRIX, 1, normalize=v)),
+    ("strict", lambda v: remove_batch([ZZ], {"en": EN}, strict=v)),
+]
+BAD_FLAGS = ["no", 1, None, np.True_]
+
+# (name, error class, call with the value) for every lir object argument,
+# and for the records (or table) that a record collection argument takes.
+OBJECTS = [
+    ("matrix", ConfigError, lambda v: fit_decomposition(v, 1)),
+    ("matrix", ConfigError, lambda v: fit_components(v, 1)),
+    ("dataset", ConfigError, evaluate_retrieval),
+    ("logistic", ConfigError, lambda v: transfer(logistic=v)),
+    ("config", ConfigError, lambda v: train_logistic(ROWS, LABELS, v)),
+    ("config", ConfigError, generate),
+    ("basis", ConfigError, lambda v: write_components("never.lirc", v)),
+    ("records", InvalidVector, EmbeddingTable.from_records),
+    ("records", InvalidVector, lambda v: LanguageMatrix.from_records(v)),
+    ("records", InvalidVector, lambda v: remove_batch(v, {})),
+    ("records", InvalidVector, lambda v: write_embeddings("never.lire", v)),
+    ("records", InvalidVector, lambda v: export_projection(v, 1)),
+    ("records", InvalidVector, lambda v: lir.corpus_fingerprint(v)),
+    ("queries", InvalidVector, lambda v: RetrievalDataset(v, CANDIDATES, QRELS)),
+    ("candidates", InvalidVector, lambda v: RetrievalDataset(QUERIES, v, QRELS)),
+    ("train_records", InvalidVector, lambda v: evaluate_transfer(v, LABELS, {"en": (TABLE, LABELS)})),
+]
+BAD_OBJECTS = [5, "x", None, [RECORD, 5]]
+
+
+def flag_and_object_cases():
+    for i, (name, call) in enumerate(FLAGS):
+        for value in BAD_FLAGS:
+            yield pytest.param(name, ConfigError, call, value, id=f"{name}-flag-{i}-{value!r}")
+    for i, (name, error, call) in enumerate(OBJECTS):
+        for value in BAD_OBJECTS:
+            yield pytest.param(name, error, call, value, id=f"{name}-object-{i}-{value!r:.12}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, error, call, value", flag_and_object_cases())
+def test_bad_flag_or_object_raises_naming_it(no_work, name, error, call, value):
+    with pytest.raises(error) as info:
+        call(value)
+    assert names(str(info.value), name), str(info.value)
+
+
+def test_flags_take_bools():
+    assert remove_batch([ZZ], {"en": EN}, strict=False).passed_through == {"zz": 1}
+    plain = fit_components(MATRIX, 1).basis.tobytes()
+    assert fit_components(MATRIX, 1, center=False, normalize=False).basis.tobytes() == plain
+    assert fit_components(MATRIX, 1, center=True).basis.tobytes() != plain
+
+
+@pytest.mark.parametrize("value", [1, None, (TABLE,), (TABLE, LABELS, 0), [5, LABELS]],
+                         ids=["int", "None", "one", "three", "int-records"])
+def test_bad_test_pair_raises_naming_it(value):
+    # Checked on lookup, after training: tests may decode each set when it is looked up.
+    with pytest.raises(LirError) as info:
+        evaluate_transfer(TABLE, LABELS, {"en": value})
+    assert names(str(info.value), r"tests\['en'\]"), str(info.value)
+
+
+CONFIG_VALUES = [
+    1, -0.0, 1.5, 10**400, "s", True, None, [1, "a", [None]], {"a": {"b": [1.5]}}, np.float64(0.25),
+    np.int64(1), np.float64(math.nan), *BAD_CONFIG_VALUES, {"a": {"b": 1, 2: 3}}, [math.inf], "\ud800",
+]
+
+
+def test_report_json_succeeds_for_every_report_that_constructs():
+    def refuse(constant):
+        raise AssertionError(f"report_json wrote {constant}")
+
+    builds = (lambda c: EvalReport(0.5, {"en": 0.5}, 1, c), lambda c: TransferReport({"en": 0.5}, 0.5, "en", c))
+    built = 0
+    for value, build in itertools.product(CONFIG_VALUES, builds):
+        try:
+            report = build({"x": value})
+        except ConfigError as exc:
+            assert names(str(exc), r"config\['x'\]"), str(exc)
+            continue
+        assert json.loads(report_json(report), parse_constant=refuse)["config"] == {"x": value}
+        built += 1
+    assert built == 2 * 11
+
+
+def test_readme_table_names_every_checker_of_lir_errors():
+    # The "Checker" column of the README's argument table, against the
+    # functions lir.errors defines: a new checker needs its own row.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n| Argument kind | Checker |", 1)[1].splitlines()[2:]
+    rows = itertools.takewhile(lambda line: line.startswith("| "), lines)
+    named = {name for row in rows for name in re.findall(r"`(\w+)`", row.split(" | ")[1])}
+    defined = {name for name, value in vars(lir.errors).items()
+               if inspect.isfunction(value) and value.__module__ == "lir.errors"}
+    assert named == defined

@@ -1,5 +1,7 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lir import (
     project_out_scaled,
     svd,
 )
+import lir
 from lir.linalg import _orient
 from oracles import gram_eigvals_oracle
 
@@ -365,3 +368,22 @@ class TestPcaProject:
             pca_project(a, 3)
         with pytest.raises(RankError):
             pca_project(np.ones((1, 4)), 1)
+
+
+# BLAS matrix products: their last bits may change with the OpenBLAS thread count.
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul", "tensordot", "multi_dot", "matrix_power"}
+
+
+@pytest.mark.parametrize("module", ["core", "io"])
+def test_module_forms_no_blas_product(module):
+    # Their products gate what is stored (orthonormality checks), so they run on
+    # einsum, which rounds alike at any thread count.
+    path = Path(lir.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(getattr(node, "op", None), ast.MatMult)
+        or (isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS)
+    ]
+    assert found == [], f"lir/{module}.py forms a BLAS product at {', '.join(found)}"
