@@ -9,6 +9,7 @@ standard error; result summaries go to standard output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import re
@@ -112,8 +113,8 @@ def _cmd_eval_retrieval(args) -> int:
     # Relevant ids are the candidate table's own strings, not a copy of each.
     dataset = RetrievalDataset(queries, candidates, read_qrels(args.qrels, _strings=candidates.ids))
     bases = read_components_dir(args.components) if args.components else None
-    # The dataset is this command's own: removal overwrites its decoded matrices.
-    report = evaluate_retrieval(dataset, bases, mode=RemovalMode(args.mode), _in_place=True)
+    with _lent_rows(queries), _lent_rows(candidates):  # removal overwrites the decoded matrices
+        report = evaluate_retrieval(dataset, bases, mode=RemovalMode(args.mode))
     write_report(args.report, report)
     print(f"overall_map={report.overall_map!r} queries={report.query_count}")
     return EXIT_OK
@@ -128,15 +129,21 @@ def _labeled(table, labels):
 
 class _TestTables(Mapping):
     """Test tables and their labels by language, from {language: file, or
-    None for the training file}. A lookup decodes the file (the training
-    table is reused) and labels its records; nothing here keeps the table."""
+    None for the training file}. A lookup un-lends the last test table, which
+    the caller has dropped, then decodes the file, lends its table (the
+    training table, lent by the holder, is reused) and labels its records.
+    Only `lent` keeps a table; the holder closes it when evaluation ends."""
 
     def __init__(self, files: dict, train: EmbeddingTable, labels: dict):
         self._files, self._train, self._labels = files, train, labels
+        self.lent = contextlib.ExitStack()
 
     def __getitem__(self, lang):
+        self.lent.close()
         file = self._files[lang]
         table = self._train if file is None else _read_table(file)
+        if file is not None:
+            self.lent.enter_context(_lent_rows(table))
         return table, _labeled(table, self._labels)
 
     def __iter__(self):
@@ -179,17 +186,17 @@ def _cmd_eval_transfer(args) -> int:
                 raise DuplicateKey(lang, f"two test files for language {lang!r}")
             tests[lang] = None if file.samefile(args.train) else file
         bases = read_components_dir(args.components) if args.components else None
-        # The tables are this command's own: removal overwrites their decoded matrices.
-        report = evaluate_transfer(
-            train,
-            train_labels,
-            _TestTables(tests, train, labels),
-            bases,
-            mode=RemovalMode(args.mode),
-            placement=args.placement,
-            logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
-            _in_place=True,
-        )
+        tables = _TestTables(tests, train, labels)
+        with _lent_rows(train), tables.lent:  # removal overwrites the decoded matrices
+            report = evaluate_transfer(
+                train,
+                train_labels,
+                tables,
+                bases,
+                mode=RemovalMode(args.mode),
+                placement=args.placement,
+                logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
+            )
         write_report(args.report, report)
     except (LirError, OSError):
         # Every test file's own error comes before what reads components or

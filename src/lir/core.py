@@ -3,11 +3,12 @@ component bases, retrieval datasets, and evaluation reports. The pipeline
 passes EmbeddingTables, whole collections checked once; records are the row API.
 
 All types are immutable after construction and safe to share across threads,
-but for one lending rule: a table's matrix is writable only inside _lent_rows,
-which only the CLI opens (itself, or through evaluation's _in_place), on
-tables it decoded and shares with no one. Array fields are stored as
-read-only float64 arrays regardless of the input dtype; files may store
-32-bit values but all computation happens in 64-bit.
+but for one in-place rule: a table's matrix is writable only while _lent_rows
+lends it, and a function handed a lent table may overwrite its rows; any other
+table is copied before it is changed. Only the CLI lends, and only tables it
+decoded and shares with no one. Array fields are stored as read-only float64
+arrays regardless of the input dtype; files may store 32-bit values but all
+computation happens in 64-bit.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ def _table_of(name, records) -> EmbeddingTable:
 @contextmanager
 def _lent_rows(table: EmbeddingTable) -> Iterator[np.ndarray]:
     """The table's own matrix (a table owns it, so numpy allows this), writable
-    inside the block and read-only again on leaving it, error or not: for the
-    holder of the only reference to a table, to overwrite its rows in place."""
+    inside the block and read-only again on leaving it, error or not. The
+    holder of the only reference to a table lends it so that the functions it
+    hands the table to overwrite its rows instead of copying them."""
     table.rows.flags.writeable = True
     try:
         yield table.rows

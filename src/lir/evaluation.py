@@ -8,16 +8,14 @@ ascending id, so rankings and reports are permutation-invariant. A dataset
 evaluation ranks with gemm scores where einsum scores of the relevant rows
 certify them, and takes exact AP from those ranks, rounded once to float.
 Harnesses score, train and project on EmbeddingTable rows (records are
-converted once on the way in) and remove components on a copy of them; the
-CLI's _in_place calls remove them on the tables' own matrices, lent by
-core._lent_rows.
+converted once on the way in) and remove components as core's lending rule
+says: on a lent table's own matrix, else on a copy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +29,6 @@ from .core import (
     EvalReport,
     RetrievalDataset,
     TransferReport,
-    _lent_rows,
     _table_of,
     corpus_fingerprint,
 )
@@ -70,21 +67,21 @@ class RankedList:
         object.__setattr__(self, "candidate_ids", tuple(self.candidate_ids))
 
 
-def _features(table: EmbeddingTable, bases, mode: RemovalMode, in_place: bool = False) -> np.ndarray:
+def _features(table: EmbeddingTable, bases, mode: RemovalMode) -> np.ndarray:
     """The table's rows, each with its own language's components removed
-    (strict: uncovered languages raise) on a copy, or with in_place on the
-    table's own matrix, lent by _lent_rows."""
+    (strict: uncovered languages raise): on the table's own matrix while
+    core._lent_rows lends it, else on a copy."""
     if bases is None:
         return table.rows
-    with _lent_rows(table) if in_place else nullcontext(table.rows.copy()) as rows:
-        _remove_rows(table.ids, table.langs, rows, bases, mode)
+    rows = table.rows if table.rows.flags.writeable else table.rows.copy()
+    _remove_rows(table.ids, table.langs, rows, bases, mode)
     return rows
 
 
-def _candidate_stack(table: EmbeddingTable, bases, mode: RemovalMode, in_place: bool):
+def _candidate_stack(table: EmbeddingTable, bases, mode: RemovalMode):
     """The rows of a non-empty candidate table in table order, removed as in
     _features, and their norms, taken _NORM_BLOCK squares at a time."""
-    cmat = _features(table, bases, mode, in_place)
+    cmat = _features(table, bases, mode)
     step = max(1, _NORM_BLOCK // cmat.shape[1])
     with np.errstate(over="ignore"):
         cnorms = [np.linalg.norm(cmat[i : i + step], axis=1) for i in range(0, len(cmat), step)]
@@ -252,7 +249,6 @@ def evaluate_retrieval(
     bases: Optional[Mapping[str, ComponentBasis]] = None,
     *,
     mode: RemovalMode = DEFAULT_MODE,
-    _in_place: bool = False,
 ) -> EvalReport:
     """Cosine-retrieval MAP over a dataset, optionally after removal.
 
@@ -262,14 +258,6 @@ def evaluate_retrieval(
     of per-query AP values. The config block records mode, the bases' one rank
     (0 without bases), similarity, and fingerprints of the raw inputs, so a
     run is reproducible and a rank-0 run serializes identically to a no-removal run.
-
-    _in_place is not for library callers: the CLI, which decodes the
-    dataset itself and uses it for nothing else, sets it so that components
-    are removed on the dataset's own matrices, queries first, instead of on
-    a second copy of the candidates. The tables stay read-only but then hold
-    the removed rows. The CLI still calls this function, not a split of it,
-    so perfbench's launcher keeps timing the command's evaluation here and
-    counting its scores.
     """
     _check_type("dataset", dataset, RetrievalDataset)
     _check_removal({} if bases is None else bases, mode)
@@ -281,9 +269,12 @@ def evaluate_retrieval(
         "rank": _effective_rank(bases),
         "similarity": "cosine",
     }
-    # One matrix behind both tables is removed once, on a copy for the queries.
-    qmat = _features(queries, bases, mode, _in_place and queries.rows is not candidates.rows)
-    cmat, cnorms = _candidate_stack(candidates, bases, mode, _in_place)
+    if queries.rows is candidates.rows:  # one matrix behind both is removed once, the queries on a copy
+        view = queries.rows.view()
+        view.flags.writeable = False
+        queries = EmbeddingTable._of_checked(queries.ids, queries.langs, view)
+    qmat = _features(queries, bases, mode)
+    cmat, cnorms = _candidate_stack(candidates, bases, mode)
     # Query k's relevant rows of cmat are flat[ends[k]:ends[k + 1]].
     flat, ends = dataset.relevant_rows, dataset.relevant_ends
     id_rank = None  # built when a query first takes the exact path
@@ -415,7 +406,6 @@ def evaluate_transfer(
     mode: RemovalMode = DEFAULT_MODE,
     placement: str = "both",
     logistic: LogisticConfig = LogisticConfig(),
-    _in_place: bool = False,
 ) -> TransferReport:
     """Zero-shot transfer: train on one language, evaluate accuracy per language.
 
@@ -431,12 +421,6 @@ def evaluate_transfer(
     a mapping that decodes a test set on lookup is held one set at a time.
     So a value is checked to be a (records, labels) pair only on its lookup,
     after training; every other argument is checked before any work starts.
-
-    _in_place is not for library callers: the CLI, which decodes the tables
-    itself and uses them for nothing else, sets it so that components are
-    removed on the training table's and each test table's own matrix instead
-    of on copies. The tables stay read-only but then hold the removed rows;
-    fingerprints are taken before removal.
     """
     _check_removal({} if bases is None else bases, mode)
     _check_choice("placement", placement, ("both", "eval"))
@@ -467,7 +451,7 @@ def evaluate_transfer(
     }
 
     fit_bases = bases if placement == "both" else None
-    train_x = _features(train, fit_bases, mode, _in_place)
+    train_x = _features(train, fit_bases, mode)
     weights = train_logistic(train_x, y_train, logistic)
 
     per_lang: dict[str, float] = {}
@@ -487,7 +471,7 @@ def evaluate_transfer(
         same = recs is train  # the training table tested too: reuse its fingerprint and features
         test_fps[lang] = config["train_fingerprint"] if same else corpus_fingerprint(recs)
         reuse = same and fit_bases is bases
-        x = train_x if reuse else _features(recs, bases, mode, _in_place)
+        x = train_x if reuse else _features(recs, bases, mode)
         preds = predict_logistic(x, weights)
         per_lang[lang] = float(np.mean(preds == y.astype(np.int64)))
         del pair, recs, labels, y, x, preds  # a lazily loaded test set is freed before the next one

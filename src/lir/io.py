@@ -549,13 +549,18 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _write_jsonl(path, name, mapping, line, sets=False) -> None:
-    """Write line(key) for each key of mapping in sorted order, all formed before anything
-    is written. Where they fail to form (a TypeError), raise FormatError naming the first
-    key that is not a str or, with sets, the first value that is not a hashable set of str."""
+    """Write line(key) for each key of a non-empty mapping in sorted order, all formed
+    before anything is written; an empty key raises FormatError, as the readers do. Where
+    the lines fail to form (a TypeError), raise FormatError naming the first key that is
+    not a str or, with sets, the first value that is not a hashable set of str."""
+    if not _mapping(name, mapping, FormatError):
+        raise FormatError(f"refusing to write an empty {name} file")
+    if "" in mapping:
+        raise FormatError(f"{name} key is empty")
     try:
         text = "\n".join(map(line, sorted(mapping))) + "\n"
     except TypeError:
-        for key in _mapping(name, mapping, FormatError):
+        for key in mapping:
             _check_type(f"{name} key {key!r}", key, str, FormatError)
         for key, ids in mapping.items() if sets else ():
             _check_type(f"{name}[{key!r}]", ids, Hashable, FormatError)
@@ -572,6 +577,8 @@ def write_qrels(path, qrels: Mapping[str, frozenset[str]]) -> None:
         if rel not in encoded:
             if isinstance(rel, str):  # a str sorts into one-letter ids
                 raise FormatError(f"qrels[{q!r}] must be a set of ids, got str")
+            if "" in rel:
+                raise FormatError(f"qrels[{q!r}] id is empty")
             encoded[rel] = ",".join(map(_json_str, sorted(rel)))
         return f'{{"query_id":{_json_str(q)},"relevant":[{encoded[rel]}]}}'
 

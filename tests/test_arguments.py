@@ -10,14 +10,16 @@ Every name, choice and mapping argument: a value of another type, an empty
 wrong type raises a LirError naming the argument; nothing is converted.
 Every flag and lir object: a value of another type (a flag's is bool) raises
 a LirError naming the argument, and so does a report config value that a JSON
-round trip does not keep, a writer's key or set that it cannot encode, and a
-transfer test value that is not a (records, labels) pair. The README's
+round trip does not keep, a writer's key or set that it cannot encode or that
+its reader rejects (an empty key, id or mapping), and a transfer test value
+that is not a (records, labels) pair. The README's
 argument table names every checker of lir.errors."""
 
 import inspect
 import itertools
 import json
 import math
+import random
 import re
 from pathlib import Path
 from types import MappingProxyType
@@ -65,6 +67,7 @@ from lir import (
 )
 from lir.io import (
     read_components,
+    read_labels,
     read_qrels,
     report_json,
     write_components,
@@ -480,6 +483,14 @@ WRITERS = [
     (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": 5}),
     ("labels", lambda v: write_labels("never.jsonl", v), {1: 0}),
     ("labels", lambda v: write_labels("never.jsonl", v), {"a": 0, 1: 1}),
+    # What the readers reject: an empty key, an empty id and a file of no lines.
+    ("qrels key", lambda v: write_qrels("never.jsonl", v), {"": frozenset({"a"})}),
+    ("labels key", lambda v: write_labels("never.jsonl", v), {"a": 0, "": 1}),
+    (r"qrels\['q'\] id", lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": frozenset({"", "a"})}),
+    ("empty qrels", lambda v: write_qrels("never.jsonl", v), {}),
+    ("empty labels", lambda v: write_labels("never.jsonl", v), MappingProxyType({})),
+    ("qrels", lambda v: write_qrels("never.jsonl", v), []),
+    ("labels", lambda v: write_labels("never.jsonl", v), [("a", 0)]),
 ]
 
 
@@ -509,6 +520,26 @@ def test_valid_names_and_choices_are_kept_unconverted():
     assert transfer(placement="eval").config["placement"] == "eval"
     en = np.str_("en")
     assert json.loads(report_json(TransferReport({en: 0.5}, 0.5, en, {})))["train_language"] == "en"
+
+
+def test_what_the_writers_accept_reads_back_equal(tmp_path):
+    # Ids of escaped, non-ASCII, blank and surrogate characters; sets shared,
+    # empty, or a tuple with a repeated id (read back as its frozenset).
+    rng = random.Random(91)
+    alphabet = ["a", "Z", " ", "\t", "\n", "\r", '"', "\\", "\x00", "é", "日", "\U0001f600", "\udcff", "\u2028"]
+
+    def word():
+        return "".join(rng.choices(alphabet, k=rng.randint(1, 3)))
+
+    for _ in range(60):
+        keys = {word() for _ in range(rng.randint(1, 8))}
+        sets = [frozenset(), frozenset(word() for _ in range(3)), (word(),) * 2]
+        qrels = {key: rng.choice(sets) for key in keys}
+        labels = {key: rng.randint(0, 1) for key in keys}
+        write_qrels(tmp_path / "qrels.jsonl", MappingProxyType(qrels))
+        assert read_qrels(tmp_path / "qrels.jsonl") == {key: frozenset(ids) for key, ids in qrels.items()}
+        write_labels(tmp_path / "labels.jsonl", labels)
+        assert read_labels(tmp_path / "labels.jsonl") == labels
 
 
 def test_read_qrels_sets_stay_shared(tmp_path):

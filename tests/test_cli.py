@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +597,46 @@ class TestEvalTransferCommand:
             "--labels", str(partial),
             "--report", str(tmp_path / "r.json"),
         ]) == 2
+
+    def test_each_test_table_is_lent_and_dropped_before_the_next(self, pipeline, monkeypatch):
+        # The training file is also a test file: the command lends its table,
+        # which serves as l00's test table; l01 and l02 are decoded in turn.
+        tmp_path, data, comp = pipeline
+        events, decoded = [], []
+        read_table, lent_rows = lir.cli._read_table, lir.cli._lent_rows
+
+        def read(*paths):
+            # The previous test table is un-lent and no longer referenced.
+            assert len(decoded) < 2 or decoded[-1]() is None
+            table = read_table(*paths)
+            decoded.append(weakref.ref(table.rows))
+            events.append(("read", table.langs[0]))
+            return table
+
+        @contextlib.contextmanager
+        def lend(table):
+            with lent_rows(table) as rows:
+                events.append(("lend", table.langs[0]))
+                yield rows
+            events.append(("return", table.langs[0], table.rows.flags.writeable))
+
+        monkeypatch.setattr(lir.cli, "_read_table", read)
+        monkeypatch.setattr(lir.cli, "_lent_rows", lend)
+        for placement in ("both", "eval"):
+            events.clear()
+            decoded.clear()
+            assert main([
+                "eval-transfer",
+                "--train", str(data / "corpus" / "l00.lire"),
+                "--tests", str(data / "corpus"),
+                "--labels", str(data / "labels.jsonl"),
+                "--components", str(comp),
+                "--placement", placement,
+                "--report", str(tmp_path / "r.json"),
+            ]) == 0
+            tests = [event for lang in ("l01", "l02") for event in
+                     [("read", lang), ("lend", lang), ("return", lang, False)]]
+            assert events == [("read", "l00"), ("lend", "l00"), *tests, ("return", "l00", False)]
 
 
 @pytest.mark.parametrize("command", ["eval-retrieval", "eval-transfer"])

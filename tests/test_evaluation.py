@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -31,6 +32,7 @@ from lir import (
     predict_logistic,
     train_logistic,
 )
+from lir.core import _lent_rows
 from lir.evaluation import (
     _ap_from_positions,
     _candidate_stack,
@@ -105,7 +107,7 @@ class TestRetrievalOrder:
         ids = [f"c{i:04d}" for i in rng.permutation(group.size)]
         cands = [rec(cid, "en", base[g]) for cid, g in zip(ids, group)]
         group_of = dict(zip(ids, group.tolist()))
-        cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE, False)
+        cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE)
         for _ in range(10):
             scores = _cosine_scores(cmat, cnorms, rng.standard_normal(64)).reshape(401, 5)
             assert (scores == scores[:, :1]).all()
@@ -148,7 +150,7 @@ class TestRetrievalOrder:
         query = np.array([2e300, 1e300, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE, False)
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE)
             scores = _cosine_scores(cmat, cnorms, query)
             assert retrieval_order(query, cands) == ["b", "a", "z"]
         assert abs(scores[0] - 0.8) <= 1e-12
@@ -659,7 +661,7 @@ class TestCandidateOrder:
             assert got == want
             assert report_json(evaluate_retrieval(mixed, b)) == report_json(evaluate_retrieval_oracle(mixed, b))
 
-    def test_in_place_removal_leaves_read_only_tables(self):
+    def test_lent_tables_are_overwritten_and_left_read_only(self):
         cfg = lir.SynthConfig(
             languages=("en", "de"), topics=6, per_topic_per_lang=20, dim=16, bias_scale=4.0, seed=67,
         )
@@ -673,7 +675,8 @@ class TestCandidateOrder:
             expected = report_json(evaluate_retrieval(ds, bases, mode=mode))
             removed = lir.evaluation._features(ds.candidates, bases, mode)
             candidates = ds.candidates.rows
-            assert report_json(evaluate_retrieval(ds, bases, mode=mode, _in_place=True)) == expected
+            with _lent_rows(ds.queries), _lent_rows(ds.candidates):
+                assert report_json(evaluate_retrieval(ds, bases, mode=mode)) == expected
             assert ds.candidates.rows is candidates and candidates.tobytes() == removed.tobytes()
             assert not ds.queries.rows.flags.writeable and not candidates.flags.writeable
         # One table as both queries and candidates is removed once (removing
@@ -687,7 +690,8 @@ class TestCandidateOrder:
             expected = report_json(evaluate_retrieval(RetrievalDataset(table, table, qrels), bases, mode=mode))
             own = lir.EmbeddingTable(table.ids, table.langs, table.rows.copy())
             shared = RetrievalDataset(own, own, qrels)
-            assert report_json(evaluate_retrieval(shared, bases, mode=mode, _in_place=True)) == expected
+            with _lent_rows(own):
+                assert report_json(evaluate_retrieval(shared, bases, mode=mode)) == expected
             assert own.rows.tobytes() == lir.evaluation._features(table, bases, mode).tobytes()
             assert not own.rows.flags.writeable
         # A strict removal that fails part-way (English queries removed, then a
@@ -697,8 +701,8 @@ class TestCandidateOrder:
         english = RetrievalDataset(
             lir.synth._take(ds.queries, en), ds.candidates, {ds.queries.ids[i]: ds.qrels[ds.queries.ids[i]] for i in en}
         )
-        with pytest.raises(lir.MissingBasis):
-            evaluate_retrieval(english, {"en": bases["en"]}, _in_place=True)
+        with pytest.raises(lir.MissingBasis), _lent_rows(english.queries), _lent_rows(english.candidates):
+            evaluate_retrieval(english, {"en": bases["en"]})
         assert not english.queries.rows.flags.writeable and not english.candidates.rows.flags.writeable
 
 
@@ -716,7 +720,7 @@ class TestBoundedMemory:
         records = [rec(f"c{i:02d}", "en" if i % 3 else "de", v) for i, v in enumerate(rows)]
         bases = {lang: fit_components(LanguageMatrix(lang=lang, rows=rows[20:30]), 1) for lang in ("en", "de")}
         for b in (None, bases):
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b, DEFAULT_MODE, False)
+            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b, DEFAULT_MODE)
             with np.errstate(over="ignore"):
                 assert cnorms.tobytes() == np.linalg.norm(cmat, axis=1).tobytes()
 
@@ -975,10 +979,12 @@ class TestEvaluateTransfer:
         ))
 
         class Lazy(Mapping):
-            def __init__(self, train):
-                self.train, self.fetched, self.last = train, [], None
+            def __init__(self, train, lend):
+                self.train, self.lend, self.fetched, self.last = train, lend, [], None
+                self.lent = contextlib.ExitStack()  # lending, as the CLI's does, the table it decodes
 
             def __getitem__(self, lang):
+                self.lent.close()
                 # The previously fetched test table is no longer referenced.
                 assert self.last is None or self.last() is None
                 self.fetched.append(lang)
@@ -986,6 +992,8 @@ class TestEvaluateTransfer:
                 if lang == self.train.langs[0]:
                     return self.train, labels
                 table = lir.EmbeddingTable.from_records(recs)
+                if self.lend:
+                    self.lent.enter_context(_lent_rows(table))
                 self.last = weakref.ref(table.rows)
                 return table, labels
 
@@ -995,20 +1003,19 @@ class TestEvaluateTransfer:
             def __len__(self):
                 return len(tests)
 
-        for in_place in (False, True):
+        for lend in (False, True):
             train = lir.EmbeddingTable.from_records(train_recs)
             raw = train.rows.copy()
-            lazy = Lazy(train)
-            report = evaluate_transfer(
-                train, train_labels, lazy, bases, mode=mode, placement=placement, _in_place=in_place
-            )
+            lazy = Lazy(train, lend)
+            with _lent_rows(train) if lend else contextlib.nullcontext(), lazy.lent:
+                report = evaluate_transfer(train, train_labels, lazy, bases, mode=mode, placement=placement)
             assert report_json(report) == expected
             assert lazy.fetched == sorted(tests)
             assert not train.rows.flags.writeable
-            # The library default leaves the caller's table as it was; in place,
-            # the training table ends up holding its rows with components removed.
+            # A table that is not lent is left as it was; a lent training table
+            # ends up holding its rows with components removed.
             removed = lir.evaluation._features(lir.EmbeddingTable.from_records(train_recs), bases, mode)
-            assert train.rows.tobytes() == (removed if in_place else raw).tobytes()
+            assert train.rows.tobytes() == (removed if lend else raw).tobytes()
 
     def test_invalid_inputs(self):
         _, _, _, tests, train_recs, train_labels = transfer_fixture()
@@ -1025,6 +1032,58 @@ class TestEvaluateTransfer:
         for placement in ("both", "eval"):
             with pytest.raises(DimensionError, match="basis expects 11"):
                 evaluate_transfer(train_recs, train_labels, tests, narrow, placement=placement)
+
+
+class TestLendingRule:
+    """A table is overwritten only while core._lent_rows lends it; any other
+    table is copied before components are removed."""
+
+    @staticmethod
+    def tables():
+        _, res, bases, tests, train_recs, train_labels = transfer_fixture(seed=43)
+        ds = res.retrieval_dataset()
+        tests = {lang: (lir.EmbeddingTable.from_records(recs), labels) for lang, (recs, labels) in tests.items()}
+        return ds, bases, tests, tests["l00"], train_labels
+
+    def test_a_table_not_lent_keeps_its_bytes(self):
+        ds, bases, tests, (train, _), labels = self.tables()
+        tables = [ds.queries, ds.candidates, *(t for t, _ in tests.values())]
+        before = [t.rows.tobytes() for t in tables]
+        for mode in lir.RemovalMode:
+            evaluate_retrieval(ds, bases, mode=mode)
+            for placement in ("both", "eval"):
+                evaluate_transfer(train, labels, tests, bases, mode=mode, placement=placement)
+        assert [t.rows.tobytes() for t in tables] == before
+        assert not any(t.rows.flags.writeable for t in tables)
+
+    @pytest.mark.parametrize("mode", list(lir.RemovalMode))
+    def test_a_lent_table_is_read_only_again_after_a_call(self, mode):
+        ds, bases, tests, (train, _), labels = self.tables()
+        tables = [ds.queries, ds.candidates, *(t for t, _ in tests.values())]
+        before = [t.rows.tobytes() for t in tables]
+        with contextlib.ExitStack() as lent:
+            for table in tables:
+                lent.enter_context(_lent_rows(table))
+            evaluate_retrieval(ds, bases, mode=mode)
+            evaluate_transfer(train, labels, tests, bases, mode=mode)
+            assert all(t.rows.flags.writeable for t in tables)
+        assert all(t.rows.tobytes() != b for t, b in zip(tables, before))  # overwritten
+        assert not any(t.rows.flags.writeable for t in tables)
+        # Strict removals that fail part-way: l00's queries removed, then an
+        # l01 candidate without a basis; the training table removed, then l01's.
+        ds, bases, tests, (train, _), labels = self.tables()
+        l00 = np.flatnonzero(np.array(ds.queries.langs) == "l00")
+        qids = [ds.queries.ids[i] for i in l00]
+        ds = RetrievalDataset(lir.synth._take(ds.queries, l00), ds.candidates, {q: ds.qrels[q] for q in qids})
+        partial = {"l00": bases["l00"]}
+        for table, call in [(ds.queries, lambda: evaluate_retrieval(ds, partial, mode=mode)),
+                            (train, lambda: evaluate_transfer(train, labels, tests, partial, mode=mode))]:
+            raw = table.rows.tobytes()
+            with pytest.raises(lir.MissingBasis), _lent_rows(ds.queries), _lent_rows(ds.candidates), \
+                    _lent_rows(train):
+                call()
+            assert table.rows.tobytes() != raw
+            assert not any(t.rows.flags.writeable for t in (ds.queries, ds.candidates, train))
 
 
 class TestExportProjection:

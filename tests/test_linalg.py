@@ -387,3 +387,44 @@ def test_module_forms_no_blas_product(module):
         or (isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS)
     ]
     assert found == [], f"lir/{module}.py forms a BLAS product at {', '.join(found)}"
+
+
+# Functions whose BLAS products run unpinned. _gemm_rows is certified: every rank
+# it gives is checked against einsum scores. The logistic functions are ROADMAP
+# item 2's open work, to be pinned or certified and then struck from this list.
+UNPINNED = {
+    "evaluation._gemm_rows",
+    "evaluation._logits",
+    "evaluation.train_logistic",
+    "evaluation.logistic_loss",
+}
+
+
+def test_every_blas_product_is_pinned_or_listed():
+    # Every module of lir, a new one included: a product (@, or a BLAS_PRODUCTS
+    # attribute) runs inside `with _one_blas_thread():` or in an UNPINNED
+    # function. A function defined in a pinned block runs wherever it is called.
+    found, listed = [], set()
+
+    def visit(node, name, pinned):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            name, pinned = f"{name}.{getattr(node, 'name', '<lambda>')}", False
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            calls = [item.context_expr.func for item in node.items if isinstance(item.context_expr, ast.Call)]
+            pinned = pinned or any(getattr(f, "id", getattr(f, "attr", None)) == "_one_blas_thread" for f in calls)
+        if isinstance(getattr(node, "op", None), ast.MatMult) or (
+            isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS
+        ):
+            if name in UNPINNED:
+                listed.add(name)
+            elif not pinned:
+                found.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, pinned)
+
+    root = Path(lir.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        visit(ast.parse(path.read_text(encoding="utf-8")), module, False)
+    assert found == [], f"unpinned BLAS products in {', '.join(found)}"
+    assert listed == UNPINNED, f"listed but forming no product: {sorted(UNPINNED - listed)}"
