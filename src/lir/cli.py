@@ -197,12 +197,12 @@ def _cmd_eval_transfer(args) -> int:
                 placement=args.placement,
                 logistic=LogisticConfig(learning_rate=args.lr, epochs=args.epochs, l2=args.l2),
             )
-        write_report(args.report, report)
     except (LirError, OSError):
         # Every test file's own error comes before what reads components or
         # trains, as when all the files were read first.
         _check_tests(files, args.train, train, labels)
         raise
+    write_report(args.report, report)  # every test file was decoded and labelled
     print(f"average_accuracy={report.average!r} train_language={report.train_language}")
     return EXIT_OK
 

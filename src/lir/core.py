@@ -5,8 +5,9 @@ passes EmbeddingTables, whole collections checked once; records are the row API.
 All types are immutable after construction and safe to share across threads,
 but for one in-place rule: a table's matrix is writable only while _lent_rows
 lends it, and a function handed a lent table may overwrite its rows; any other
-table is copied before it is changed. Only the CLI lends, and only tables it
-decoded and shares with no one. Array fields are stored as read-only float64
+table is copied before it is changed. A lent matrix is behind no other table,
+unless that table has the same ids and tags and so stands for the lent one.
+Only the CLI lends, and only tables it decoded and shares with no one. Array fields are stored as read-only float64
 arrays regardless of the input dtype; files may store 32-bit values but all
 computation happens in 64-bit.
 """
@@ -155,10 +156,12 @@ class EmbeddingTable:
     def _of_checked(
         cls, ids: tuple[str, ...], langs: tuple[str, ...], rows: np.ndarray
     ) -> EmbeddingTable:
-        """The table of rows taken from a checked table, which checks nothing
-        again: a subset of a checked table is checked. ids and langs are that
-        table's tuple entries and rows a read-only, C-ordered float64 matrix,
-        which may be a view of its matrix; such a table is never lent."""
+        """The table of rows already checked, which checks nothing again: rows
+        taken from a checked table (a subset of a checked table is checked),
+        or rows the reader checked as it decoded them. ids and langs are
+        tuples of checked entries (tags trimmed) and rows a read-only,
+        C-ordered float64 matrix. A table over a view of another table's
+        matrix is never lent."""
         table = object.__new__(cls)
         object.__setattr__(table, "ids", ids)
         object.__setattr__(table, "langs", langs)

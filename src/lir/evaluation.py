@@ -468,7 +468,10 @@ def evaluate_transfer(
         if recs.dim != train.dim:
             raise DimensionError(f"test set {lang!r} has dimension {recs.dim}, train has {train.dim}")
         y = _as_labels(labels, len(recs))
-        same = recs is train  # the training table tested too: reuse its fingerprint and features
+        # The training table tested too (or a table over its matrix with its ids and
+        # tags, which stands for it): reuse its fingerprint and features.
+        same = recs is train or (recs.rows is train.rows and recs.ids == train.ids
+                                 and recs.langs == train.langs)
         test_fps[lang] = config["train_fingerprint"] if same else corpus_fingerprint(recs)
         reuse = same and fit_bases is bases
         x = train_x if reuse else _features(recs, bases, mode)

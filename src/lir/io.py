@@ -20,7 +20,9 @@ store 32-bit floats; everything is upcast to 64-bit on read, and a stored
 basis is re-orthonormalized after the 32-bit round trip. Writes are
 byte-deterministic: the same in-memory value always produces the same file.
 They are also atomic: a file appears whole under its name or not at all.
-Every malformed input raises a structured error, never a crash.
+Every malformed input raises a structured error, never a crash. Each .lire
+file is checked as it is decoded; files read together are then checked
+against each other.
 
 Besides the table, reads and writes hold blocks of bounded size: a .lire
 file streams through one read buffer whose records are framed and whose
@@ -309,13 +311,12 @@ def _gather(rows: np.ndarray, buf: bytearray, size: int, offsets: list[int]) -> 
     rows[...] = windows[np.array(offsets)].view("<f4")
 
 
-def _decode(
-    path, block: np.ndarray | None = None
-) -> tuple[list[str], str, np.ndarray, LirError | None]:
-    """A .lire file's ids, language and rows up to its first bad record, and
-    the error that record raises: its framing or id (the id is checked
-    first), else trailing data after the last record, else None. A bad value
-    is left to the caller's check of the rows, which comes first.
+def _decode(path, block: np.ndarray | None, seen: set[str]) -> tuple[list[str], str, np.ndarray]:
+    """A .lire file's ids, trimmed language tag and rows, raising what reading
+    the file alone as a table raises: its first bad record (a bad value, id or
+    tag before a framing fault wins), else trailing data after the last
+    record, else a repeated id. Its ids are added to seen, the ids of the
+    files read before; a repeat of one of those is left to the caller.
 
     The file is read through one buffer of _READ_BUFFER bytes, grown only to
     hold a record longer than that. The records it holds are framed, and
@@ -351,43 +352,40 @@ def _decode(
                 break
         if error is None and (pos < size or f.read(1)):
             error = FormatError("trailing data after the declared record count")
-    return ids, lang, rows[: len(ids)], error
+    tag, rows = lang.strip(), rows[: len(ids)]
+    _check_rows(ids, [tag] * len(ids), rows)
+    if error is not None:
+        raise error
+    before = len(seen)
+    seen.update(ids)
+    if len(seen) - before < len(ids) and len(set(ids)) < len(ids):  # a repeat within the file
+        _check_collection(ids, np.full(len(ids), dim))
+    return ids, tag, rows
 
 
 def _read_table(*paths) -> EmbeddingTable:
-    """Decode .lire files into one table, whose rows are one matrix checked
-    once. Errors are those of reading each file in turn as a table (the first
-    bad record, as reading record by record would: its framing, id or values,
-    else trailing data, else a repeated id), then of checking all their rows
-    as one record collection."""
+    """Decode .lire files into one table whose rows are one matrix, each file
+    checked as it is decoded (as reading it alone as a table would), then all
+    their rows as one collection: a repeated id or a dimension mismatch."""
     heads = list(filter(None, map(_lire_head, paths)))
     dims = {dim for _, dim, _ in heads}
     block = np.empty((sum(n for n, _, _ in heads), dims.pop())) if len(dims) == 1 else None
-    parts, at = [], 0
-    try:
-        for path in paths:
-            ids, lang, rows, error = _decode(path, None if block is None else block[at:])
-            if error is not None:
-                # The records before the failure were built first; a bad one wins.
-                _check_rows(ids, [lang.strip()] * len(ids), rows)
-                raise error
-            parts.append((ids, lang, rows))
-            at += len(ids)
-        ids = [rid for file_ids, _, _ in parts for rid in file_ids]
-        langs = [lang for file_ids, lang, _ in parts for _ in file_ids]
-        matrices = [rows for _, _, rows in parts]
-        if block is not None and at == len(block) and all(m.base is block for m in matrices):
-            rows = block
-        else:  # files of several dimensions (or changed since their headers were read)
-            widths = [m.shape[1] for m in matrices]
-            _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
-            rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
-        rows.flags.writeable = False
-        return EmbeddingTable(ids=ids, langs=langs, rows=rows)
-    except (LirError, OSError):
-        for ids, lang, rows in parts:  # each earlier file's own checks fail first
-            EmbeddingTable(ids=ids, langs=[lang] * len(ids), rows=rows)
-        raise
+    parts, at, seen = [], 0, set()
+    for path in paths:
+        parts.append(_decode(path, None if block is None else block[at:], seen))
+        at += len(parts[-1][0])
+    ids = tuple(itertools.chain.from_iterable(file_ids for file_ids, _, _ in parts))
+    langs = tuple(itertools.chain.from_iterable([tag] * len(file_ids) for file_ids, tag, _ in parts))
+    matrices = [rows for _, _, rows in parts]
+    widths = [m.shape[1] for m in matrices]
+    if len(seen) < len(ids) or len(set(widths)) > 1:  # a repeat or a mismatch across files
+        _check_collection(ids, np.repeat(widths, [len(m) for m in matrices]))
+    if block is not None and at == len(block) and all(m.base is block for m in matrices):
+        rows = block
+    else:  # files of several dimensions (or changed since their headers were read)
+        rows = np.concatenate([m for m in matrices if len(m)] or matrices[:1])
+    rows.flags.writeable = False
+    return EmbeddingTable._of_checked(ids, langs, rows)  # its rows were checked file by file
 
 
 def read_embeddings(path) -> list[EmbeddingRecord]:

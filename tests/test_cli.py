@@ -988,6 +988,26 @@ class TestOneReader:
         assert len(tables) == 1 and not tables[0].rows.flags.writeable
         assert not (tmp_path / "a.lire").exists()
 
+    def test_eval_transfer_report_failure_reads_each_file_once(self, pipeline, monkeypatch, tmp_path,
+                                                               capsys):
+        # Every test file is decoded and labelled before the report is written,
+        # so a failed write raises its own error without reading them again.
+        _, data, _ = pipeline
+        corpus = sorted((data / "corpus").glob("*.lire"))
+        calls = []
+        read_table = lir.cli._read_table
+
+        def spy(*paths):
+            calls.extend(paths)
+            return read_table(*paths)
+
+        monkeypatch.setattr(lir.cli, "_read_table", spy)
+        report = tmp_path / "missing" / "t.json"
+        assert main(["eval-transfer", "--train", str(corpus[0]), "--tests", str(data / "corpus"),
+                     "--labels", str(data / "labels.jsonl"), "--report", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(report)!r}\n"
+        assert sorted(map(Path, calls)) == corpus
+
 
 class TestErrorOrder:
     def test_qrels_error_wins_over_missing_basis(self, pipeline, capsys):

@@ -1085,6 +1085,20 @@ class TestLendingRule:
             assert table.rows.tobytes() != raw
             assert not any(t.rows.flags.writeable for t in (ds.queries, ds.candidates, train))
 
+    @pytest.mark.parametrize("placement", ["both", "eval"])
+    @pytest.mark.parametrize("mode", list(lir.RemovalMode))
+    def test_a_test_table_over_the_lent_training_matrix(self, mode, placement):
+        # Another table over the lent training matrix, with its ids and tags,
+        # stands for the training table: its rows are removed once.
+        ds, bases, tests, (train, _), labels = self.tables()
+        expected = report_json(evaluate_transfer(train, labels, tests, bases, mode=mode, placement=placement))
+        alias = lir.EmbeddingTable(train.ids, train.langs, train.rows)
+        assert alias is not train and alias.rows is train.rows
+        with _lent_rows(train):
+            report = evaluate_transfer(train, labels, {**tests, "l00": (alias, labels)}, bases,
+                                       mode=mode, placement=placement)
+        assert report_json(report) == expected
+
 
 class TestExportProjection:
     def test_row_per_record(self):

@@ -14,8 +14,12 @@ and says which files changed and why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import lir
 from lir.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "seed7.sha256"
@@ -92,3 +96,20 @@ def test_chain_matches_the_golden_digests(tmp_path):
     assert main(["project", "--input", str(tmp_path / "data" / "corpus"), "--dims", "2",
                  "--output", str(again)]) == 0
     assert again.read_bytes() == (tmp_path / "scores.csv").read_bytes()
+
+
+def test_chain_does_not_depend_on_the_hash_seed(tmp_path):
+    # Each run in its own interpreter, with its own string hashing: the listed
+    # bytes and one projection CSV.
+    package_root = str(Path(lir.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, str(Path(__file__).parent),
+                                         os.environ.get("PYTHONPATH"))))
+    script = "import pathlib, sys, test_golden; test_golden.run_chain(pathlib.Path(sys.argv[1]))"
+    roots = [tmp_path / seed for seed in ("0", "1")]
+    for root in roots:
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": root.name}
+        proc = subprocess.run([sys.executable, "-c", script, str(root)], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert digests(root) == read_list(), f"PYTHONHASHSEED={root.name}"
+    assert (roots[0] / "scores.csv").read_bytes() == (roots[1] / "scores.csv").read_bytes()

@@ -423,6 +423,8 @@ COLLECTIONS = {
         c=dict(ids=["z", "z"]), d=dict(raw=framed(b"LIRE", {"count": 1, "dim": 3, "dtype": "f32",
                                                            "lang": "zh"}, b"\x01\x00\xff" + bytes(12)))),
     "trailing data after the third file's records": dict(c=dict(tail=b"\x00")),
+    "a repeat of the first file's id in the third, a non-finite value in the fourth": dict(
+        c=dict(ids=["x", "z"]), d=dict(rows=rows_with(BASE[5:7], (0, 1), np.nan))),
     "a non-finite value before the fourth file's cut": dict(
         d=dict(rows=rows_with(BASE[5:7], (0, 2), np.nan), cut=30)),
     "only empty files": dict(a=dict(ids=[], dim=3), c=dict(ids=[], dim=5), d=dict(ids=[], dim=3)),
