@@ -19,7 +19,6 @@ _EXPORTS = {
         "EmbeddingRecord",
         "EmbeddingTable",
         "EvalReport",
-        "LanguageMatrix",
         "RetrievalDataset",
         "SvdResult",
         "TransferReport",
@@ -53,7 +52,6 @@ _EXPORTS = {
         "evaluate_retrieval",
         "evaluate_transfer",
         "export_projection",
-        "logistic_loss",
         "predict_logistic",
         "train_logistic",
     ),
@@ -61,7 +59,6 @@ _EXPORTS = {
     "removal": (
         "BatchRemoval",
         "RemovalMode",
-        "fit_components",
         "fit_decomposition",
         "remove_batch",
     ),

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingTable, LanguageMatrix, RetrievalDataset, _lent_rows, corpus_fingerprint
+from .core import EmbeddingTable, RetrievalDataset, _lent_rows, corpus_fingerprint
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .io import (
     _check_f32,
@@ -37,7 +37,7 @@ from .io import (
     write_report,
 )
 from .linalg import _pca_scores
-from .removal import RemovalMode, _remove_rows, fit_decomposition
+from .removal import RemovalMode, _language_of, _remove_rows, fit_decomposition
 
 # evaluation and synth are imported by the handlers that run them, so the
 # other commands never load them.
@@ -72,17 +72,18 @@ def _cmd_fit(args) -> int:
     # Every basis is fitted before any is written, so a failure leaves no .lirc set half done.
     fitted = {}
     for file in _embedding_paths(args.input):
-        matrix = LanguageMatrix.from_records(_read_table(file))
-        if matrix.lang in fitted:
-            raise DuplicateKey(matrix.lang, f"two input files for language {matrix.lang!r}")
-        if not _SAFE_LANG.match(matrix.lang):
-            raise FormatError(f"language tag {matrix.lang!r} is not filename-safe")
+        table = _read_table(file)
+        lang = _language_of(table)
+        if lang in fitted:
+            raise DuplicateKey(lang, f"two input files for language {lang!r}")
+        if not _SAFE_LANG.match(lang):
+            raise FormatError(f"language tag {lang!r} is not filename-safe")
         basis, sigma = fit_decomposition(
-            matrix, args.rank, center=args.center, normalize=args.normalize
+            table, args.rank, center=args.center, normalize=args.normalize
         )
         top = ", ".join(f"{s:.6g}" for s in sigma[:5])
-        fitted[matrix.lang] = (basis, f"n={matrix.n} d={matrix.d} top_singular_values=[{top}]")
-        del matrix  # freed before the next file is decoded
+        fitted[lang] = (basis, f"n={len(table)} d={table.dim} top_singular_values=[{top}]")
+        del table  # freed before the next file is decoded
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for lang, (basis, summary) in fitted.items():

@@ -1,6 +1,6 @@
-"""Shared domain types: embedding records and tables, language matrices,
-component bases, retrieval datasets, and evaluation reports. The pipeline
-passes EmbeddingTables, whole collections checked once; records are the row API.
+"""Shared domain types: embedding records and tables, component bases,
+retrieval datasets, and evaluation reports. The pipeline passes
+EmbeddingTables, whole collections checked once; records are the row API.
 
 All types are immutable after construction and safe to share across threads,
 but for one in-place rule: a table's matrix is writable only while _lent_rows
@@ -33,7 +33,6 @@ from .errors import (
     DuplicateKey,
     InvalidMatrix,
     InvalidVector,
-    LanguageMismatch,
     NoRelevantError,
     RankError,
     _check_int,
@@ -147,12 +146,6 @@ class EmbeddingTable:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_records(cls, records: Iterable[EmbeddingRecord] | EmbeddingTable) -> EmbeddingTable:
-        """The table of a record collection, raising what check_collection
-        raises; a table is returned as is."""
-        return _table_of("records", records)
-
-    @classmethod
     def _of_checked(
         cls, ids: tuple[str, ...], langs: tuple[str, ...], rows: np.ndarray
     ) -> EmbeddingTable:
@@ -177,7 +170,8 @@ class EmbeddingTable:
 
 
 def _table_of(name, records) -> EmbeddingTable:
-    """EmbeddingTable.from_records, naming the argument `name` in its type errors."""
+    """The table of a record collection, raising what check_collection raises
+    and naming the argument `name` in its type errors; a table is returned as is."""
     if isinstance(records, EmbeddingTable):
         return records
     records = _check_type(name, records, EmbeddingRecord, InvalidVector, each=True)
@@ -207,54 +201,13 @@ def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> s
     """Deterministic checksum identifying a record collection or table (ids, langs, values)."""
     import hashlib  # here, not at the top: commands that take no fingerprint never load it
 
-    table = EmbeddingTable.from_records(records)
+    table = _table_of("records", records)
     h = hashlib.sha256()
     for rid, lang, row in zip(table.ids, table.langs, table.rows):
         h.update(f"{rid}\0{lang}\0".encode("utf-8"))
         h.update(row)
     h.update(struct.pack("<Q", len(table)))
     return h.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class LanguageMatrix:
-    """n x d matrix whose rows are embeddings of phrases in one language."""
-
-    lang: str
-    rows: np.ndarray
-
-    def __post_init__(self):
-        lang = _check_name("language tag", self.lang, InvalidMatrix, strip=True)
-        object.__setattr__(self, "lang", lang)
-        rows = _real_array("rows", self.rows, 2, InvalidMatrix, (0, 1))
-        object.__setattr__(self, "rows", _frozen_array(rows))
-
-    @classmethod
-    def from_records(cls, records: Iterable[EmbeddingRecord] | EmbeddingTable) -> "LanguageMatrix":
-        table = EmbeddingTable.from_records(records)
-        if not len(table):
-            raise InvalidMatrix("cannot build a language matrix from zero records")
-        langs = set(table.langs)
-        if len(langs) > 1:
-            raise LanguageMismatch(f"records span multiple languages: {sorted(langs)}")
-        return cls(lang=table.langs[0], rows=table.rows)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
-
-    def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.lang.encode("utf-8"))
-        h.update(struct.pack("<QQ", self.n, self.d))
-        h.update(self.rows)  # the C-ordered buffer itself, the bytes of rows.tobytes()
-        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -383,17 +383,6 @@ def predict_logistic(features, weights: np.ndarray) -> np.ndarray:
     return (_logits(x, _as_weights(weights, x.shape[1])) >= 0.0).astype(np.int64)
 
 
-def logistic_loss(features, labels, weights: np.ndarray, l2: float = 0.0) -> float:
-    """Mean log-loss plus (l2/2)||w||^2 over the weights (bias unpenalized)."""
-    l2 = _check_real("l2", l2, 0.0, "non-negative and finite")
-    x = _real_array("features", features, 2, InvalidMatrix, (0, 1))
-    y = _as_labels(labels, x.shape[0])
-    w = _as_weights(weights, x.shape[1])
-    z = x @ w[:-1] + w[-1]
-    per_example = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
-    return float(per_example.mean() + 0.5 * l2 * float(w[:-1] @ w[:-1]))
-
-
 LabeledRecords = tuple[Sequence[EmbeddingRecord] | EmbeddingTable, Sequence[int]]
 
 
@@ -496,7 +485,7 @@ def export_projection(
     All rows are taken jointly (all languages together) and projected onto
     the top-k principal directions of the centered matrix.
     """
-    table = EmbeddingTable.from_records(records)
+    table = _table_of("records", records)
     scores = linalg._pca_scores(table.rows.copy(), k)
     return list(zip(table.ids, table.langs, map(tuple, scores.tolist())))
 

@@ -52,6 +52,7 @@ from .core import (
     TransferReport,
     _check_collection,
     _check_rows,
+    _table_of,
 )
 from .errors import (
     CorruptBasis,
@@ -205,7 +206,7 @@ def _encode_records(ids: Sequence[str], values: np.ndarray) -> np.ndarray:
 def write_embeddings(path, records: Sequence[EmbeddingRecord] | EmbeddingTable) -> None:
     """Write one language's records, or table, to a .lire file (32-bit values).
     The payload is encoded and written one block of records at a time."""
-    table = EmbeddingTable.from_records(records)
+    table = _table_of("records", records)
     if not len(table):
         raise FormatError("refusing to write an empty embedding file")
     langs = set(table.langs)
@@ -363,10 +364,11 @@ def _decode(path, block: np.ndarray | None, seen: set[str]) -> tuple[list[str], 
     return ids, tag, rows
 
 
-def _read_table(*paths) -> EmbeddingTable:
+def _read_table(path, *paths) -> EmbeddingTable:
     """Decode .lire files into one table whose rows are one matrix, each file
     checked as it is decoded (as reading it alone as a table would), then all
     their rows as one collection: a repeated id or a dimension mismatch."""
+    paths = (path, *paths)
     heads = list(filter(None, map(_lire_head, paths)))
     dims = {dim for _, dim, _ in heads}
     block = np.empty((sum(n for n, _, _ in heads), dims.pop())) if len(dims) == 1 else None

@@ -10,6 +10,7 @@ unit vectors). Rows are removed per language in bounded blocks, each rounded ali
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -17,9 +18,10 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import linalg
-from .core import ComponentBasis, EmbeddingRecord, LanguageMatrix
+from .core import ComponentBasis, EmbeddingRecord, EmbeddingTable
 from .errors import (
     DimensionError,
+    InvalidMatrix,
     InvalidVector,
     LanguageMismatch,
     MissingBasis,
@@ -49,14 +51,36 @@ DEFAULT_MODE = RemovalMode.ORTHOGONAL
 _BLOCK = 1 << 16  # float64 values per removal block (512 kB); removed rows do not depend on it
 
 
+def _language_of(table: EmbeddingTable) -> str:
+    """The one language tag of a table; an empty table, or one of several tags, raises."""
+    if not len(table):
+        raise InvalidMatrix("cannot build a language matrix from zero records")
+    langs = set(table.langs)
+    if len(langs) > 1:
+        raise LanguageMismatch(f"records span multiple languages: {sorted(langs)}")
+    return table.langs[0]
+
+
+def _fingerprint(lang: str, rows: np.ndarray) -> str:
+    """A basis's source_fingerprint: sha256 of the tag, n and d, and the rows."""
+    import hashlib  # here, not at the top: commands that fit nothing never load it
+
+    h = hashlib.sha256()
+    h.update(lang.encode("utf-8"))
+    h.update(struct.pack("<QQ", *rows.shape))
+    h.update(rows)  # the C-ordered buffer itself, the bytes of rows.tobytes()
+    return h.hexdigest()[:16]
+
+
 def fit_decomposition(
-    matrix: LanguageMatrix,
+    matrix: EmbeddingTable,
     rank: int,
     *,
     center: bool = False,
     normalize: bool = False,
 ) -> tuple[ComponentBasis, np.ndarray]:
-    """Fit a component basis and also return the full singular-value spectrum.
+    """Fit a component basis to a one-language table and also return the full
+    singular-value spectrum.
 
     The basis is exactly the first `rank` columns of the SVD's V factor; the
     U factor is never built.
@@ -65,10 +89,11 @@ def fit_decomposition(
     factorized, so the leading direction can be the language centroid
     itself). rank 0 yields an empty basis and removal becomes the identity.
     """
-    _check_type("matrix", matrix, LanguageMatrix)
+    _check_type("matrix", matrix, EmbeddingTable)
+    lang = _language_of(matrix)
     _check_type("center", center, bool)
     _check_type("normalize", normalize, bool)
-    limit, message = min(matrix.n, matrix.d), "rank {value} outside valid range [0, {high}]"
+    limit, message = min(matrix.rows.shape), "rank {value} outside valid range [0, {high}]"
     rank = _check_int("rank", rank, 0, limit, message, RankError)
     data = matrix.rows
     if normalize:
@@ -80,25 +105,13 @@ def fit_decomposition(
         data = data - data.mean(axis=0)
     sigma, v = linalg._right_factor(data)
     basis = ComponentBasis(
-        lang=matrix.lang,
+        lang=lang,
         basis=v[:, :rank].copy(),
         rank=rank,
-        source_fingerprint=matrix.fingerprint(),
-        sample_count=matrix.n,
+        source_fingerprint=_fingerprint(lang, matrix.rows),
+        sample_count=len(matrix),
     )
     return basis, sigma
-
-
-def fit_components(
-    matrix: LanguageMatrix,
-    rank: int,
-    *,
-    center: bool = False,
-    normalize: bool = False,
-) -> ComponentBasis:
-    """Fit the language-identity components of a language matrix."""
-    basis, _ = fit_decomposition(matrix, rank, center=center, normalize=normalize)
-    return basis
 
 
 def _check_removal(bases, mode) -> None:

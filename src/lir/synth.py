@@ -31,7 +31,7 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .core import EmbeddingRecord, EmbeddingTable, RetrievalDataset, _frozen_array
+from .core import EmbeddingTable, RetrievalDataset, _frozen_array
 from .errors import _POSITIVE, ConfigError, InvalidVector
 from .errors import _check_choice, _check_int, _check_name, _check_real, _check_type, _real_array
 from .linalg import _gram_schmidt
@@ -90,8 +90,7 @@ class SynthConfig:
 @dataclass(frozen=True)
 class SynthResult:
     """The generated corpus as one table, plus the ground truth that produced
-    it. The record views (`records`, `queries`, `candidates`, `records_for`)
-    are built from the table when called."""
+    it; `retrieval_dataset` splits the table into query and candidate tables."""
 
     table: EmbeddingTable
     query_ids: frozenset[str]
@@ -109,26 +108,6 @@ class SynthResult:
         for lang, vec in truth.items():
             truth[lang] = _frozen_array(_real_array(f"ground_truth[{lang!r}]", vec, 1, InvalidVector))
         object.__setattr__(self, "ground_truth", MappingProxyType(truth))
-
-    def _records(self, keep) -> tuple[EmbeddingRecord, ...]:
-        """Records of the rows whose (id, lang) `keep` accepts, in table order."""
-        rows = zip(self.table.ids, self.table.langs, self.table.rows)
-        return tuple(EmbeddingRecord(*row) for row in rows if keep(row[0], row[1]))
-
-    @property
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        return self._records(lambda rid, lang: True)
-
-    @property
-    def queries(self) -> tuple[EmbeddingRecord, ...]:
-        return self._records(lambda rid, lang: rid in self.query_ids)
-
-    @property
-    def candidates(self) -> tuple[EmbeddingRecord, ...]:
-        return self._records(lambda rid, lang: rid not in self.query_ids)
-
-    def records_for(self, lang: str) -> tuple[EmbeddingRecord, ...]:
-        return self._records(lambda rid, rlang: rlang == lang)
 
     def retrieval_dataset(self) -> RetrievalDataset:
         is_query = np.array([rid in self.query_ids for rid in self.table.ids], dtype=bool)

@@ -139,6 +139,30 @@ def logistic_gd_oracle(features, labels, lr, epochs, l2=0.0):
     return w + [b]
 
 
+def logistic_loss_oracle(features, labels, weights, l2=0.0):
+    """Mean log-loss plus (l2/2)||w||^2 over the weights (bias unpenalized),
+    weights being w + [b] as logistic_gd_oracle returns them."""
+    *w, b = (float(v) for v in weights)
+    total = []
+    for row, y in zip(features, labels):
+        z = math.fsum(wj * float(xj) for wj, xj in zip(w, row)) + b
+        # log(1 + exp(-z)) for class 1, log(1 + exp(z)) for class 0, without overflow
+        t = -z if y == 1 else z
+        total.append(max(t, 0.0) + math.log1p(math.exp(-abs(t))))
+    return math.fsum(total) / len(total) + 0.5 * l2 * math.fsum(wj * wj for wj in w)
+
+
+def source_fingerprint_oracle(lang, rows):
+    """A basis's source fingerprint: the first 16 hex digits of the sha256 of
+    the UTF-8 tag, n and d as little-endian uint64, and the float64 rows in C order."""
+    import hashlib
+    import struct
+
+    n, d = len(rows), len(rows[0])
+    values = struct.pack(f"<{n * d}d", *(float(x) for row in rows for x in row))
+    return hashlib.sha256(lang.encode("utf-8") + struct.pack("<QQ", n, d) + values).hexdigest()[:16]
+
+
 def read_embeddings_oracle(path):
     """The record-at-a-time .lire reader: one EmbeddingRecord per record as it
     is decoded, then one collection check over the records.

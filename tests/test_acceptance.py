@@ -31,6 +31,7 @@ from lir.io import (
     write_components,
     write_embeddings,
 )
+from lir.synth import _take
 from oracles import average_precision_oracle, gram_eigvals_oracle
 
 
@@ -70,11 +71,22 @@ BIASED_CONFIG = dict(
 )
 
 
+def language_rows(result, lang):
+    """The table of a generated corpus's rows of one language."""
+    return _take(result.table, np.flatnonzero([tag == lang for tag in result.table.langs]))
+
+
+def records_of(table):
+    return [lir.EmbeddingRecord(*row) for row in zip(table.ids, table.langs, table.rows)]
+
+
+def table_of(records):
+    return lir.EmbeddingTable([r.id for r in records], [r.lang for r in records], np.array([r.vec for r in records]))
+
+
 def fit_all(result, rank=1):
     return {
-        lang: lir.fit_components(
-            lir.LanguageMatrix.from_records(result.records_for(lang)), rank
-        )
+        lang: lir.fit_decomposition(language_rows(result, lang), rank)[0]
         for lang in result.config.languages
     }
 
@@ -194,12 +206,12 @@ def test_criterion_6_transfer_direction():
     result = lir.generate(config)
     bases = fit_all(result, rank=1)
     train_lang = "l00"
-    train_records = result.records_for(train_lang)
+    train_records = records_of(language_rows(result, train_lang))
     train_labels = [result.labels[r.id] for r in train_records]
     tests = {
         lang: (
-            result.records_for(lang),
-            [result.labels[r.id] for r in result.records_for(lang)],
+            records_of(language_rows(result, lang)),
+            [result.labels[r.id] for r in records_of(language_rows(result, lang))],
         )
         for lang in config.languages
     }
@@ -253,8 +265,9 @@ def separation_statistic(records):
 def test_criterion_7_pca_separation():
     result = lir.generate(lir.SynthConfig(**BIASED_CONFIG))
     bases = fit_all(result, rank=1)
-    pre = separation_statistic(result.records)
-    post = separation_statistic(lir.remove_batch(result.records, bases).records)
+    records = records_of(result.table)
+    pre = separation_statistic(records)
+    post = separation_statistic(lir.remove_batch(records, bases).records)
     assert pre >= 5.0 * post, f"pre {pre:.3f}, post {post:.3f}, ratio {pre / post:.2f}"
 
 
@@ -368,7 +381,7 @@ def test_criterion_8b_blas_thread_count(openblas_threads, across_threads, monkey
     rng = np.random.default_rng(7)
     for n, d in ((1000, 256), (3000, 300), (100, 768)):
         rows = rng.standard_normal((n, d))
-        matrix = lir.LanguageMatrix(lang="en", rows=rows)
+        matrix = lir.EmbeddingTable([f"r{i}" for i in range(n)], ["en"] * n, rows)
 
         def factorizations():
             basis, sigma = lir.fit_decomposition(matrix, 4)
@@ -445,9 +458,7 @@ def test_criterion_8d_removal_row_independence(openblas_threads):
     ]
     for rank in (1, 4):
         bases = {
-            lang: lir.fit_components(
-                lir.LanguageMatrix.from_records([r for r in records if r.lang == lang]), rank
-            )
+            lang: lir.fit_decomposition(table_of([r for r in records if r.lang == lang]), rank)[0]
             for lang in langs
         }
         for mode in lir.RemovalMode:

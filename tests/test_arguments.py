@@ -39,7 +39,6 @@ from lir import (
     InvalidMatrix,
     InvalidVector,
     FormatError,
-    LanguageMatrix,
     LirError,
     LogisticConfig,
     RankError,
@@ -52,11 +51,9 @@ from lir import (
     evaluate_retrieval,
     evaluate_transfer,
     export_projection,
-    fit_components,
     fit_decomposition,
     generate,
     jacobi_eigh,
-    logistic_loss,
     pca_project,
     predict_logistic,
     project_out,
@@ -79,7 +76,8 @@ from lir.io import (
 
 SYNTH = dict(languages=("l00", "l01", "l02"), topics=6, per_topic_per_lang=4, dim=16, bias_scale=3.0)
 BASIS = dict(lang="en", basis=np.eye(3)[:, :1], rank=1, source_fingerprint="fp", sample_count=3)
-MATRIX = LanguageMatrix(lang="en", rows=np.random.default_rng(3).standard_normal((4, 3)))
+MATRIX = EmbeddingTable(ids=[f"m{i}" for i in range(4)], langs=["en"] * 4,
+                        rows=np.random.default_rng(3).standard_normal((4, 3)))
 ROWS = np.random.default_rng(4).standard_normal((6, 3))
 TABLE = EmbeddingTable(ids=[f"r{i}" for i in range(6)], langs=["en"] * 6, rows=ROWS)
 LABELS = [0, 1, 0, 1, 0, 1]
@@ -113,7 +111,6 @@ INTEGERS = [
     ("sample_count", RankError,
      lambda v: write_components("never.lirc", ComponentBasis(**{**BASIS, "sample_count": v})), [-1]),
     ("rank", RankError, lambda v: fit_decomposition(MATRIX, v), [-1, 4]),
-    ("rank", RankError, lambda v: fit_components(MATRIX, v), [-1, 4]),
     ("k", RankError, lambda v: pca_project(ROWS, v), [0, 4]),
     ("k", RankError, lambda v: export_projection(TABLE, v), [0, 4]),
     ("max_sweeps", ConfigError, lambda v: jacobi_eigh(np.eye(3), v), [-1]),
@@ -126,7 +123,6 @@ REALS = [
     ("skew", lambda v: generate(SynthConfig(**{**SYNTH, "skew": v})), [-0.5]),
     ("learning_rate", lambda v: transfer(logistic=LogisticConfig(learning_rate=v)), [0.0, -0.5]),
     ("l2", lambda v: transfer(logistic=LogisticConfig(l2=v)), [-1.0]),
-    ("l2", lambda v: logistic_loss(ROWS, LABELS, np.zeros(4), v), [-1.0]),
     ("overall_map", lambda v: write_report("never.json", EvalReport(v, {"en": 0.5}, 1, {})), [-0.1, 1.5]),
     ("per_language_map", lambda v: write_report("never.json", EvalReport(0.5, {"en": v}, 1, {})),
      [-0.1, 1.5]),
@@ -196,8 +192,12 @@ def table_rows(rows):
     return write_embeddings("never.lire", EmbeddingTable(ids=TABLE.ids, langs=TABLE.langs, rows=rows))
 
 
+def fit_rows(rows):
+    return fit_decomposition(EmbeddingTable(ids=TABLE.ids, langs=TABLE.langs, rows=rows), 1)
+
+
 # A record, and so a table, names the record of a non-finite row, as the CLI prints it.
-NAMES_THE_RECORD = {record_vec: "'a'", table_rows: "'r5'"}
+NAMES_THE_RECORD = {record_vec: "'a'", table_rows: "'r5'", fit_rows: "'r5'"}
 
 
 # (parameter, error class, call with the value, a valid value, the empty
@@ -214,12 +214,9 @@ ARRAYS = [
     ("labels", ConfigError, lambda y: train_logistic(ROWS, y), np.array(LABELS, float), []),
     ("features", InvalidMatrix, lambda x: predict_logistic(x, W), ROWS, EMPTY),
     ("weights", DimensionError, lambda w: predict_logistic(ROWS, w), W, []),
-    ("features", InvalidMatrix, lambda x: logistic_loss(x, LABELS, W), ROWS, EMPTY),
-    ("labels", ConfigError, lambda y: logistic_loss(ROWS, y, W), np.array(LABELS, float), []),
-    ("weights", DimensionError, lambda w: logistic_loss(ROWS, LABELS, w), W, []),
     ("vec", InvalidVector, record_vec, ROWS[0], [np.empty(0)]),
     ("rows", DimensionError, table_rows, ROWS, []),
-    ("rows", InvalidMatrix, lambda r: fit_components(LanguageMatrix("en", r), 1), ROWS, EMPTY),
+    ("rows", DimensionError, fit_rows, ROWS, []),
     ("basis", InvalidMatrix,
      lambda b: write_components("never.lirc", ComponentBasis(**{**BASIS, "basis": b})), B, [np.empty((0, 1))]),
     ("u", InvalidMatrix, lambda u: SvdResult(u, np.ones(1), np.eye(1)), B, []),
@@ -269,7 +266,6 @@ def test_valid_arrays_are_kept_or_converted_exactly():
     frozen = ROWS.copy()
     frozen.flags.writeable = False  # owned, read-only and C-ordered: stored without a copy
     assert EmbeddingTable(ids=TABLE.ids, langs=TABLE.langs, rows=frozen).rows is frozen
-    assert LanguageMatrix("en", frozen).rows is frozen
     ints = np.arange(18).reshape(6, 3) - 9
     for value in (ints, ints.tolist(), ints.astype(np.int8), ints.astype(np.float32)):
         assert project_out(value, B).tobytes() == project_out(ints.astype(float), B).tobytes()
@@ -285,9 +281,9 @@ def test_valid_arrays_are_kept_or_converted_exactly():
     (np.int64(-1), "rank -1 outside valid range [0, 2]"),
 ])
 def test_rank_messages(value, message):
-    matrix = LanguageMatrix(lang="en", rows=np.ones((3, 2)))
+    matrix = EmbeddingTable(ids=["a", "b", "c"], langs=["en"] * 3, rows=np.ones((3, 2)))
     with pytest.raises(RankError, match=f"^{re.escape(message)}$"):
-        fit_components(matrix, value)
+        fit_decomposition(matrix, value)
 
 
 def test_messages_the_cli_prints_are_kept():
@@ -326,7 +322,7 @@ def test_numpy_scalars_are_kept_as_plain_numbers():
     assert generate(config).table.rows.tobytes() == generate(SynthConfig(**SYNTH, seed=5)).table.rows.tobytes()
     logistic = LogisticConfig(learning_rate=np.float16(0.5), epochs=np.int32(3), l2=np.float64(0.0))
     assert [type(v) for v in (logistic.learning_rate, logistic.epochs, logistic.l2)] == [float, int, float]
-    assert type(fit_components(MATRIX, np.int16(2)).rank) is int
+    assert type(fit_decomposition(MATRIX, np.int16(2))[0].rank) is int
     assert pca_project(ROWS, np.int64(2)).tolist() == pca_project(ROWS, 2).tolist()
 
 
@@ -384,7 +380,8 @@ NAMES = [
     ("language tag", InvalidVector, lambda v: record_with(lang=v), True, False),
     ("record id", InvalidVector, lambda v: table_with(ids=[*TABLE.ids[:5], v]), False, False),
     ("language tag", InvalidVector, lambda v: table_with(langs=["en"] * 5 + [v]), True, False),
-    ("language tag", InvalidMatrix, lambda v: fit_components(LanguageMatrix(v, ROWS), 1), True, False),
+    ("language tag", InvalidVector,
+     lambda v: fit_decomposition(EmbeddingTable(ids=TABLE.ids, langs=[v] * 6, rows=ROWS), 1), True, False),
     ("language tag", InvalidMatrix, lambda v: basis_with(lang=v), True, False),
     ("source_fingerprint", InvalidMatrix, lambda v: basis_with(source_fingerprint=v), False, False),
     ("languages", ConfigError,
@@ -558,8 +555,6 @@ ZZ = EmbeddingRecord("z", "zz", [1.0, 0.0, 0.0])
 FLAGS = [
     ("center", lambda v: fit_decomposition(MATRIX, 1, center=v)),
     ("normalize", lambda v: fit_decomposition(MATRIX, 1, normalize=v)),
-    ("center", lambda v: fit_components(MATRIX, 1, center=v)),
-    ("normalize", lambda v: fit_components(MATRIX, 1, normalize=v)),
     ("strict", lambda v: remove_batch([ZZ], {"en": EN}, strict=v)),
 ]
 BAD_FLAGS = ["no", 1, None, np.True_]
@@ -568,14 +563,11 @@ BAD_FLAGS = ["no", 1, None, np.True_]
 # and for the records (or table) that a record collection argument takes.
 OBJECTS = [
     ("matrix", ConfigError, lambda v: fit_decomposition(v, 1)),
-    ("matrix", ConfigError, lambda v: fit_components(v, 1)),
     ("dataset", ConfigError, evaluate_retrieval),
     ("logistic", ConfigError, lambda v: transfer(logistic=v)),
     ("config", ConfigError, lambda v: train_logistic(ROWS, LABELS, v)),
     ("config", ConfigError, generate),
     ("basis", ConfigError, lambda v: write_components("never.lirc", v)),
-    ("records", InvalidVector, EmbeddingTable.from_records),
-    ("records", InvalidVector, lambda v: LanguageMatrix.from_records(v)),
     ("records", InvalidVector, lambda v: remove_batch(v, {})),
     ("records", InvalidVector, lambda v: write_embeddings("never.lire", v)),
     ("records", InvalidVector, lambda v: export_projection(v, 1)),
@@ -606,9 +598,9 @@ def test_bad_flag_or_object_raises_naming_it(no_work, name, error, call, value):
 
 def test_flags_take_bools():
     assert remove_batch([ZZ], {"en": EN}, strict=False).passed_through == {"zz": 1}
-    plain = fit_components(MATRIX, 1).basis.tobytes()
-    assert fit_components(MATRIX, 1, center=False, normalize=False).basis.tobytes() == plain
-    assert fit_components(MATRIX, 1, center=True).basis.tobytes() != plain
+    plain = fit_decomposition(MATRIX, 1)[0].basis.tobytes()
+    assert fit_decomposition(MATRIX, 1, center=False, normalize=False)[0].basis.tobytes() == plain
+    assert fit_decomposition(MATRIX, 1, center=True)[0].basis.tobytes() != plain
 
 
 @pytest.mark.parametrize("value", [1, None, (TABLE,), (TABLE, LABELS, 0), [5, LABELS]],

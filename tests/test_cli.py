@@ -27,7 +27,7 @@ from lir.io import (
     write_labels,
 )
 
-from oracles import synth_files_oracle
+from oracles import source_fingerprint_oracle, synth_files_oracle
 
 
 def run_synth(out, languages=3, topics=6, per=5, dim=16, bias=5.0, seed=9, labels=False, extra=()):
@@ -54,6 +54,10 @@ def tree_hashes(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def table_of(records):
+    return lir.EmbeddingTable([r.id for r in records], [r.lang for r in records], np.array([r.vec for r in records]))
 
 
 class TestSynthCommand:
@@ -198,6 +202,14 @@ class TestSynthCommand:
         assert counts == {"records": 24, "queries": 6, "candidates": 18}
 
 
+@pytest.fixture(scope="module")
+def synth_corpus(tmp_path_factory):
+    """The corpus directory of a three-language synth run: 30 rows of d=16 per language."""
+    data = tmp_path_factory.mktemp("synth") / "data"
+    assert run_synth(data) == 0
+    return data / "corpus"
+
+
 class TestFitCommand:
     def test_fit_matches_library_bitwise(self, tmp_path, capsys):
         run_synth(tmp_path / "data")
@@ -216,10 +228,31 @@ class TestFitCommand:
 
         for lang in ("l00", "l01", "l02"):
             records = read_embeddings(tmp_path / "data" / "corpus" / f"{lang}.lire")
-            expected = lir.fit_components(lir.LanguageMatrix.from_records(records), 1)
+            expected = lir.fit_decomposition(table_of(records), 1)[0]
             direct = tmp_path / "direct.lirc"
             write_components(direct, expected)
             assert direct.read_bytes() == (tmp_path / "comp" / f"{lang}.lirc").read_bytes()
+
+    @pytest.mark.parametrize("rank", [0, 2, 16])
+    @pytest.mark.parametrize("flags", [[], ["--center"], ["--normalize"], ["--center", "--normalize"]])
+    def test_every_option_writes_the_library_fit(self, synth_corpus, tmp_path, capsys, rank, flags):
+        # The bytes of each .lirc and each summary line, against the library's
+        # fit of the table read from the same file; the fingerprint is of the
+        # rows as read, whatever the options.
+        out = tmp_path / "comp"
+        argv = ["fit", "--input", str(synth_corpus), "--rank", str(rank), "--output", str(out), *flags]
+        assert main(argv) == 0
+        lines = []
+        for lang in ("l00", "l01", "l02"):
+            table = table_of(read_embeddings(synth_corpus / f"{lang}.lire"))
+            basis, sigma = lir.fit_decomposition(
+                table, rank, center="--center" in flags, normalize="--normalize" in flags)
+            write_components(tmp_path / "direct.lirc", basis)
+            assert (tmp_path / "direct.lirc").read_bytes() == (out / f"{lang}.lirc").read_bytes()
+            assert basis.source_fingerprint == source_fingerprint_oracle(lang, table.rows)
+            top = ", ".join(f"{s:.6g}" for s in sigma[:5])
+            lines.append(f"{lang}: n=30 d=16 top_singular_values=[{top}]\n")
+        assert capsys.readouterr().out == "".join(lines)
 
     def test_rank_too_large_exit_2(self, tmp_path, capsys):
         assert run_synth(tmp_path / "data", per=2, topics=2, dim=16) == 0
@@ -231,6 +264,36 @@ class TestFitCommand:
         ])
         assert code == 2
         assert "rank 99" in capsys.readouterr().err.lower()
+
+    # Each file's language is taken first (an empty file has none), then
+    # checked against the earlier files' and for a filename-safe tag. Files
+    # are read in name order; None is a file of zero records.
+    @pytest.mark.parametrize("files, message", [
+        ({"en.lire": None}, "cannot build a language matrix from zero records"),
+        ({"a.lire": "en", "b.lire": None}, "cannot build a language matrix from zero records"),
+        ({"a.lire": None, "b.lire": "e/n"}, "cannot build a language matrix from zero records"),
+        ({"x.lire": "e/n"}, "language tag 'e/n' is not filename-safe"),
+        ({"a.lire": "en", "b.lire": "e/n", "c.lire": None}, "language tag 'e/n' is not filename-safe"),
+        ({"a.lire": "en", "b.lire": "en"}, "two input files for language 'en'"),
+        ({"a.lire": "en", "b.lire": "de", "c.lire": "en", "d.lire": None}, "two input files for language 'en'"),
+    ], ids=["empty", "empty-second", "empty-before-unsafe", "unsafe", "unsafe-before-empty", "repeated",
+            "repeated-before-empty"])
+    def test_empty_file_unsafe_tag_and_repeated_language_exit_2(self, tmp_path, capsys, files, message):
+        empty = framed(b"LIRE", {"count": 0, "dim": 3, "dtype": "f32", "lang": "en"})
+        rows = np.arange(12.0).reshape(4, 3)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, lang in files.items():
+            if lang is None:
+                (corpus / name).write_bytes(empty)
+            else:
+                ids = [f"{name}{i}" for i in range(4)]
+                write_embeddings(corpus / name, lir.EmbeddingTable(ids, [lang] * 4, rows))
+        out = tmp_path / "comp"
+        code = main(["fit", "--input", str(corpus), "--rank", "1", "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_input_exit_2(self, tmp_path):
         assert main([
@@ -246,7 +309,7 @@ class TestFitCommand:
         calls = []
 
         def fail_second(*args, **kwargs):
-            calls.append(args[0].lang)
+            calls.append(args[0].langs[0])
             if len(calls) == 2:
                 raise lir.NumericalFailure("did not converge", iterations=0)
             return lir.fit_decomposition(*args, **kwargs)
@@ -272,8 +335,8 @@ class TestFitCommand:
             "--center", "--normalize",
         ]) == 0
         records = read_embeddings(tmp_path / "data" / "corpus" / "l00.lire")
-        matrix = lir.LanguageMatrix.from_records(records)
-        expected = lir.fit_components(matrix, 1, center=True, normalize=True)
+        matrix = table_of(records)
+        expected = lir.fit_decomposition(matrix, 1, center=True, normalize=True)[0]
         loaded = read_components(tmp_path / "comp" / "l00.lirc")
         assert np.max(np.abs(np.abs(loaded.basis) - np.abs(expected.basis))) <= 1e-4
 

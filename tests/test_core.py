@@ -1,6 +1,4 @@
-import hashlib
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -12,10 +10,7 @@ from lir import (
     DimensionError,
     DuplicateKey,
     EmbeddingRecord,
-    InvalidMatrix,
     InvalidVector,
-    LanguageMatrix,
-    LanguageMismatch,
     NoRelevantError,
     RankError,
     RetrievalDataset,
@@ -87,7 +82,7 @@ class TestLentRows:
 
     @staticmethod
     def table():
-        return EmbeddingTable.from_records([rec("a", "en", [1.0, 2.0]), rec("b", "en", [3.0, 4.0])])
+        return EmbeddingTable(["a", "b"], ["en", "en"], np.array([[1.0, 2.0], [3.0, 4.0]]))
 
     def test_writable_inside_read_only_after(self):
         table = self.table()
@@ -108,39 +103,6 @@ class TestLentRows:
                 raise DimensionError("inside")
         assert not table.rows.flags.writeable
         assert table.rows.tolist() == [[1.0, 2.0], [0.0, 0.0]]
-
-
-class TestLanguageMatrix:
-    def test_from_records(self):
-        m = LanguageMatrix.from_records([rec("a", "en", [1.0, 2.0]), rec("b", "en", [3.0, 4.0])])
-        assert (m.n, m.d) == (2, 2)
-        assert m.lang == "en"
-
-    def test_rejects_mixed_languages(self):
-        with pytest.raises(LanguageMismatch):
-            LanguageMatrix.from_records([rec("a", "en", [1.0]), rec("b", "zh", [2.0])])
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(InvalidMatrix):
-            LanguageMatrix.from_records([])
-        with pytest.raises(InvalidMatrix):
-            LanguageMatrix(lang="en", rows=np.array([[np.nan]]))
-
-    def test_fingerprint_changes_with_lang(self):
-        rows = np.ones((2, 2))
-        assert (
-            LanguageMatrix(lang="en", rows=rows).fingerprint()
-            != LanguageMatrix(lang="zh", rows=rows).fingerprint()
-        )
-
-    def test_fingerprint_hashes_the_bytes_of_tobytes(self):
-        # A Fortran-ordered or strided input is stored C-ordered, so the buffer
-        # hashed is the rows' C-order bytes, as rows.tobytes() gives them.
-        rows = np.random.default_rng(5).standard_normal((7, 3))
-        for given in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]):
-            m = LanguageMatrix(lang="en", rows=given)
-            h = hashlib.sha256(b"en" + struct.pack("<QQ", 7, 3) + rows.tobytes())
-            assert m.fingerprint() == h.hexdigest()[:16]
 
 
 class TestComponentBasis:

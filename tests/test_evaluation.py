@@ -18,7 +18,6 @@ from lir import (
     DegenerateLabels,
     DimensionError,
     EmbeddingRecord,
-    LanguageMatrix,
     LogisticConfig,
     NoRelevantError,
     RankedList,
@@ -27,8 +26,7 @@ from lir import (
     evaluate_retrieval,
     evaluate_transfer,
     export_projection,
-    fit_components,
-    logistic_loss,
+    fit_decomposition,
     predict_logistic,
     train_logistic,
 )
@@ -50,6 +48,7 @@ from oracles import (
     average_precision_oracle,
     evaluate_retrieval_oracle,
     logistic_gd_oracle,
+    logistic_loss_oracle,
     rank_oracle,
     sigmoid_oracle,
 )
@@ -57,6 +56,20 @@ from oracles import (
 
 def rec(rid, lang, vec):
     return EmbeddingRecord(id=rid, lang=lang, vec=np.asarray(vec, dtype=float))
+
+
+def table_of(records):
+    return lir.EmbeddingTable([r.id for r in records], [r.lang for r in records], np.array([r.vec for r in records]))
+
+
+def language_rows(res, lang):
+    """The table of a generated corpus's rows of one language."""
+    return lir.synth._take(res.table, np.flatnonzero([tag == lang for tag in res.table.langs]))
+
+
+def fitted_bases(res, rank):
+    """Each generated language's basis, fitted on that language's rows."""
+    return {lang: fit_decomposition(language_rows(res, lang), rank)[0] for lang in res.config.languages}
 
 
 def retrieval_order(qvec, cands):
@@ -107,7 +120,7 @@ class TestRetrievalOrder:
         ids = [f"c{i:04d}" for i in rng.permutation(group.size)]
         cands = [rec(cid, "en", base[g]) for cid, g in zip(ids, group)]
         group_of = dict(zip(ids, group.tolist()))
-        cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE)
+        cmat, cnorms = _candidate_stack(table_of(cands), None, DEFAULT_MODE)
         for _ in range(10):
             scores = _cosine_scores(cmat, cnorms, rng.standard_normal(64)).reshape(401, 5)
             assert (scores == scores[:, :1]).all()
@@ -150,7 +163,7 @@ class TestRetrievalOrder:
         query = np.array([2e300, 1e300, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(cands), None, DEFAULT_MODE)
+            cmat, cnorms = _candidate_stack(table_of(cands), None, DEFAULT_MODE)
             scores = _cosine_scores(cmat, cnorms, query)
             assert retrieval_order(query, cands) == ["b", "a", "z"]
         assert abs(scores[0] - 0.8) <= 1e-12
@@ -353,10 +366,7 @@ class TestEvaluateRetrieval:
         )
         res = lir.generate(cfg)
         ds = res.retrieval_dataset()
-        bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
-            for lang in cfg.languages
-        }
+        bases = fitted_bases(res, 1)
         before = evaluate_retrieval(ds)
         after = evaluate_retrieval(ds, bases)
         assert after.overall_map - before.overall_map >= 0.3
@@ -407,7 +417,7 @@ class TestEvaluateRetrieval:
 
         def fitted(lang, r):
             rows = rng.standard_normal((10, 3))
-            return fit_components(LanguageMatrix(lang=lang, rows=rows), r)
+            return fit_decomposition(lir.EmbeddingTable([f"r{i}" for i in range(10)], [lang] * 10, rows), r)[0]
 
         assert evaluate_retrieval(ds, {"en": fitted("en", 2), "zh": fitted("zh", 2)}).config["rank"] == 2
         mixed = {"en": fitted("en", 1), "zh": fitted("zh", 2)}
@@ -481,10 +491,7 @@ class TestCertifiedRanks:
         )
         res = lir.generate(cfg)
         ds = res.retrieval_dataset()
-        bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
-            for lang in cfg.languages
-        }
+        bases = fitted_bases(res, 2)
         for b in (None, bases):
             for mode in lir.RemovalMode:
                 assert report_json(evaluate_retrieval(ds, b, mode=mode)) == report_json(
@@ -651,10 +658,7 @@ class TestCandidateOrder:
             rows=cands.rows[shuffled],
         )
         mixed = RetrievalDataset(ds.queries, table, ds.qrels)
-        bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
-            for lang in cfg.languages
-        }
+        bases = fitted_bases(res, 1)
         for b in (None, bases):
             got, want = report_to_dict(evaluate_retrieval(mixed, b)), report_to_dict(evaluate_retrieval(ds, b))
             assert got["config"].pop("candidates_fingerprint") != want["config"].pop("candidates_fingerprint")
@@ -666,10 +670,7 @@ class TestCandidateOrder:
             languages=("en", "de"), topics=6, per_topic_per_lang=20, dim=16, bias_scale=4.0, seed=67,
         )
         res = lir.generate(cfg)
-        bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
-            for lang in cfg.languages
-        }
+        bases = fitted_bases(res, 2)
         for mode in lir.RemovalMode:
             ds = res.retrieval_dataset()
             expected = report_json(evaluate_retrieval(ds, bases, mode=mode))
@@ -718,9 +719,13 @@ class TestBoundedMemory:
         rows[[4, 9]] = 0.0
         rows[11, 2] = 1e200  # the plain sum of squares overflows
         records = [rec(f"c{i:02d}", "en" if i % 3 else "de", v) for i, v in enumerate(rows)]
-        bases = {lang: fit_components(LanguageMatrix(lang=lang, rows=rows[20:30]), 1) for lang in ("en", "de")}
+        ids = [f"r{i}" for i in range(10)]
+        bases = {
+            lang: fit_decomposition(lir.EmbeddingTable(ids, [lang] * 10, rows[20:30]), 1)[0]
+            for lang in ("en", "de")
+        }
         for b in (None, bases):
-            cmat, cnorms = _candidate_stack(lir.EmbeddingTable.from_records(records), b, DEFAULT_MODE)
+            cmat, cnorms = _candidate_stack(table_of(records), b, DEFAULT_MODE)
             with np.errstate(over="ignore"):
                 assert cnorms.tobytes() == np.linalg.norm(cmat, axis=1).tobytes()
 
@@ -732,10 +737,7 @@ class TestBoundedMemory:
         )
         res = lir.generate(cfg)
         ds = res.retrieval_dataset()
-        bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 2)
-            for lang in cfg.languages
-        }
+        bases = fitted_bases(res, 2)
         n, d = ds.candidates.rows.shape
         relevant = [len(rel) for rel in ds.qrels.values()]
         # One candidate copy, one gemm block, the einsum-scored relevant rows of
@@ -828,7 +830,7 @@ class TestTrainLogistic:
         losses = []
         for epochs in range(0, 60, 5):
             w = train_logistic(x, y, LogisticConfig(learning_rate=0.01, epochs=epochs))
-            losses.append(logistic_loss(x, y, w))
+            losses.append(logistic_loss_oracle(x, y, w))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize(
@@ -885,15 +887,13 @@ def transfer_fixture(seed=42):
         label_rule="topic-parity",
     )
     res = lir.generate(cfg)
-    bases = {
-        lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
-        for lang in cfg.languages
-    }
+    bases = fitted_bases(res, 1)
     tests = {}
     for lang in cfg.languages:
-        recs = res.records_for(lang)
+        table = language_rows(res, lang)
+        recs = tuple(EmbeddingRecord(*row) for row in zip(table.ids, table.langs, table.rows))
         tests[lang] = (recs, [res.labels[r.id] for r in recs])
-    train_recs = res.records_for("l00")
+    train_recs = tuple(tests["l00"][0])
     train_labels = [res.labels[r.id] for r in train_recs]
     return cfg, res, bases, tests, train_recs, train_labels
 
@@ -957,7 +957,7 @@ class TestEvaluateTransfer:
     def test_training_table_as_a_test_set(self, placement):
         # The training table itself as a test set reports what an equal copy does.
         _, _, bases, tests, train_recs, train_labels = transfer_fixture()
-        train = lir.EmbeddingTable.from_records(train_recs)
+        train = table_of(train_recs)
         copy = lir.EmbeddingTable(ids=list(train.ids), langs=list(train.langs), rows=train.rows.copy())
         for b in (None, bases):
             reports = [
@@ -991,7 +991,7 @@ class TestEvaluateTransfer:
                 recs, labels = tests[lang]
                 if lang == self.train.langs[0]:
                     return self.train, labels
-                table = lir.EmbeddingTable.from_records(recs)
+                table = table_of(recs)
                 if self.lend:
                     self.lent.enter_context(_lent_rows(table))
                 self.last = weakref.ref(table.rows)
@@ -1004,7 +1004,7 @@ class TestEvaluateTransfer:
                 return len(tests)
 
         for lend in (False, True):
-            train = lir.EmbeddingTable.from_records(train_recs)
+            train = table_of(train_recs)
             raw = train.rows.copy()
             lazy = Lazy(train, lend)
             with _lent_rows(train) if lend else contextlib.nullcontext(), lazy.lent:
@@ -1014,7 +1014,7 @@ class TestEvaluateTransfer:
             assert not train.rows.flags.writeable
             # A table that is not lent is left as it was; a lent training table
             # ends up holding its rows with components removed.
-            removed = lir.evaluation._features(lir.EmbeddingTable.from_records(train_recs), bases, mode)
+            removed = lir.evaluation._features(table_of(train_recs), bases, mode)
             assert train.rows.tobytes() == (removed if lend else raw).tobytes()
 
     def test_invalid_inputs(self):
@@ -1042,7 +1042,7 @@ class TestLendingRule:
     def tables():
         _, res, bases, tests, train_recs, train_labels = transfer_fixture(seed=43)
         ds = res.retrieval_dataset()
-        tests = {lang: (lir.EmbeddingTable.from_records(recs), labels) for lang, (recs, labels) in tests.items()}
+        tests = {lang: (table_of(recs), labels) for lang, (recs, labels) in tests.items()}
         return ds, bases, tests, tests["l00"], train_labels
 
     def test_a_table_not_lent_keeps_its_bytes(self):

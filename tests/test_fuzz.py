@@ -139,8 +139,9 @@ def read_outcome(reader, path):
         out = reader(path)
     except Exception as exc:
         return type(exc), str(exc)
-    table = lir.EmbeddingTable.from_records(out)
-    return table.ids, table.langs, table.rows.tobytes()
+    if isinstance(out, lir.EmbeddingTable):
+        return out.ids, out.langs, out.rows.tobytes()
+    return tuple(r.id for r in out), tuple(r.lang for r in out), b"".join(r.vec.tobytes() for r in out)
 
 
 def test_table_reader_matches_record_reader(tmp_path, valid):

@@ -128,7 +128,7 @@ def fresh_lir(monkeypatch):
 
 class TestPublicSurface:
     def test_names_resolve_to_the_defining_modules_objects(self, fresh_lir):
-        assert len(fresh_lir.__all__) == len(set(fresh_lir.__all__)) == 50
+        assert len(fresh_lir.__all__) == len(set(fresh_lir.__all__)) == 47
         for name in fresh_lir.__all__:
             assert name not in vars(fresh_lir)
             value = getattr(fresh_lir, name)
@@ -164,6 +164,18 @@ class TestPublicSurface:
             in_bullet = line.startswith("- ") or (in_bullet and line.startswith("  "))
             listed += re.findall(r"`(\w+)`", line) if in_bullet else []
         assert sorted(listed) == sorted(lir.__all__)
+
+    def test_readme_library_quick_start_runs(self):
+        # The python block of the README's "Quick start (library)" section, as
+        # written: removal must raise the overall MAP it reports.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["after"] > namespace["before"]
+        assert set(namespace["bases"]) == {"en", "de", "zh"}
+        assert namespace["scores"].shape == (len(namespace["table"]), 2)
 
     def test_unknown_attribute_raises_naming_it(self, fresh_lir):
         with pytest.raises(AttributeError, match="module 'lir' has no attribute 'no_such_name'"):

@@ -84,9 +84,8 @@ def outcome(reader, path):
         return type(exc), str(exc)
     if isinstance(out, lir.EmbeddingTable):
         out = out.ids, out.langs, out.rows
-    elif not isinstance(out, tuple):
-        out = lir.EmbeddingTable.from_records(out)
-        out = out.ids, out.langs, out.rows
+    elif not isinstance(out, tuple):  # records
+        out = [r.id for r in out], [r.lang for r in out], np.array([r.vec for r in out])
     ids, langs, rows = out
     return list(ids), list(langs), rows.tobytes()
 
@@ -263,8 +262,8 @@ class TestEmbeddingFiles:
 
 def fitted_basis(seed=0, d=6, r=3):
     rng = np.random.default_rng(seed)
-    matrix = lir.LanguageMatrix(lang="en", rows=rng.standard_normal((20, d)))
-    return lir.fit_components(matrix, r)
+    matrix = lir.EmbeddingTable([f"r{i}" for i in range(20)], ["en"] * 20, rng.standard_normal((20, d)))
+    return lir.fit_decomposition(matrix, r)[0]
 
 
 # Variable-length ids, one byte to 300, with two- and three-byte UTF-8 characters.

@@ -396,7 +396,6 @@ UNPINNED = {
     "evaluation._gemm_rows",
     "evaluation._logits",
     "evaluation.train_logistic",
-    "evaluation.logistic_loss",
 }
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,23 +7,40 @@ import pytest
 import lir
 from lir import (
     ComponentBasis,
+    ConfigError,
     DimensionError,
     EmbeddingRecord,
-    LanguageMatrix,
+    EmbeddingTable,
+    InvalidMatrix,
     LanguageMismatch,
     MissingBasis,
     RankError,
     RemovalMode,
     ZeroVectorError,
-    fit_components,
     fit_decomposition,
     remove_batch,
     svd,
 )
+from lir.synth import _take
+from oracles import source_fingerprint_oracle
 
 
 def rec(rid, lang, vec):
     return EmbeddingRecord(id=rid, lang=lang, vec=np.asarray(vec, dtype=float))
+
+
+def one_language(lang, rows):
+    """A table of rows, all tagged lang, with ids r0, r1, ..."""
+    return EmbeddingTable([f"r{i}" for i in range(len(rows))], [lang] * len(rows), rows)
+
+
+def language_rows(res, lang):
+    """The table of a generated corpus's rows of one language."""
+    return _take(res.table, np.flatnonzero([tag == lang for tag in res.table.langs]))
+
+
+def records_of(table):
+    return [EmbeddingRecord(*row) for row in zip(table.ids, table.langs, table.rows)]
 
 
 def remove_one(record, basis, mode=RemovalMode.ORTHOGONAL):
@@ -40,16 +58,16 @@ def axis_basis(lang, d, axis):
 
 class TestFitComponents:
     def test_diag_2_1_rank_1(self):
-        m = LanguageMatrix(lang="en", rows=np.diag([2.0, 1.0]))
-        basis = fit_components(m, 1)
+        m = one_language("en", np.diag([2.0, 1.0]))
+        basis = fit_decomposition(m, 1)[0]
         assert np.allclose(basis.basis[:, 0], [1.0, 0.0], atol=1e-12)
         assert basis.rank == 1
         assert basis.sample_count == 2
-        assert basis.source_fingerprint == m.fingerprint()
+        assert basis.source_fingerprint == source_fingerprint_oracle("en", m.rows)
 
     def test_rank_zero_gives_identity_removal(self):
-        m = LanguageMatrix(lang="en", rows=np.arange(6.0).reshape(3, 2) + 1.0)
-        basis = fit_components(m, 0)
+        m = one_language("en", np.arange(6.0).reshape(3, 2) + 1.0)
+        basis = fit_decomposition(m, 0)[0]
         assert basis.rank == 0
         r = rec("a", "en", [1.5, -2.5])
         out = remove_one(r, basis)
@@ -58,10 +76,10 @@ class TestFitComponents:
     def test_matches_svd_columns_bitwise(self):
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((12, 5))
-        m = LanguageMatrix(lang="en", rows=rows)
+        m = one_language("en", rows)
         full_v = svd(rows).v
         for r in range(6):
-            basis = fit_components(m, r)
+            basis = fit_decomposition(m, r)[0]
             assert basis.basis.tobytes() == full_v[:, :r].copy().tobytes()
 
     def test_dominant_mean_direction(self):
@@ -69,35 +87,35 @@ class TestFitComponents:
         rng = np.random.default_rng(1)
         mu = rng.standard_normal(10)
         noise = 0.01 * np.linalg.norm(mu) * rng.standard_normal((200, 10))
-        m = LanguageMatrix(lang="en", rows=mu + noise)
-        basis = fit_components(m, 1)
+        m = one_language("en", mu + noise)
+        basis = fit_decomposition(m, 1)[0]
         cos = abs(float(basis.basis[:, 0] @ (mu / np.linalg.norm(mu))))
         assert cos >= 0.99
 
     def test_rank_out_of_range(self):
-        m = LanguageMatrix(lang="en", rows=np.ones((3, 2)))
+        m = one_language("en", np.ones((3, 2)))
         with pytest.raises(RankError):
-            fit_components(m, 3)
+            fit_decomposition(m, 3)
         with pytest.raises(RankError):
-            fit_components(m, -1)
+            fit_decomposition(m, -1)
 
     def test_center_and_normalize_options(self):
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((30, 4)) + np.array([10.0, 0.0, 0.0, 0.0])
-        m = LanguageMatrix(lang="en", rows=rows)
-        raw = fit_components(m, 1)
-        centered = fit_components(m, 1, center=True)
+        m = one_language("en", rows)
+        raw = fit_decomposition(m, 1)[0]
+        centered = fit_decomposition(m, 1, center=True)[0]
         # raw leading direction is the offset axis; centering removes it
         assert abs(raw.basis[0, 0]) > 0.99
         assert abs(centered.basis[0, 0]) < 0.9
-        normalized = fit_components(m, 1, normalize=True)
+        normalized = fit_decomposition(m, 1, normalize=True)[0]
         assert normalized.rank == 1
-        zero_row = LanguageMatrix(lang="en", rows=np.vstack([rows, np.zeros(4)]))
+        zero_row = one_language("en", np.vstack([rows, np.zeros(4)]))
         with pytest.raises(ZeroVectorError):
-            fit_components(zero_row, 1, normalize=True)
+            fit_decomposition(zero_row, 1, normalize=True)
 
     def test_fit_decomposition_returns_spectrum(self):
-        m = LanguageMatrix(lang="en", rows=np.diag([3.0, 1.0]))
+        m = one_language("en", np.diag([3.0, 1.0]))
         basis, sigma = fit_decomposition(m, 1)
         assert np.allclose(sigma, [3.0, 1.0], atol=1e-12)
         assert basis.rank == 1
@@ -106,10 +124,119 @@ class TestFitComponents:
     def test_basis_is_leading_svd_columns_bitwise(self, shape):
         rows = np.random.default_rng(19).standard_normal(shape)
         rank = min(shape) - 1
-        basis, sigma = fit_decomposition(LanguageMatrix(lang="en", rows=rows), rank)
+        basis, sigma = fit_decomposition(one_language("en", rows), rank)
         res = svd(rows)
         assert basis.basis.tobytes() == res.v[:, :rank].copy().tobytes()
         assert sigma.tobytes() == res.sigma.tobytes()
+
+    def test_rejects_empty_and_mixed_language_tables(self):
+        with pytest.raises(InvalidMatrix, match=r"^cannot build a language matrix from zero records$"):
+            fit_decomposition(EmbeddingTable([], [], np.empty((0, 2))), 0)
+        mixed = EmbeddingTable(["a", "b"], ["en", "zh"], np.array([[1.0], [2.0]]))
+        with pytest.raises(LanguageMismatch, match=r"^records span multiple languages: \['en', 'zh'\]$"):
+            fit_decomposition(mixed, 1)
+
+    def test_fingerprint_changes_with_lang(self):
+        rows = np.ones((2, 2))
+        assert (
+            fit_decomposition(one_language("en", rows), 1)[0].source_fingerprint
+            != fit_decomposition(one_language("zh", rows), 1)[0].source_fingerprint
+        )
+
+    def test_fingerprint_hashes_the_bytes_of_tobytes(self):
+        # A Fortran-ordered or strided input is stored C-ordered, so the buffer
+        # hashed is the rows' C-order bytes, as rows.tobytes() gives them.
+        rows = np.random.default_rng(5).standard_normal((7, 3))
+        for given in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]):
+            basis = fit_decomposition(one_language("en", given), 1)[0]
+            assert basis.source_fingerprint == source_fingerprint_oracle("en", rows)
+
+
+@pytest.mark.parametrize("lang", ["en", "zh-Hant", "日本語"])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 4), (12, 5)])
+@pytest.mark.parametrize("center, normalize", [(False, False), (True, False), (False, True), (True, True)])
+def test_fit_decomposition_is_the_svd_of_the_prepared_rows(lang, shape, center, normalize):
+    # At every rank: the leading V columns and the full spectrum of the rows,
+    # normalized then centered, while sample_count and the fingerprint are
+    # those of the table's own rows.
+    rows = np.random.default_rng(sum(shape)).standard_normal(shape)
+    data = rows / np.linalg.norm(rows, axis=1)[:, None] if normalize else rows
+    data = data - data.mean(axis=0) if center else data
+    res = svd(data)
+    table = one_language(lang, rows)
+    for rank in range(min(shape) + 1):
+        basis, sigma = fit_decomposition(table, rank, center=center, normalize=normalize)
+        assert basis.basis.tobytes() == res.v[:, :rank].copy().tobytes()
+        assert sigma.tobytes() == res.sigma.tobytes()
+        assert (basis.lang, basis.rank, basis.sample_count) == (lang, rank, shape[0])
+        assert basis.source_fingerprint == source_fingerprint_oracle(lang, rows)
+
+
+ROWS_7x3 = np.random.default_rng(5).standard_normal((7, 3))
+
+
+@pytest.mark.parametrize("given", [
+    ROWS_7x3,
+    np.asfortranarray(ROWS_7x3),
+    np.repeat(ROWS_7x3, 2, axis=0)[::2],
+    ROWS_7x3.tolist(),
+    ROWS_7x3.astype(np.float32),
+    np.arange(21).reshape(7, 3) - 10,
+    np.arange(21, dtype=np.int8).reshape(7, 3),
+], ids=["c-order", "fortran", "strided", "list", "float32", "int64", "int8"])
+def test_fit_decomposition_fits_the_float64_rows_the_table_holds(given):
+    # Whatever form the rows were given in, the fit and its fingerprint are
+    # those of the float64 matrix the table stores.
+    table = one_language("en", given)
+    expected = np.asarray(given, dtype=np.float64)
+    assert table.rows.tobytes() == expected.tobytes()
+    basis, sigma = fit_decomposition(table, 2)
+    assert basis.basis.tobytes() == svd(expected).v[:, :2].copy().tobytes()
+    assert sigma.tobytes() == svd(expected).sigma.tobytes()
+    assert basis.source_fingerprint == source_fingerprint_oracle("en", expected)
+
+
+@pytest.mark.parametrize("langs", [
+    ["en", "zh"],
+    ["zh", "en"],
+    ["en", "en", "de"],
+    ["de", "en", "zh", "en"],
+    ["en", "EN"],
+])
+def test_mixed_language_table_raises_before_the_flags_and_rank(langs):
+    table = EmbeddingTable([f"r{i}" for i in range(len(langs))], langs, np.ones((len(langs), 2)))
+    message = re.escape(f"records span multiple languages: {sorted(set(langs))}")
+    for kwargs in ({}, {"center": "x"}, {"normalize": 1}):
+        with pytest.raises(LanguageMismatch, match=f"^{message}$"):
+            fit_decomposition(table, 99, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3, 768])
+def test_empty_table_raises_before_the_flags_and_rank(dim):
+    table = EmbeddingTable([], [], np.empty((0, dim)))
+    for kwargs in ({}, {"center": "x"}, {"normalize": 1}):
+        with pytest.raises(InvalidMatrix, match=r"^cannot build a language matrix from zero records$"):
+            fit_decomposition(table, 99, **kwargs)
+
+
+def test_one_tag_written_two_ways_is_one_language():
+    # Tags are trimmed as the table is built, so " en " and "en" are one language.
+    basis = fit_decomposition(EmbeddingTable(["a", "b"], ["en", " en "], np.eye(2)), 1)[0]
+    assert basis.lang == "en" and basis.sample_count == 2
+
+
+@pytest.mark.parametrize("value, kind", [
+    (5, "int"),
+    ("en", "str"),
+    (None, "NoneType"),
+    ([], "list"),
+    ([EmbeddingRecord("a", "en", [1.0])], "list"),
+    (np.ones((2, 2)), "ndarray"),
+    (EmbeddingRecord("a", "en", [1.0]), "EmbeddingRecord"),
+])
+def test_fit_decomposition_takes_only_a_table(value, kind):
+    with pytest.raises(ConfigError, match=f"^matrix must be of type EmbeddingTable, got {kind}$"):
+        fit_decomposition(value, 1)
 
 
 class TestRemove:
@@ -156,7 +283,7 @@ class TestRemove:
     def test_orthogonal_idempotent_and_contractive(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((50, 8))
-        basis = fit_components(LanguageMatrix(lang="en", rows=rows), 2)
+        basis = fit_decomposition(one_language("en", rows), 2)[0]
         for i in range(20):
             r = rec(f"r{i}", "en", rng.standard_normal(8) * 10.0)
             once = remove_one(r, basis)
@@ -249,7 +376,7 @@ class TestRemoveBatch:
     def test_sequential_rerun_bitwise_identical(self):
         rng = np.random.default_rng(4)
         rows = rng.standard_normal((40, 6))
-        basis = fit_components(LanguageMatrix(lang="en", rows=rows), 1)
+        basis = fit_decomposition(one_language("en", rows), 1)[0]
         records = [rec(f"r{i}", "en", rng.standard_normal(6)) for i in range(25)]
         a = remove_batch(records, {"en": basis})
         b = remove_batch(records, {"en": basis})
@@ -270,7 +397,7 @@ class TestOnSyntheticData:
         )
         res = lir.generate(cfg)
         bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
+            lang: fit_decomposition(language_rows(res, lang), 1)[0]
             for lang in cfg.languages
         }
 
@@ -286,8 +413,9 @@ class TestOnSyntheticData:
                 for b in keys[i + 1 :]
             )
 
-        pre = max_centroid_dist(res.records)
-        post = max_centroid_dist(remove_batch(res.records, bases).records)
+        records = records_of(res.table)
+        pre = max_centroid_dist(records)
+        post = max_centroid_dist(remove_batch(records, bases).records)
         assert pre >= 10.0 * post
 
     def test_basis_stable_across_disjoint_samples(self):
@@ -302,9 +430,9 @@ class TestOnSyntheticData:
             seed=11,
         )
         res = lir.generate(cfg)
-        records = res.records_for("l00")
-        first = fit_components(LanguageMatrix.from_records(records[:2000]), 1)
-        second = fit_components(LanguageMatrix.from_records(records[2000:]), 1)
+        table = language_rows(res, "l00")
+        first = fit_decomposition(_take(table, slice(None, 2000)), 1)[0]
+        second = fit_decomposition(_take(table, slice(2000, None)), 1)[0]
         cos = abs(float(first.basis[:, 0] @ second.basis[:, 0]))
         assert cos >= 0.99
 
@@ -324,7 +452,7 @@ class TestOnSyntheticData:
         )
         res = lir.generate(cfg)
         bases = {
-            lang: fit_components(LanguageMatrix.from_records(res.records_for(lang)), 1)
+            lang: fit_decomposition(language_rows(res, lang), 1)[0]
             for lang in cfg.languages
         }
 
@@ -343,8 +471,9 @@ class TestOnSyntheticData:
                 total += 1
             return hits / total
 
-        assert top1_fraction(res.records) < 0.2
-        assert top1_fraction(remove_batch(res.records, bases).records) > 0.9
+        records = records_of(res.table)
+        assert top1_fraction(records) < 0.2
+        assert top1_fraction(remove_batch(records, bases).records) > 0.9
 
 
 class TestMatrixRemoval:
@@ -358,7 +487,7 @@ class TestMatrixRemoval:
         langs[100:160] = ["c"] * 60
         rows = rng.standard_normal((n, d)) + 3.0 * (np.arange(n) % 3 == 0)[:, None]
         bases = {
-            lang: fit_components(LanguageMatrix(lang=lang, rows=rng.standard_normal((40, d)) + i), 2)
+            lang: fit_decomposition(one_language(lang, rng.standard_normal((40, d)) + i), 2)[0]
             for i, lang in enumerate("abc")
         }
         return [f"r{i:03d}" for i in range(n)], langs, rows, bases

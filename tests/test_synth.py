@@ -9,6 +9,18 @@ from lir.synth import TOPIC_PARITY, _take
 from oracles import generate_oracle
 
 
+def records_of(table):
+    """The table's rows as records, in table order."""
+    return [lir.EmbeddingRecord(*row) for row in zip(table.ids, table.langs, table.rows)]
+
+
+def split(res):
+    """The generated corpus's records, then its query and its candidate records."""
+    records = records_of(res.table)
+    queries = [r for r in records if r.id in res.query_ids]
+    return records, queries, [r for r in records if r.id not in res.query_ids]
+
+
 def base_config(**overrides):
     params = dict(
         languages=("l00", "l01", "l02"),
@@ -111,13 +123,14 @@ class TestGenerate:
     def test_shapes_and_ids(self):
         cfg = base_config()
         res = generate(cfg)
-        assert len(res.records) == 3 * 6 * 4
-        assert len(res.queries) == 3 * 6
-        assert len(res.candidates) == 3 * 6 * 3
-        assert all(r.dim == 16 for r in res.records)
+        records, queries, candidates = split(res)
+        assert len(records) == 3 * 6 * 4
+        assert len(queries) == 3 * 6
+        assert len(candidates) == 3 * 6 * 3
+        assert all(r.dim == 16 for r in records)
         # ids encode (lang, topic, index)
-        assert res.records[0].id == "l00-t0000-0000"
-        assert res.records[0].id in res.query_ids
+        assert records[0].id == "l00-t0000-0000"
+        assert records[0].id in res.query_ids
 
     def test_qrels_mark_same_topic_across_languages(self):
         cfg = base_config()
@@ -132,20 +145,20 @@ class TestGenerate:
         cfg = base_config()
         a = generate(cfg)
         b = generate(cfg)
-        assert all(x.vec.tobytes() == y.vec.tobytes() for x, y in zip(a.records, b.records))
+        assert all(x.vec.tobytes() == y.vec.tobytes() for x, y in zip(records_of(a.table), records_of(b.table)))
         assert dict(a.qrels) == dict(b.qrels)
 
     def test_different_seed_differs(self):
         a = generate(base_config(seed=5))
         b = generate(base_config(seed=6))
-        assert a.records[0].vec.tobytes() != b.records[0].vec.tobytes()
+        assert records_of(a.table)[0].vec.tobytes() != records_of(b.table)[0].vec.tobytes()
 
     def test_bias_only_shifts_by_language_offset(self):
         # same seed: topic vectors and noise are identical, so each record
         # moves exactly by its language's offset when bias changes
         zero = generate(base_config(bias_scale=0.0))
         biased = generate(base_config(bias_scale=5.0))
-        for r0, r5 in zip(zero.records, biased.records):
+        for r0, r5 in zip(records_of(zero.table), records_of(biased.table)):
             assert r0.id == r5.id
             shift = r5.vec - r0.vec
             assert np.allclose(shift, biased.ground_truth[r5.lang], atol=1e-9)
@@ -165,7 +178,7 @@ class TestGenerate:
         # the biased twin (same seed) must be orthogonal to all of them
         clean = generate(base_config(bias_scale=0.0, noise_scale=0.0))
         topics = np.unique(
-            np.round(np.stack([r.vec for r in clean.records]), 12), axis=0
+            np.round(np.stack([r.vec for r in records_of(clean.table)]), 12), axis=0
         )
         assert topics.shape[0] == clean.config.topics
         biased = generate(base_config(bias_scale=4.0, noise_scale=0.0))
@@ -193,7 +206,7 @@ class TestGenerate:
             )
             res = generate(cfg)
             centroids = {
-                lang: np.mean([r.vec for r in res.records if r.lang == lang], axis=0)
+                lang: np.mean([r.vec for r in records_of(res.table) if r.lang == lang], axis=0)
                 for lang in cfg.languages
             }
             keys = sorted(centroids)
@@ -211,8 +224,8 @@ class TestGenerate:
         cfg = base_config(bias_scale=5.0, topics=10, per_topic_per_lang=20, dim=24, seed=7)
         res = generate(cfg)
         for lang in cfg.languages:
-            matrix = lir.LanguageMatrix.from_records(res.records_for(lang))
-            basis = lir.fit_components(matrix, 1)
+            matrix = _take(res.table, np.flatnonzero([tag == lang for tag in res.table.langs]))
+            basis = lir.fit_decomposition(matrix, 1)[0]
             unit = res.ground_truth[lang] / np.linalg.norm(res.ground_truth[lang])
             assert abs(float(basis.basis[:, 0] @ unit)) >= 0.95
 
@@ -221,12 +234,12 @@ class TestGenerate:
         assert res.labels is not None
         assert res.labels["l00-t0000-0001"] == 0
         assert res.labels["l02-t0003-0002"] == 1
-        assert len(res.labels) == len(res.records)
+        assert len(res.labels) == len(res.table)
         assert generate(base_config()).labels is None
 
     def test_skew_breaks_topic_orthogonality(self):
         clean = generate(base_config(bias_scale=0.0, noise_scale=0.0))
-        topics = np.unique(np.round(np.stack([r.vec for r in clean.records]), 12), axis=0)
+        topics = np.unique(np.round(np.stack([r.vec for r in records_of(clean.table)]), 12), axis=0)
         skewed = generate(base_config(bias_scale=4.0, noise_scale=0.0, skew=0.5))
         worst = 0.0
         for lang in skewed.config.languages:
@@ -244,11 +257,12 @@ class TestGenerate:
     def test_retrieval_dataset_roundtrip(self):
         res = generate(base_config())
         ds = res.retrieval_dataset()
+        _, queries, candidates = split(res)
         assert len(ds.queries) == 18
         assert len(ds.candidates) == 54
-        assert ds.queries.ids == tuple(r.id for r in res.queries)
-        assert ds.candidates.ids == tuple(r.id for r in res.candidates)
-        assert ds.candidates.rows.tobytes() == b"".join(r.vec.tobytes() for r in res.candidates)
+        assert ds.queries.ids == tuple(r.id for r in queries)
+        assert ds.candidates.ids == tuple(r.id for r in candidates)
+        assert ds.candidates.rows.tobytes() == b"".join(r.vec.tobytes() for r in candidates)
 
 
 @pytest.mark.parametrize(
@@ -277,33 +291,18 @@ def test_generate_matches_record_at_a_time_oracle(overrides):
     assert list(res.ground_truth) == list(ref.ground_truth)
     for lang, offset in ref.ground_truth.items():
         assert res.ground_truth[lang].tobytes() == offset.tobytes()
-    # the record views are built from the table
+    # the query, candidate and per-language rows are taken from the table
     def rows(records):
         return [(r.id, r.lang, r.vec.tobytes()) for r in records]
 
-    assert rows(res.records) == rows(ref.records)
-    assert rows(res.queries) == rows(r for r in ref.records if r.id in ref.query_ids)
-    assert rows(res.candidates) == rows(r for r in ref.records if r.id not in ref.query_ids)
+    def take(keep):
+        return records_of(_take(table, np.flatnonzero([keep(rid, lang) for rid, lang in zip(table.ids, table.langs)])))
+
+    assert rows(take(lambda rid, lang: rid in res.query_ids)) == rows(r for r in ref.records if r.id in ref.query_ids)
+    assert rows(take(lambda rid, lang: rid not in res.query_ids)) == rows(
+        r for r in ref.records if r.id not in ref.query_ids)
     for lang in res.config.languages:
-        assert rows(res.records_for(lang)) == rows(r for r in ref.records if r.lang == lang)
-
-
-def test_record_views_build_only_the_rows_they_return(monkeypatch):
-    res = generate(base_config())
-    built = []
-
-    def counting_record(*args):
-        built.append(args[0])
-        return lir.EmbeddingRecord(*args)
-
-    monkeypatch.setattr(lir.synth, "EmbeddingRecord", counting_record)
-    for view in ("queries", "candidates", "records"):
-        built.clear()
-        ids = [r.id for r in getattr(res, view)]
-        assert built == ids
-    built.clear()
-    ids = [r.id for r in res.records_for("l01")]
-    assert built == ids and len(ids) == 24
+        assert rows(take(lambda rid, tag: tag == lang)) == rows(r for r in ref.records if r.lang == lang)
 
 
 @pytest.mark.parametrize("index", [
