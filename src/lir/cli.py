@@ -23,6 +23,7 @@ from .core import EmbeddingTable, RetrievalDataset, _lent_rows, corpus_fingerpri
 from .errors import ConfigError, DuplicateKey, FormatError, LirError, NumericalFailure
 from .io import (
     _check_f32,
+    _f32_blocks,
     _lire_head,
     _read_table,
     _write_atomic,
@@ -248,7 +249,12 @@ def _cmd_synth(args) -> int:
     fingerprints = {}
     for lang, start in zip(config.languages, range(0, len(result.table), block.size)):
         corpus = _take(result.table, slice(start, start + block.size))
-        fingerprints[lang] = corpus_fingerprint(corpus)
+        stored = np.empty_like(corpus.rows)  # the values its file holds, rounded a block at a time
+        for rows, values in _f32_blocks(corpus):
+            stored[rows] = values
+        stored.flags.writeable = False
+        fingerprints[lang] = corpus_fingerprint(EmbeddingTable._of_checked(corpus.ids, corpus.langs, stored))
+        del stored  # one language's rounded copy at a time
         for sub, pick in zip(subsets, picks):
             write_embeddings(out / sub / f"{lang}.lire", _take(corpus, pick))
     write_qrels(out / "qrels.jsonl", dict(result.qrels))

@@ -198,15 +198,19 @@ def _lent_rows(table: EmbeddingTable) -> Iterator[np.ndarray]:
 
 
 def corpus_fingerprint(records: Iterable[EmbeddingRecord] | EmbeddingTable) -> str:
-    """Deterministic checksum identifying a record collection or table (ids, langs, values)."""
+    """The checksum of a record collection or table, of what a .lire file holds: the first 16
+    hex digits of the sha256 of n and d ("<QQ"), the ids' UTF-8 byte lengths ("<u4") then bytes,
+    the tags likewise, and the rows ("<f8", C order). Strings are encoded "surrogatepass"."""
     import hashlib  # here, not at the top: commands that take no fingerprint never load it
 
     table = _table_of("records", records)
-    h = hashlib.sha256()
-    for rid, lang, row in zip(table.ids, table.langs, table.rows):
-        h.update(f"{rid}\0{lang}\0".encode("utf-8"))
-        h.update(row)
-    h.update(struct.pack("<Q", len(table)))
+    h = hashlib.sha256(struct.pack("<QQ", *table.rows.shape))
+    utf8 = "utf-8", "surrogatepass"
+    for column in (table.ids, table.langs):  # each string's bytes are built and dropped in turn
+        lengths = map(len, map(str.encode, column, *map(itertools.repeat, utf8)))
+        h.update(np.fromiter(lengths, "<u4", len(column)))
+        h.update("".join(column).encode(*utf8))  # a lone surrogate is 3 bytes, alone or joined
+    h.update(np.ascontiguousarray(table.rows, "<f8"))
     return h.hexdigest()[:16]
 
 
@@ -243,8 +247,8 @@ class ComponentBasis:
     """d x r orthonormal matrix of language-identity directions for one language.
 
     rank 0 is legal and makes removal a no-op. sample_count records the number
-    of rows the basis was fitted on, and source_fingerprint the checksum of
-    the fitting corpus.
+    of rows the basis was fitted on, and source_fingerprint their
+    corpus_fingerprint, taken before any centering or normalization.
     """
 
     lang: str

@@ -11,8 +11,9 @@ Binary layouts (all integers little-endian):
   components (.lirc):
     magic b"LIRC" | version byte 1 | u32 header length | UTF-8 JSON header
     {"dim","rank","lang","sample_count","source_fingerprint"} | dim*rank
-    float32 values in column-major order. A reader ignores other header
-    keys, such as the "mode_hint" that older writers could add.
+    float32 values in column-major order. source_fingerprint is the fitted
+    .lire file's corpus_fingerprint. A reader ignores other header keys, such
+    as the "mode_hint" that older writers could add.
 
 One reader decodes one or many .lire files into a single EmbeddingTable and
 one encoder writes a table; the record functions convert on the way. Files

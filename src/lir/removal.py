@@ -10,7 +10,6 @@ unit vectors). Rows are removed per language in bounded blocks, each rounded ali
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -18,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import linalg
-from .core import ComponentBasis, EmbeddingRecord, EmbeddingTable
+from .core import ComponentBasis, EmbeddingRecord, EmbeddingTable, corpus_fingerprint
 from .errors import (
     DimensionError,
     InvalidMatrix,
@@ -61,17 +60,6 @@ def _language_of(table: EmbeddingTable) -> str:
     return table.langs[0]
 
 
-def _fingerprint(lang: str, rows: np.ndarray) -> str:
-    """A basis's source_fingerprint: sha256 of the tag, n and d, and the rows."""
-    import hashlib  # here, not at the top: commands that fit nothing never load it
-
-    h = hashlib.sha256()
-    h.update(lang.encode("utf-8"))
-    h.update(struct.pack("<QQ", *rows.shape))
-    h.update(rows)  # the C-ordered buffer itself, the bytes of rows.tobytes()
-    return h.hexdigest()[:16]
-
-
 def fit_decomposition(
     matrix: EmbeddingTable,
     rank: int,
@@ -82,8 +70,8 @@ def fit_decomposition(
     """Fit a component basis to a one-language table and also return the full
     singular-value spectrum.
 
-    The basis is exactly the first `rank` columns of the SVD's V factor; the
-    U factor is never built.
+    The basis is exactly the first `rank` columns of the SVD's V factor (U is
+    never built); its source_fingerprint is the table's corpus_fingerprint.
     `normalize` rescales every row to unit length before fitting; `center`
     subtracts the column mean (both default off: the raw matrix is
     factorized, so the leading direction can be the language centroid
@@ -108,7 +96,7 @@ def fit_decomposition(
         lang=lang,
         basis=v[:, :rank].copy(),
         rank=rank,
-        source_fingerprint=_fingerprint(lang, matrix.rows),
+        source_fingerprint=corpus_fingerprint(matrix),
         sample_count=len(matrix),
     )
     return basis, sigma

@@ -152,15 +152,21 @@ def logistic_loss_oracle(features, labels, weights, l2=0.0):
     return math.fsum(total) / len(total) + 0.5 * l2 * math.fsum(wj * wj for wj in w)
 
 
-def source_fingerprint_oracle(lang, rows):
-    """A basis's source fingerprint: the first 16 hex digits of the sha256 of
-    the UTF-8 tag, n and d as little-endian uint64, and the float64 rows in C order."""
+def fingerprint_oracle(ids, langs, rows):
+    """A corpus fingerprint as the README states it, from its parts: the first
+    16 hex digits of the sha256 of n and d as "<QQ"; the ids' UTF-8 byte
+    lengths as "<u4", then the ids' UTF-8 bytes; the tags likewise; then every
+    value as "<f8", row by row. Strings are encoded with "surrogatepass"."""
     import hashlib
     import struct
 
     n, d = len(rows), len(rows[0])
-    values = struct.pack(f"<{n * d}d", *(float(x) for row in rows for x in row))
-    return hashlib.sha256(lang.encode("utf-8") + struct.pack("<QQ", n, d) + values).hexdigest()[:16]
+    parts = [struct.pack("<QQ", n, d)]
+    for column in (ids, langs):
+        encoded = [text.encode("utf-8", "surrogatepass") for text in column]
+        parts += [struct.pack(f"<{n}I", *map(len, encoded)), b"".join(encoded)]
+    parts.append(struct.pack(f"<{n * d}d", *(float(x) for row in rows for x in row)))
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
 def read_embeddings_oracle(path):
@@ -463,7 +469,7 @@ def synth_files_oracle(config, out):
 
     import numpy as np
 
-    from lir.core import EmbeddingTable, corpus_fingerprint
+    from lir.core import EmbeddingTable
     from lir.io import write_embeddings, write_labels
     from lir.synth import generate
 
@@ -478,7 +484,8 @@ def synth_files_oracle(config, out):
     fingerprints = {}
     for lang, start in zip(config.languages, range(0, len(result.table), block.size)):
         corpus = take(result.table, start + block)
-        fingerprints[lang] = corpus_fingerprint(corpus)
+        # Of the values its file holds, the rows rounded to float32.
+        fingerprints[lang] = fingerprint_oracle(corpus.ids, corpus.langs, corpus.rows.astype(np.float32))
         parts = (corpus, take(corpus, block[::per]), take(corpus, block[block % per > 0]))
         for sub, table in zip(("corpus", "queries", "candidates"), parts):
             (out / sub).mkdir(parents=True, exist_ok=True)
@@ -508,7 +515,7 @@ def evaluate_retrieval_oracle(dataset, bases=None, mode=None):
     """
     import numpy as np
 
-    from lir.core import EvalReport, corpus_fingerprint
+    from lir.core import EvalReport
     from lir.evaluation import _cosine_scores, _features
     from lir.removal import DEFAULT_MODE
 
@@ -537,9 +544,9 @@ def evaluate_retrieval_oracle(dataset, bases=None, mode=None):
         per_language_map={lang: math.fsum(v) / len(v) for lang, v in sorted(by_lang.items())},
         query_count=len(queries),
         config={
-            "candidates_fingerprint": corpus_fingerprint(candidates),
+            "candidates_fingerprint": fingerprint_oracle(candidates.ids, candidates.langs, candidates.rows),
             "mode": mode.value,
-            "queries_fingerprint": corpus_fingerprint(queries),
+            "queries_fingerprint": fingerprint_oracle(queries.ids, queries.langs, queries.rows),
             "rank": removed.pop() if removed else 0,
             "similarity": "cosine",
         },

@@ -96,38 +96,43 @@ def transfer(**kwargs):
     return evaluate_transfer(TABLE, LABELS, {"en": (TABLE, LABELS)}, **kwargs)
 
 
-# (parameter, error class, call with the value, out-of-range values) for every
-# numeric parameter of a public callable or config. Each call goes on past the
-# check to the work the argument controls: a draw, a factorization, training or a write.
+# (parameter, the callable or type it goes to, error class, call with the value,
+# out-of-range values) for every numeric parameter of a public callable or config.
+# Each call goes on past the check to the work the argument controls: a draw, a
+# factorization, training or a write. The first two fields name the cases.
 INTEGERS = [
-    ("topics", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "topics": v})), [1, 0]),
-    ("per_topic_per_lang", ConfigError,
+    ("topics", "SynthConfig", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "topics": v})), [1, 0]),
+    ("per_topic_per_lang", "SynthConfig", ConfigError,
      lambda v: generate(SynthConfig(**{**SYNTH, "per_topic_per_lang": v})), [0, -1]),
-    ("dim", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "dim": v})), [4, 0]),
-    ("seed", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "seed": v})), [-1, 2**64]),
-    ("epochs", ConfigError, lambda v: transfer(logistic=LogisticConfig(epochs=v)), [-1]),
-    ("rank", RankError, lambda v: write_components("never.lirc", ComponentBasis(**{**BASIS, "rank": v})),
-     [0, 2]),
-    ("sample_count", RankError,
+    ("dim", "SynthConfig", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "dim": v})), [4, 0]),
+    ("seed", "SynthConfig", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "seed": v})), [-1, 2**64]),
+    ("epochs", "LogisticConfig", ConfigError, lambda v: transfer(logistic=LogisticConfig(epochs=v)), [-1]),
+    ("rank", "ComponentBasis", RankError,
+     lambda v: write_components("never.lirc", ComponentBasis(**{**BASIS, "rank": v})), [0, 2]),
+    ("sample_count", "ComponentBasis", RankError,
      lambda v: write_components("never.lirc", ComponentBasis(**{**BASIS, "sample_count": v})), [-1]),
-    ("rank", RankError, lambda v: fit_decomposition(MATRIX, v), [-1, 4]),
-    ("k", RankError, lambda v: pca_project(ROWS, v), [0, 4]),
-    ("k", RankError, lambda v: export_projection(TABLE, v), [0, 4]),
-    ("max_sweeps", ConfigError, lambda v: jacobi_eigh(np.eye(3), v), [-1]),
-    ("query_count", ConfigError, lambda v: write_report("never.json", EvalReport(0.5, {}, v, {})), [0]),
+    ("rank", "fit_decomposition", RankError, lambda v: fit_decomposition(MATRIX, v), [-1, 4]),
+    ("k", "pca_project", RankError, lambda v: pca_project(ROWS, v), [0, 4]),
+    ("k", "export_projection", RankError, lambda v: export_projection(TABLE, v), [0, 4]),
+    ("max_sweeps", "jacobi_eigh", ConfigError, lambda v: jacobi_eigh(np.eye(3), v), [-1]),
+    ("query_count", "EvalReport", ConfigError,
+     lambda v: write_report("never.json", EvalReport(0.5, {}, v, {})), [0]),
 ]
 REALS = [
-    ("bias_scale", lambda v: generate(SynthConfig(**{**SYNTH, "bias_scale": v})), [-1.0]),
-    ("semantic_scale", lambda v: generate(SynthConfig(**{**SYNTH, "semantic_scale": v})), [0.0, -1.0]),
-    ("noise_scale", lambda v: generate(SynthConfig(**{**SYNTH, "noise_scale": v})), [-0.1]),
-    ("skew", lambda v: generate(SynthConfig(**{**SYNTH, "skew": v})), [-0.5]),
-    ("learning_rate", lambda v: transfer(logistic=LogisticConfig(learning_rate=v)), [0.0, -0.5]),
-    ("l2", lambda v: transfer(logistic=LogisticConfig(l2=v)), [-1.0]),
-    ("overall_map", lambda v: write_report("never.json", EvalReport(v, {"en": 0.5}, 1, {})), [-0.1, 1.5]),
-    ("per_language_map", lambda v: write_report("never.json", EvalReport(0.5, {"en": v}, 1, {})),
+    ("bias_scale", "SynthConfig", lambda v: generate(SynthConfig(**{**SYNTH, "bias_scale": v})), [-1.0]),
+    ("semantic_scale", "SynthConfig",
+     lambda v: generate(SynthConfig(**{**SYNTH, "semantic_scale": v})), [0.0, -1.0]),
+    ("noise_scale", "SynthConfig", lambda v: generate(SynthConfig(**{**SYNTH, "noise_scale": v})), [-0.1]),
+    ("skew", "SynthConfig", lambda v: generate(SynthConfig(**{**SYNTH, "skew": v})), [-0.5]),
+    ("learning_rate", "LogisticConfig", lambda v: transfer(logistic=LogisticConfig(learning_rate=v)), [0.0, -0.5]),
+    ("l2", "LogisticConfig", lambda v: transfer(logistic=LogisticConfig(l2=v)), [-1.0]),
+    ("overall_map", "EvalReport",
+     lambda v: write_report("never.json", EvalReport(v, {"en": 0.5}, 1, {})), [-0.1, 1.5]),
+    ("per_language_map", "EvalReport", lambda v: write_report("never.json", EvalReport(0.5, {"en": v}, 1, {})),
      [-0.1, 1.5]),
-    ("average", lambda v: write_report("never.json", TransferReport({"en": 0.5}, v, "en", {})), [-0.1, 1.5]),
-    ("per_language_accuracy",
+    ("average", "TransferReport",
+     lambda v: write_report("never.json", TransferReport({"en": 0.5}, v, "en", {})), [-0.1, 1.5]),
+    ("per_language_accuracy", "TransferReport",
      lambda v: write_report("never.json", TransferReport({"en": v}, 0.5, "en", {})), [-0.1, 1.5]),
 ]
 NOT_FINITE = [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
@@ -136,10 +141,10 @@ BAD_REALS = ["1.0", None, True, False, 1j, np.float32(math.nan), np.float32(math
 
 
 def cases(table, bad):
-    for i, (name, *rest) in enumerate(table):
+    for name, where, *rest in table:
         *head, out_of_range = rest
         for value in [*bad, *out_of_range]:
-            yield pytest.param(name, *head, value, id=f"{name}-{i}-{value!r:.12}")
+            yield pytest.param(name, *head, value, id=f"{name}-{where}-{value!r:.12}")
 
 
 @pytest.fixture
@@ -200,29 +205,31 @@ def fit_rows(rows):
 NAMES_THE_RECORD = {record_vec: "'a'", table_rows: "'r5'", fit_rows: "'r5'"}
 
 
-# (parameter, error class, call with the value, a valid value, the empty
-# shapes it rejects) for every array parameter of a public callable or type.
+# (parameter, the callable or type it goes to, error class, call with the value,
+# a valid value, the empty shapes it rejects) for every array parameter of a
+# public callable or type.
 ARRAYS = [
-    ("v", InvalidVector, lambda v: project_out(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
-    ("basis", InvalidMatrix, lambda b: project_out(ROWS, b), B, []),
-    ("v", InvalidVector, lambda v: project_out_scaled(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
-    ("basis", InvalidMatrix, lambda b: project_out_scaled(ROWS, b), B, []),
-    ("m", InvalidMatrix, svd, ROWS, EMPTY),
-    ("a", InvalidMatrix, jacobi_eigh, np.eye(3), [np.empty((0, 0))]),
-    ("m", InvalidMatrix, lambda m: pca_project(m, 1), ROWS, EMPTY),
-    ("features", InvalidMatrix, lambda x: train_logistic(x, LABELS), ROWS, EMPTY),
-    ("labels", ConfigError, lambda y: train_logistic(ROWS, y), np.array(LABELS, float), []),
-    ("features", InvalidMatrix, lambda x: predict_logistic(x, W), ROWS, EMPTY),
-    ("weights", DimensionError, lambda w: predict_logistic(ROWS, w), W, []),
-    ("vec", InvalidVector, record_vec, ROWS[0], [np.empty(0)]),
-    ("rows", DimensionError, table_rows, ROWS, []),
-    ("rows", DimensionError, fit_rows, ROWS, []),
-    ("basis", InvalidMatrix,
+    ("v", "project_out", InvalidVector, lambda v: project_out(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
+    ("basis", "project_out", InvalidMatrix, lambda b: project_out(ROWS, b), B, []),
+    ("v", "project_out_scaled", InvalidVector,
+     lambda v: project_out_scaled(v, B), ROWS, [np.empty((6, 0)), np.empty(0)]),
+    ("basis", "project_out_scaled", InvalidMatrix, lambda b: project_out_scaled(ROWS, b), B, []),
+    ("m", "svd", InvalidMatrix, svd, ROWS, EMPTY),
+    ("a", "jacobi_eigh", InvalidMatrix, jacobi_eigh, np.eye(3), [np.empty((0, 0))]),
+    ("m", "pca_project", InvalidMatrix, lambda m: pca_project(m, 1), ROWS, EMPTY),
+    ("features", "train_logistic", InvalidMatrix, lambda x: train_logistic(x, LABELS), ROWS, EMPTY),
+    ("labels", "train_logistic", ConfigError, lambda y: train_logistic(ROWS, y), np.array(LABELS, float), []),
+    ("features", "predict_logistic", InvalidMatrix, lambda x: predict_logistic(x, W), ROWS, EMPTY),
+    ("weights", "predict_logistic", DimensionError, lambda w: predict_logistic(ROWS, w), W, []),
+    ("vec", "EmbeddingRecord", InvalidVector, record_vec, ROWS[0], [np.empty(0)]),
+    ("rows", "EmbeddingTable", DimensionError, table_rows, ROWS, []),
+    ("rows", "fit_decomposition", DimensionError, fit_rows, ROWS, []),
+    ("basis", "ComponentBasis", InvalidMatrix,
      lambda b: write_components("never.lirc", ComponentBasis(**{**BASIS, "basis": b})), B, [np.empty((0, 1))]),
-    ("u", InvalidMatrix, lambda u: SvdResult(u, np.ones(1), np.eye(1)), B, []),
-    ("sigma", InvalidMatrix, lambda s: SvdResult(B, s, np.eye(1)), np.ones(1), []),
-    ("v", InvalidMatrix, lambda v: SvdResult(B, np.ones(1), v), np.eye(1), []),
-    ("ground_truth", InvalidVector,
+    ("u", "SvdResult", InvalidMatrix, lambda u: SvdResult(u, np.ones(1), np.eye(1)), B, []),
+    ("sigma", "SvdResult", InvalidMatrix, lambda s: SvdResult(B, s, np.eye(1)), np.ones(1), []),
+    ("v", "SvdResult", InvalidMatrix, lambda v: SvdResult(B, np.ones(1), v), np.eye(1), []),
+    ("ground_truth", "SynthResult", InvalidVector,
      lambda g: SynthResult(TABLE, (), {}, None, {"en": g}, SynthConfig(**SYNTH)), ROWS[0], []),
 ]
 
@@ -247,11 +254,11 @@ def bad_arrays(valid, empties):
 
 
 def array_cases():
-    for i, (name, error, call, valid, empties) in enumerate(ARRAYS):
+    for name, where, error, call, valid, empties in ARRAYS:
         for label, value in bad_arrays(valid, empties):
             record = call in NAMES_THE_RECORD and label in ("nan", "inf", "-inf")
             named, raised = (NAMES_THE_RECORD[call], InvalidVector) if record else (name, error)
-            yield pytest.param(named, raised, call, value, id=f"{name}-{i}-{label}")
+            yield pytest.param(named, raised, call, value, id=f"{name}-{where}-{label}")
 
 
 @pytest.mark.filterwarnings("error")
@@ -373,29 +380,32 @@ def transfer_report(per_language_accuracy=MappingProxyType({"en": 0.5}), train_l
     return write_report("never.json", TransferReport(per_language_accuracy, 0.5, train_language, config))
 
 
-# (name in the message, error class, call with the value, trimmed, hashed) for
-# every name argument. A hashed name (a key or a set member) cannot be a list.
+# (name in the message, the callable, type or qrels part it goes to, error class,
+# call with the value, trimmed, hashed) for every name argument. A hashed name (a
+# key or a set member) cannot be a list.
 NAMES = [
-    ("record id", InvalidVector, lambda v: record_with(id=v), False, False),
-    ("language tag", InvalidVector, lambda v: record_with(lang=v), True, False),
-    ("record id", InvalidVector, lambda v: table_with(ids=[*TABLE.ids[:5], v]), False, False),
-    ("language tag", InvalidVector, lambda v: table_with(langs=["en"] * 5 + [v]), True, False),
-    ("language tag", InvalidVector,
+    ("record id", "EmbeddingRecord", InvalidVector, lambda v: record_with(id=v), False, False),
+    ("language tag", "EmbeddingRecord", InvalidVector, lambda v: record_with(lang=v), True, False),
+    ("record id", "EmbeddingTable", InvalidVector, lambda v: table_with(ids=[*TABLE.ids[:5], v]), False, False),
+    ("language tag", "EmbeddingTable", InvalidVector, lambda v: table_with(langs=["en"] * 5 + [v]), True, False),
+    ("language tag", "fit_decomposition", InvalidVector,
      lambda v: fit_decomposition(EmbeddingTable(ids=TABLE.ids, langs=[v] * 6, rows=ROWS), 1), True, False),
-    ("language tag", InvalidMatrix, lambda v: basis_with(lang=v), True, False),
-    ("source_fingerprint", InvalidMatrix, lambda v: basis_with(source_fingerprint=v), False, False),
-    ("languages", ConfigError,
+    ("language tag", "ComponentBasis", InvalidMatrix, lambda v: basis_with(lang=v), True, False),
+    ("source_fingerprint", "ComponentBasis", InvalidMatrix,
+     lambda v: basis_with(source_fingerprint=v), False, False),
+    ("languages", "SynthConfig", ConfigError,
      lambda v: generate(SynthConfig(**{**SYNTH, "languages": ("l00", "l01", v)})), True, False),
-    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": {"c2"}, "q2": {"c1"}, v: {"c1"}})),
+    ("qrels", "key", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": {"c2"}, "q2": {"c1"}, v: {"c1"}})),
      False, True),
-    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": ["c2", v], "q2": {"c1"}})),
+    ("qrels", "list-member", DatasetError, lambda v: evaluate_retrieval(dataset({"q1": ["c2", v], "q2": {"c1"}})),
      False, False),
-    ("qrels", DatasetError,  # a frozenset is kept unchecked unless an id is not found
+    ("qrels", "frozenset-member", DatasetError,  # a frozenset is kept unchecked unless an id is not found
      lambda v: evaluate_retrieval(dataset({"q1": frozenset({"c2", v}), "q2": {"c1"}})), False, True),
-    ("per_language_map", ConfigError, lambda v: eval_report({v: 0.5}), False, True),
-    ("per_language_accuracy", ConfigError, lambda v: transfer_report({v: 0.5}), False, True),
-    ("train_language", ConfigError, lambda v: transfer_report(train_language=v), False, False),
-    ("tests", ConfigError, lambda v: evaluate_transfer(TABLE, LABELS, {v: (TABLE, LABELS)}), False, True),
+    ("per_language_map", "EvalReport", ConfigError, lambda v: eval_report({v: 0.5}), False, True),
+    ("per_language_accuracy", "TransferReport", ConfigError, lambda v: transfer_report({v: 0.5}), False, True),
+    ("train_language", "TransferReport", ConfigError, lambda v: transfer_report(train_language=v), False, False),
+    ("tests", "evaluate_transfer", ConfigError,
+     lambda v: evaluate_transfer(TABLE, LABELS, {v: (TABLE, LABELS)}), False, True),
 ]
 # (name, error class, call with the value) for every sequence of names.
 COLUMNS = [
@@ -405,58 +415,65 @@ COLUMNS = [
 
 
 def name_cases():
-    for i, (name, error, call, strip, hashed) in enumerate(NAMES):
+    for name, where, error, call, strip, hashed in NAMES:
         for value in [None, 1, b"en", *([] if hashed else [["en"]]), "", *(["  "] if strip else [])]:
-            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r}")
-    for i, (name, error, call) in enumerate(COLUMNS):
+            yield pytest.param(name, error, call, value, id=f"{name}-{where}-{value!r}")
+    for name, error, call in COLUMNS:
         for value in [None, 1, "ab"]:  # bytes are a sequence of ints: each a bad name
             yield pytest.param(name, error, call, value, id=f"{name}-column-{value!r}")
 
 
-# (name, error class, call with the value, None allowed, the value's other form) for every choice.
+# (name, the callable or type it goes to, error class, call with the value, None allowed,
+# the value's other form) for every choice.
 CHOICES = [
-    ("mode", ConfigError, lambda v: evaluate_retrieval(dataset(), mode=v), False, "orthogonal"),
-    ("mode", ConfigError, lambda v: transfer(mode=v), False, "orthogonal"),
-    ("mode", ConfigError, lambda v: remove_batch([RECORD], {"en": EN}, v), False, "orthogonal"),
-    ("mode", ConfigError, lambda v: remove_batch([], {}, v), False, "bogus"),  # checked before any row
-    ("placement", ConfigError, lambda v: transfer(placement=v), False, b"both"),
-    ("label_rule", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "label_rule": v})), True,
+    ("mode", "evaluate_retrieval", ConfigError,
+     lambda v: evaluate_retrieval(dataset(), mode=v), False, "orthogonal"),
+    ("mode", "evaluate_transfer", ConfigError, lambda v: transfer(mode=v), False, "orthogonal"),
+    ("mode", "remove_batch", ConfigError, lambda v: remove_batch([RECORD], {"en": EN}, v), False, "orthogonal"),
+    ("mode", "remove_batch-empty", ConfigError,
+     lambda v: remove_batch([], {}, v), False, "bogus"),  # checked before any row
+    ("placement", "evaluate_transfer", ConfigError, lambda v: transfer(placement=v), False, b"both"),
+    ("label_rule", "SynthConfig", ConfigError, lambda v: generate(SynthConfig(**{**SYNTH, "label_rule": v})), True,
      b"topic-parity"),
 ]
 
 
 def choice_cases():
-    for i, (name, error, call, none, other) in enumerate(CHOICES):
+    for name, where, error, call, none, other in CHOICES:
         for value in [*([] if none else [None]), 1, True, other]:
-            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{value!r}")
+            yield pytest.param(name, error, call, value, id=f"{name}-{where}-{value!r}")
 
 
-# (name, error class, call with the value, None allowed, a mapping with a key or
-# value of the wrong type) for every mapping. A test set is looked up only after
-# training, so tests' bad entry is its key (test_bad_test_pair_raises_naming_it).
+# (name, the callable or type it goes to, error class, call with the value, None
+# allowed, a mapping with a key or value of the wrong type) for every mapping. A
+# test set is looked up only after training, so tests' bad entry is its key
+# (test_bad_test_pair_raises_naming_it).
 MAPPINGS = [
-    ("qrels", DatasetError, lambda v: evaluate_retrieval(dataset(v)), False, {"q1": "c1", "q2": {"c1"}}),
-    ("bases", ConfigError, lambda v: evaluate_retrieval(dataset(), v), True, {"en": 1}),
-    ("bases", ConfigError, lambda v: transfer(bases=v), True, {"en": 1}),
-    ("bases", ConfigError, lambda v: remove_batch([RECORD], v), False, {"en": 1}),
-    ("tests", ConfigError, lambda v: evaluate_transfer(TABLE, LABELS, v), False, {1: (TABLE, LABELS)}),
-    ("per_language_map", ConfigError, lambda v: eval_report(per_language_map=v), False, {"en": "0.5"}),
-    ("config", ConfigError, lambda v: eval_report(config=v), False, {1: "a", "b": 2}),
-    ("per_language_accuracy", ConfigError, lambda v: transfer_report(per_language_accuracy=v), False,
-     {"en": "0.5"}),
-    ("config", ConfigError, lambda v: transfer_report(config=v), False, {"b": 2, 1: "a"}),
+    ("qrels", "RetrievalDataset", DatasetError,
+     lambda v: evaluate_retrieval(dataset(v)), False, {"q1": "c1", "q2": {"c1"}}),
+    ("bases", "evaluate_retrieval", ConfigError, lambda v: evaluate_retrieval(dataset(), v), True, {"en": 1}),
+    ("bases", "evaluate_transfer", ConfigError, lambda v: transfer(bases=v), True, {"en": 1}),
+    ("bases", "remove_batch", ConfigError, lambda v: remove_batch([RECORD], v), False, {"en": 1}),
+    ("tests", "evaluate_transfer", ConfigError,
+     lambda v: evaluate_transfer(TABLE, LABELS, v), False, {1: (TABLE, LABELS)}),
+    ("per_language_map", "EvalReport", ConfigError,
+     lambda v: eval_report(per_language_map=v), False, {"en": "0.5"}),
+    ("config", "EvalReport", ConfigError, lambda v: eval_report(config=v), False, {1: "a", "b": 2}),
+    ("per_language_accuracy", "TransferReport", ConfigError,
+     lambda v: transfer_report(per_language_accuracy=v), False, {"en": "0.5"}),
+    ("config", "TransferReport", ConfigError, lambda v: transfer_report(config=v), False, {"b": 2, 1: "a"}),
 ]
 
 
 def mapping_cases():
-    for i, (name, error, call, none, wrong) in enumerate(MAPPINGS):
+    for name, where, error, call, none, wrong in MAPPINGS:
         values = {"pairs": [("en", 1)], "str": "en"}
         if not none:
             values["None"] = None
         if wrong is not None:
             values["wrong-value"] = wrong
         for label, value in values.items():
-            yield pytest.param(name, error, call, value, id=f"{name}-{i}-{label}")
+            yield pytest.param(name, error, call, value, id=f"{name}-mapping-{where}-{label}")
 
 
 # Report config values that a JSON round trip does not give back unchanged.
@@ -464,36 +481,41 @@ BAD_CONFIG_VALUES = [object(), math.nan, math.inf, (1,), {1: "a"}]
 
 
 def config_cases():
-    for i, call in enumerate((lambda v: eval_report(config=v), lambda v: transfer_report(config=v))):
+    for where, call in (("EvalReport", lambda v: eval_report(config=v)),
+                        ("TransferReport", lambda v: transfer_report(config=v))):
         for value in BAD_CONFIG_VALUES:
             config = {"fine": 1, "x": value}
-            yield pytest.param(r"config\['x'\]", ConfigError, call, config, id=f"config-value-{i}-{value!r:.12}")
+            yield pytest.param(r"config\['x'\]", ConfigError, call, config,
+                               id=f"config-value-{where}-{value!r:.12}")
 
 
-# (name, call with the value, the value) for the keys and sets of the JSONL writers.
+# (name, a label of the bad value, call with the value, the value) for the keys and
+# sets of the JSONL writers.
 WRITERS = [
-    ("qrels", lambda v: write_qrels("never.jsonl", v), {1: frozenset({"a"})}),
-    ("qrels", lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a"}), 1: frozenset({"a"})}),
-    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": "ab"}),
-    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": {"a"}}),
-    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a", 1})}),
-    (r"qrels\['q'\]", lambda v: write_qrels("never.jsonl", v), {"q": 5}),
-    ("labels", lambda v: write_labels("never.jsonl", v), {1: 0}),
-    ("labels", lambda v: write_labels("never.jsonl", v), {"a": 0, 1: 1}),
+    ("qrels", "qrels-int-key", lambda v: write_qrels("never.jsonl", v), {1: frozenset({"a"})}),
+    ("qrels", "qrels-later-int-key",
+     lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a"}), 1: frozenset({"a"})}),
+    (r"qrels\['q'\]", "qrels-str-set", lambda v: write_qrels("never.jsonl", v), {"q": "ab"}),
+    (r"qrels\['q'\]", "qrels-set", lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": {"a"}}),
+    (r"qrels\['q'\]", "qrels-int-member", lambda v: write_qrels("never.jsonl", v), {"q": frozenset({"a", 1})}),
+    (r"qrels\['q'\]", "qrels-int-set", lambda v: write_qrels("never.jsonl", v), {"q": 5}),
+    ("labels", "labels-int-key", lambda v: write_labels("never.jsonl", v), {1: 0}),
+    ("labels", "labels-later-int-key", lambda v: write_labels("never.jsonl", v), {"a": 0, 1: 1}),
     # What the readers reject: an empty key, an empty id and a file of no lines.
-    ("qrels key", lambda v: write_qrels("never.jsonl", v), {"": frozenset({"a"})}),
-    ("labels key", lambda v: write_labels("never.jsonl", v), {"a": 0, "": 1}),
-    (r"qrels\['q'\] id", lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": frozenset({"", "a"})}),
-    ("empty qrels", lambda v: write_qrels("never.jsonl", v), {}),
-    ("empty labels", lambda v: write_labels("never.jsonl", v), MappingProxyType({})),
-    ("qrels", lambda v: write_qrels("never.jsonl", v), []),
-    ("labels", lambda v: write_labels("never.jsonl", v), [("a", 0)]),
+    ("qrels key", "qrels-empty-key", lambda v: write_qrels("never.jsonl", v), {"": frozenset({"a"})}),
+    ("labels key", "labels-empty-key", lambda v: write_labels("never.jsonl", v), {"a": 0, "": 1}),
+    (r"qrels\['q'\] id", "qrels-empty-id",
+     lambda v: write_qrels("never.jsonl", v), {"p": frozenset({"a"}), "q": frozenset({"", "a"})}),
+    ("empty qrels", "qrels-empty", lambda v: write_qrels("never.jsonl", v), {}),
+    ("empty labels", "labels-empty", lambda v: write_labels("never.jsonl", v), MappingProxyType({})),
+    ("qrels", "qrels-list", lambda v: write_qrels("never.jsonl", v), []),
+    ("labels", "labels-list", lambda v: write_labels("never.jsonl", v), [("a", 0)]),
 ]
 
 
 def writer_cases():
-    for i, (name, call, value) in enumerate(WRITERS):
-        yield pytest.param(name, FormatError, call, value, id=f"writer-{i}")  # a set's repr varies
+    for name, where, call, value in WRITERS:
+        yield pytest.param(name, FormatError, call, value, id=f"writer-{where}")  # a set's repr varies
 
 
 @pytest.mark.filterwarnings("error")
@@ -550,42 +572,45 @@ def test_read_qrels_sets_stay_shared(tmp_path):
 
 ZZ = EmbeddingRecord("z", "zz", [1.0, 0.0, 0.0])
 
-# (name, call with the value) for every flag. Each call reaches the work the flag
-# controls: remove_batch's strict decides whether the uncovered record raises.
+# (name, the callable it goes to, call with the value) for every flag. Each call
+# reaches the work the flag controls: remove_batch's strict decides whether the
+# uncovered record raises.
 FLAGS = [
-    ("center", lambda v: fit_decomposition(MATRIX, 1, center=v)),
-    ("normalize", lambda v: fit_decomposition(MATRIX, 1, normalize=v)),
-    ("strict", lambda v: remove_batch([ZZ], {"en": EN}, strict=v)),
+    ("center", "fit_decomposition", lambda v: fit_decomposition(MATRIX, 1, center=v)),
+    ("normalize", "fit_decomposition", lambda v: fit_decomposition(MATRIX, 1, normalize=v)),
+    ("strict", "remove_batch", lambda v: remove_batch([ZZ], {"en": EN}, strict=v)),
 ]
 BAD_FLAGS = ["no", 1, None, np.True_]
 
-# (name, error class, call with the value) for every lir object argument,
-# and for the records (or table) that a record collection argument takes.
+# (name, the callable or type it goes to, error class, call with the value) for
+# every lir object argument, and for the records (or table) that a record
+# collection argument takes.
 OBJECTS = [
-    ("matrix", ConfigError, lambda v: fit_decomposition(v, 1)),
-    ("dataset", ConfigError, evaluate_retrieval),
-    ("logistic", ConfigError, lambda v: transfer(logistic=v)),
-    ("config", ConfigError, lambda v: train_logistic(ROWS, LABELS, v)),
-    ("config", ConfigError, generate),
-    ("basis", ConfigError, lambda v: write_components("never.lirc", v)),
-    ("records", InvalidVector, lambda v: remove_batch(v, {})),
-    ("records", InvalidVector, lambda v: write_embeddings("never.lire", v)),
-    ("records", InvalidVector, lambda v: export_projection(v, 1)),
-    ("records", InvalidVector, lambda v: lir.corpus_fingerprint(v)),
-    ("queries", InvalidVector, lambda v: RetrievalDataset(v, CANDIDATES, QRELS)),
-    ("candidates", InvalidVector, lambda v: RetrievalDataset(QUERIES, v, QRELS)),
-    ("train_records", InvalidVector, lambda v: evaluate_transfer(v, LABELS, {"en": (TABLE, LABELS)})),
+    ("matrix", "fit_decomposition", ConfigError, lambda v: fit_decomposition(v, 1)),
+    ("dataset", "evaluate_retrieval", ConfigError, evaluate_retrieval),
+    ("logistic", "evaluate_transfer", ConfigError, lambda v: transfer(logistic=v)),
+    ("config", "train_logistic", ConfigError, lambda v: train_logistic(ROWS, LABELS, v)),
+    ("config", "generate", ConfigError, generate),
+    ("basis", "write_components", ConfigError, lambda v: write_components("never.lirc", v)),
+    ("records", "remove_batch", InvalidVector, lambda v: remove_batch(v, {})),
+    ("records", "write_embeddings", InvalidVector, lambda v: write_embeddings("never.lire", v)),
+    ("records", "export_projection", InvalidVector, lambda v: export_projection(v, 1)),
+    ("records", "corpus_fingerprint", InvalidVector, lambda v: lir.corpus_fingerprint(v)),
+    ("queries", "RetrievalDataset", InvalidVector, lambda v: RetrievalDataset(v, CANDIDATES, QRELS)),
+    ("candidates", "RetrievalDataset", InvalidVector, lambda v: RetrievalDataset(QUERIES, v, QRELS)),
+    ("train_records", "evaluate_transfer", InvalidVector,
+     lambda v: evaluate_transfer(v, LABELS, {"en": (TABLE, LABELS)})),
 ]
 BAD_OBJECTS = [5, "x", None, [RECORD, 5]]
 
 
 def flag_and_object_cases():
-    for i, (name, call) in enumerate(FLAGS):
+    for name, where, call in FLAGS:
         for value in BAD_FLAGS:
-            yield pytest.param(name, ConfigError, call, value, id=f"{name}-flag-{i}-{value!r}")
-    for i, (name, error, call) in enumerate(OBJECTS):
+            yield pytest.param(name, ConfigError, call, value, id=f"{name}-flag-{where}-{value!r}")
+    for name, where, error, call in OBJECTS:
         for value in BAD_OBJECTS:
-            yield pytest.param(name, error, call, value, id=f"{name}-object-{i}-{value!r:.12}")
+            yield pytest.param(name, error, call, value, id=f"{name}-object-{where}-{value!r:.12}")
 
 
 @pytest.mark.filterwarnings("error")
@@ -645,3 +670,26 @@ def test_readme_table_names_every_checker_of_lir_errors():
     defined = {name for name, value in vars(lir.errors).items()
                if inspect.isfunction(value) and value.__module__ == "lir.errors"}
     assert named == defined
+
+
+def case_ids():
+    """(test, id) of every case the parametrized tests above take from a table."""
+    tests = [cases(INTEGERS, BAD_INTEGERS), cases(REALS, BAD_REALS), array_cases(),
+             [*name_cases(), *choice_cases(), *mapping_cases(), *config_cases(), *writer_cases()],
+             flag_and_object_cases()]
+    return [(test, param.id) for test, params in enumerate(tests) for param in params]
+
+
+def test_case_ids_are_unique_and_kept_when_a_row_goes(monkeypatch):
+    # An id names its own row, not the row's position: without any one row, the
+    # other rows' cases keep their ids.
+    ids = case_ids()
+    assert len(set(ids)) == len(ids)
+    for table in ("INTEGERS", "REALS", "ARRAYS", "NAMES", "COLUMNS", "CHOICES", "MAPPINGS", "WRITERS",
+                  "FLAGS", "OBJECTS"):
+        for i in range(len(globals()[table])):
+            with monkeypatch.context() as patch:
+                rows = globals()[table]
+                patch.setitem(globals(), table, rows[:i] + rows[i + 1 :])
+                fewer = case_ids()
+            assert len(fewer) < len(ids) and set(fewer) <= set(ids), (table, i)

@@ -27,7 +27,7 @@ from lir.io import (
     write_labels,
 )
 
-from oracles import source_fingerprint_oracle, synth_files_oracle
+from oracles import fingerprint_oracle, synth_files_oracle
 
 
 def run_synth(out, languages=3, topics=6, per=5, dim=16, bias=5.0, seed=9, labels=False, extra=()):
@@ -249,7 +249,7 @@ class TestFitCommand:
                 table, rank, center="--center" in flags, normalize="--normalize" in flags)
             write_components(tmp_path / "direct.lirc", basis)
             assert (tmp_path / "direct.lirc").read_bytes() == (out / f"{lang}.lirc").read_bytes()
-            assert basis.source_fingerprint == source_fingerprint_oracle(lang, table.rows)
+            assert basis.source_fingerprint == fingerprint_oracle(table.ids, table.langs, table.rows)
             top = ", ".join(f"{s:.6g}" for s in sigma[:5])
             lines.append(f"{lang}: n=30 d=16 top_singular_values=[{top}]\n")
         assert capsys.readouterr().out == "".join(lines)

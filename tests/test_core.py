@@ -1,4 +1,7 @@
+import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from lir import (
     corpus_fingerprint,
 )
 from lir.core import EmbeddingTable, _lent_rows
+from lir.io import _read_table, write_embeddings
+from lir.removal import fit_decomposition
+from oracles import fingerprint_oracle
 
 
 def rec(rid, lang, vec):
@@ -75,6 +81,91 @@ class TestCollection:
         assert corpus_fingerprint(a) != corpus_fingerprint(b)
         assert corpus_fingerprint(a) != corpus_fingerprint(list(reversed(a)))
         assert corpus_fingerprint(a) == corpus_fingerprint(list(a))
+
+
+def lire_fingerprint(data: bytes) -> str:
+    """The README's fingerprint formula over the table a .lire file holds,
+    recomputed from the file's bytes with json, struct and hashlib alone."""
+    assert data[:5] == b"LIRE\x01"
+    (size,) = struct.unpack_from("<I", data, 5)
+    header = json.loads(data[9 : 9 + size])
+    n, d, pos = header["count"], header["dim"], 9 + size
+    ids, values = [], []
+    for _ in range(n):
+        (length,) = struct.unpack_from("<H", data, pos)
+        ids.append(data[pos + 2 : pos + 2 + length])
+        values += struct.unpack_from(f"<{d}f", data, pos + 2 + length)
+        pos += 2 + length + 4 * d
+    assert pos == len(data)
+    tag = header["lang"].encode("utf-8")
+    parts = [struct.pack("<QQ", n, d), struct.pack(f"<{n}I", *map(len, ids)), *ids,
+             struct.pack(f"<{n}I", *[len(tag)] * n), tag * n, struct.pack(f"<{n * d}d", *values)]
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
+
+
+ONE_ROW = np.array([[1.0, -2.0]])
+ROWS = np.array([[1.0, -2.0], [0.5, 3.0]])
+TWINS = {
+    # NUL-separated fields would hash both of these alike.
+    "nul-in-id-or-tag": (EmbeddingTable(["a\0b"], ["c"], ONE_ROW), EmbeddingTable(["a"], ["b\0c"], ONE_ROW)),
+    "id-boundary": (EmbeddingTable(["ab", "c"], ["en"] * 2, ROWS), EmbeddingTable(["a", "bc"], ["en"] * 2, ROWS)),
+    "one-id": (EmbeddingTable(["a", "b"], ["en"] * 2, ROWS), EmbeddingTable(["a", "B"], ["en"] * 2, ROWS)),
+    "one-tag": (EmbeddingTable(["a", "b"], ["en"] * 2, ROWS), EmbeddingTable(["a", "b"], ["en", "zh"], ROWS)),
+    "one-ulp": (EmbeddingTable(["a", "b"], ["en"] * 2, ROWS),
+                EmbeddingTable(["a", "b"], ["en"] * 2, ROWS + [[0.0, 0.0], [0.0, np.spacing(3.0)]])),
+    "row-order": (EmbeddingTable(["a", "b"], ["en", "zh"], ROWS),
+                  EmbeddingTable(["b", "a"], ["zh", "en"], ROWS[::-1])),
+}
+
+
+class TestCorpusFingerprint:
+    def test_is_the_readme_formula_over_a_lire_files_bytes(self, tmp_path):
+        rows = np.random.default_rng(3).standard_normal((5, 3))
+        table = EmbeddingTable(["q1", "文書-2", "c", "ab", "é"], [" zh-Hant "] * 5, rows)
+        write_embeddings(tmp_path / "x.lire", table)
+        expected = lire_fingerprint((tmp_path / "x.lire").read_bytes())
+        read = _read_table(tmp_path / "x.lire")
+        assert corpus_fingerprint(read) == expected
+        assert fit_decomposition(read, 1)[0].source_fingerprint == expected
+
+    @pytest.mark.parametrize("name", TWINS)
+    def test_tables_that_differ_hash_apart(self, name):
+        a, b = TWINS[name]
+        assert corpus_fingerprint(a) == fingerprint_oracle(a.ids, a.langs, a.rows)
+        assert corpus_fingerprint(b) == fingerprint_oracle(b.ids, b.langs, b.rows)
+        assert corpus_fingerprint(a) != corpus_fingerprint(b)
+
+    @pytest.mark.parametrize("ids", [["\ud800", "b"], ["\ud83d", "\ude00"]], ids=["lone", "split-pair"])
+    def test_a_lone_surrogate_id_has_a_fingerprint_and_fits(self, ids):
+        # Two halves of a pair in adjacent ids are each encoded alone, as the oracle does.
+        table = EmbeddingTable(ids, ["en", "en"], ROWS)
+        fingerprint = corpus_fingerprint(table)
+        assert fingerprint == fingerprint_oracle(table.ids, table.langs, table.rows)
+        assert fit_decomposition(table, 1)[0].source_fingerprint == fingerprint
+
+    def test_hashes_with_as_many_updates_at_any_size(self, monkeypatch):
+        calls = []
+
+        class Counted:
+            def __init__(self, data=b""):
+                self.hash = hashlib.new("sha256", data)
+
+            def update(self, data):
+                calls.append(1)
+                self.hash.update(data)
+
+            def hexdigest(self):
+                return self.hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counted)
+        counts = []
+        for n in (1, 1000):
+            calls.clear()
+            rows = np.ones((n, 2))
+            table = EmbeddingTable([f"r{i}" for i in range(n)], ["en"] * n, rows)
+            assert corpus_fingerprint(table) == fingerprint_oracle(table.ids, table.langs, rows)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestLentRows:

@@ -9,11 +9,14 @@ may depend on the BLAS kernel, so it is only checked to be the same in two
 runs.
 
 A change that alters bytes on purpose regenerates the list with
-`PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_list()"`
-and says which files changed and why.
+`PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_list()"`,
+which prints the files whose digests changed, and says why they changed.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import lir
 from lir.cli import main
+from lir.io import read_components
 
 GOLDEN = Path(__file__).parent / "golden" / "seed7.sha256"
 SYNTH = ["--languages", "3", "--topics", "6", "--per", "5", "--dim", "16", "--bias", "5.0",
@@ -76,14 +80,19 @@ def read_list() -> dict[str, str]:
 
 
 def write_list() -> None:
-    """Run the chain in a temporary directory and write its digests as the list."""
+    """Run the chain in a temporary directory, write its digests as the list,
+    and print the name of every file whose digest is not the old list's."""
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    old = read_list() if GOLDEN.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         run_chain(Path(tmp))
-        lines = [f"{digest}  {name}\n" for name, digest in digests(Path(tmp)).items()]
+        new = digests(Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("".join(lines), encoding="utf-8")
+    GOLDEN.write_text("".join(f"{digest}  {name}\n" for name, digest in new.items()), encoding="utf-8")
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(name)
 
 
 def test_chain_matches_the_golden_digests(tmp_path):
@@ -113,3 +122,20 @@ def test_chain_does_not_depend_on_the_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert digests(root) == read_list(), f"PYTHONHASHSEED={root.name}"
     assert (roots[0] / "scores.csv").read_bytes() == (roots[1] / "scores.csv").read_bytes()
+
+
+def test_every_artifact_names_a_corpus_by_one_fingerprint(tmp_path):
+    # The manifest, both .lirc sets and both transfer reports fingerprint each
+    # language's corpus file alike; the training corpus is l00's.
+    run_chain(tmp_path)
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text(encoding="utf-8"))
+    reports = [json.loads((tmp_path / f"transfer-{placement}.json").read_text(encoding="utf-8"))["config"]
+               for placement in ("both", "eval")]
+    assert sorted(manifest["fingerprints"]) == ["l00", "l01", "l02"]
+    for lang, fingerprint in manifest["fingerprints"].items():
+        for rank in (1, 4):
+            assert read_components(tmp_path / f"comp{rank}" / f"{lang}.lirc").source_fingerprint == fingerprint
+        for report in reports:
+            assert report["test_fingerprints"][lang] == fingerprint
+    for report in reports:
+        assert report["train_fingerprint"] == manifest["fingerprints"]["l00"]

@@ -22,7 +22,7 @@ from lir import (
     svd,
 )
 from lir.synth import _take
-from oracles import source_fingerprint_oracle
+from oracles import fingerprint_oracle
 
 
 def rec(rid, lang, vec):
@@ -63,7 +63,7 @@ class TestFitComponents:
         assert np.allclose(basis.basis[:, 0], [1.0, 0.0], atol=1e-12)
         assert basis.rank == 1
         assert basis.sample_count == 2
-        assert basis.source_fingerprint == source_fingerprint_oracle("en", m.rows)
+        assert basis.source_fingerprint == fingerprint_oracle(m.ids, m.langs, m.rows)
 
     def test_rank_zero_gives_identity_removal(self):
         m = one_language("en", np.arange(6.0).reshape(3, 2) + 1.0)
@@ -148,8 +148,9 @@ class TestFitComponents:
         # hashed is the rows' C-order bytes, as rows.tobytes() gives them.
         rows = np.random.default_rng(5).standard_normal((7, 3))
         for given in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=0)[::2]):
-            basis = fit_decomposition(one_language("en", given), 1)[0]
-            assert basis.source_fingerprint == source_fingerprint_oracle("en", rows)
+            table = one_language("en", given)
+            basis = fit_decomposition(table, 1)[0]
+            assert basis.source_fingerprint == fingerprint_oracle(table.ids, table.langs, rows)
 
 
 @pytest.mark.parametrize("lang", ["en", "zh-Hant", "日本語"])
@@ -169,7 +170,7 @@ def test_fit_decomposition_is_the_svd_of_the_prepared_rows(lang, shape, center, 
         assert basis.basis.tobytes() == res.v[:, :rank].copy().tobytes()
         assert sigma.tobytes() == res.sigma.tobytes()
         assert (basis.lang, basis.rank, basis.sample_count) == (lang, rank, shape[0])
-        assert basis.source_fingerprint == source_fingerprint_oracle(lang, rows)
+        assert basis.source_fingerprint == fingerprint_oracle(table.ids, table.langs, rows)
 
 
 ROWS_7x3 = np.random.default_rng(5).standard_normal((7, 3))
@@ -193,7 +194,7 @@ def test_fit_decomposition_fits_the_float64_rows_the_table_holds(given):
     basis, sigma = fit_decomposition(table, 2)
     assert basis.basis.tobytes() == svd(expected).v[:, :2].copy().tobytes()
     assert sigma.tobytes() == svd(expected).sigma.tobytes()
-    assert basis.source_fingerprint == source_fingerprint_oracle("en", expected)
+    assert basis.source_fingerprint == fingerprint_oracle(table.ids, table.langs, expected)
 
 
 @pytest.mark.parametrize("langs", [
